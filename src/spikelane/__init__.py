@@ -66,7 +66,6 @@ from .evaluation import (
     write_timeline_csv,
 )
 from .model import (
-    BatchForwardCache,
     ForwardCache,
     Gradients,
     LifConfig,

@@ -10,7 +10,6 @@ or input-format problems, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -27,20 +26,6 @@ from .errors import (
 from .model import new_model
 
 _USAGE_ERRORS = (UsageError, ConfigError, ParseError, CheckpointError)
-
-
-def resolve_thread_cap(env=None) -> int:
-    """Worker cap from SPIKE_LANE_THREADS; unset or 0 means one per CPU."""
-    raw = (env if env is not None else os.environ).get("SPIKE_LANE_THREADS")
-    if raw is None or not raw.strip():
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"SPIKE_LANE_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"SPIKE_LANE_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +131,7 @@ def _load_windows(args) -> list[dataset.WindowSample]:
     config = dataset.WindowConfig(
         window_rate_hz=args.window_rate_hz, stride_frames=args.stride
     )
-    return dataset.build_windows(trajectories, config, max_workers=resolve_thread_cap())
+    return dataset.build_windows(trajectories, config)
 
 
 def _fit_and_train(args):
@@ -273,6 +258,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpikeLaneError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ label at its final frame.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -313,27 +312,16 @@ def make_windows(
 
 
 def build_windows(
-    trajectories: Sequence[Trajectory],
-    config: WindowConfig = WindowConfig(),
-    max_workers: int | None = None,
+    trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig()
 ) -> list[WindowSample]:
-    """Label and window every trajectory; result ordered by (vehicle, end frame).
-
-    Trajectories are independent, so they may be processed by a small thread
-    pool; the final sort keeps the output deterministic either way.
-    """
-
-    def one(traj: Trajectory) -> list[WindowSample]:
-        return make_windows(
+    """Label and window every trajectory; result ordered by (vehicle, end frame)."""
+    samples = [
+        s
+        for traj in trajectories
+        for s in make_windows(
             traj, label_frames(traj), config.window_rate_hz, config.stride_frames
         )
-
-    if max_workers is not None and max_workers > 1 and len(trajectories) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(one, trajectories))
-    else:
-        chunks = [one(t) for t in trajectories]
-    samples = [s for chunk in chunks for s in chunk]
+    ]
     samples.sort(key=lambda s: (s.vehicle_id, s.end_frame))
     return samples
 
@@ -372,12 +360,27 @@ def save_norm_stats(stats: NormStats, destination: str | Path) -> None:
 
 
 def load_norm_stats(source: str | Path) -> NormStats:
+    """Read statistics written by save_norm_stats; every std must be finite and > 0."""
+    values = {}
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != ("feature", "mean", "std"):
             raise ParseError(f"line 1: bad normalizer header {header}")
-        values = {row[0]: (float(row[1]), float(row[2])) for row in reader if row}
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"line {line_no}: expected 3 cells, got {len(row)}")
+            try:
+                mean, std = float(row[1]), float(row[2])
+            except ValueError:
+                raise ParseError(f"line {line_no}: non-numeric cell in {row}") from None
+            if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+                raise ParseError(
+                    f"line {line_no}: need a finite mean and a finite std > 0, got {row}"
+                )
+            values[row[0]] = (mean, std)
     missing = [name for name in FEATURE_NAMES if name not in values]
     if missing:
         raise ParseError(f"normalizer file missing features {missing}")

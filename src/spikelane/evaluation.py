@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
+    INTENTION_HORIZON_S,
     LABEL_KEEP,
     LABEL_NAMES,
     NormStats,
@@ -258,7 +259,7 @@ def timeline_predict(
         entries[i].end_frame for i in detect_runs(predicted, debounce)
     ]
 
-    horizon = int(round(3.0 * traj.sample_rate_hz))
+    horizon = int(round(INTENTION_HORIZON_S * traj.sample_rate_hz))
     onsets = tuple(e.onset_frame for e in traj.events)
     false_detections = tuple(
         d for d in detections if not any(d <= o <= d + horizon for o in onsets)

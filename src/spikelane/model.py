@@ -15,7 +15,7 @@ across threads for inference is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -135,15 +135,19 @@ class Model:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """All intermediates of one forward pass, kept for the backward pass."""
+    """All intermediates of a forward pass, kept for the backward pass.
 
-    input: np.ndarray      # (T, in)
-    currents: np.ndarray   # (T, hidden)
-    membrane: np.ndarray   # (T, hidden), pre-reset potentials
-    spikes: np.ndarray     # (T, hidden), values in {0, 1}
-    pooled: np.ndarray     # (hidden,)
-    logits: np.ndarray     # (classes,)
-    log_probs: np.ndarray  # (classes,)
+    forward_batch fills every field with a leading batch axis N; forward
+    returns the same fields for one window, without that axis.
+    """
+
+    input: np.ndarray      # ([N,] T, in)
+    currents: np.ndarray   # ([N,] T, hidden)
+    membrane: np.ndarray   # ([N,] T, hidden), pre-reset potentials
+    spikes: np.ndarray     # ([N,] T, hidden), values in {0, 1}
+    pooled: np.ndarray     # ([N,] hidden)
+    logits: np.ndarray     # ([N,] classes)
+    log_probs: np.ndarray  # ([N,] classes)
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,11 @@ def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
             f"input shape {x.shape} does not match layer weights shape "
             f"{layer.weights.shape}"
         )
+    return _affine(x, layer)
+
+
+def _affine(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+    # Maps the last axis, so the same code serves (T, in) and (N, T, in).
     return x @ layer.weights + layer.bias
 
 
@@ -291,8 +300,12 @@ def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndar
 
 def temporal_mean(spikes: np.ndarray) -> np.ndarray:
     """Average spikes along the time dimension into one rate per neuron."""
-    spikes = _as_matrix(spikes, "spikes")
-    return spikes.mean(axis=0)
+    return _temporal_mean(_as_matrix(spikes, "spikes"))
+
+
+def _temporal_mean(spikes: np.ndarray) -> np.ndarray:
+    # Time runs along axis -2, as in _lif_core.
+    return spikes.mean(axis=-2)
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -311,27 +324,41 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: Model, x: np.ndarray) -> ForwardCache:
-    """Full deterministic forward pass on one (input_steps, input_dim) window."""
+    """Full deterministic forward pass on one (input_steps, input_dim) window.
+
+    Runs the batched pass on a batch of one and drops the batch axis.
+    """
     x = _as_matrix(x, "input window")
     expected = (model.input_steps, model.input_dim)
     if x.shape != expected:
         raise ShapeError(f"input window shape {x.shape}, expected {expected}")
     if not np.isfinite(x).all():
         raise NumericError("input window must be finite")
-    currents = linear_forward(x, model.feature_layer)
-    spikes, membrane = lif_forward(currents, model.lif)
-    pooled = temporal_mean(spikes)
-    logits = linear_forward(pooled[None, :], model.classifier)[0]
-    log_probs = softmax_logprobs(logits)
-    return ForwardCache(
-        input=x,
-        currents=currents,
-        membrane=membrane,
-        spikes=spikes,
-        pooled=pooled,
-        logits=logits,
-        log_probs=log_probs,
-    )
+    return _index_cache(_forward_stack(model, x[None]), 0)
+
+
+def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
+    """Vectorized forward pass over a (N, input_steps, input_dim) stack."""
+    xs = np.asarray(windows, dtype=np.float64)
+    expected = (model.input_steps, model.input_dim)
+    if xs.ndim != 3 or xs.shape[1:] != expected:
+        raise ShapeError(f"window stack shape {xs.shape}, expected (N, {expected[0]}, {expected[1]})")
+    if not np.isfinite(xs).all():
+        raise NumericError("window stack must be finite")
+    return _forward_stack(model, xs)
+
+
+def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
+    currents = _affine(xs, model.feature_layer)
+    spikes, membrane = _lif_core(currents, model.lif)
+    pooled = _temporal_mean(spikes)
+    logits = _affine(pooled, model.classifier)
+    return ForwardCache(xs, currents, membrane, spikes, pooled, logits, _log_softmax(logits))
+
+
+def _index_cache(cache: ForwardCache, key) -> ForwardCache:
+    """Apply one index to every field: 0 drops the batch axis, None adds one."""
+    return ForwardCache(*(getattr(cache, f.name)[key] for f in fields(ForwardCache)))
 
 
 def nll_loss(log_probs_batch: Sequence[np.ndarray], labels: Sequence[int]) -> float:
@@ -368,6 +395,17 @@ def surrogate_grad(v: np.ndarray, slope: float) -> np.ndarray:
 def backward(model: Model, cache: ForwardCache, label: int) -> Gradients:
     """Gradients of the single-sample NLL loss for both linear layers.
 
+    Takes a cache without the batch axis, as forward returns it, and runs
+    backward_batch on it as a batch of one.
+    """
+    return backward_batch(model, _index_cache(cache, None), np.array([label]))
+
+
+def backward_batch(
+    model: Model, cache: ForwardCache, labels: np.ndarray
+) -> Gradients:
+    """Mean gradients of the batch NLL loss (the 1/N average over samples).
+
     The spike step's derivative is replaced by the fast-sigmoid surrogate;
     the membrane recurrence is unrolled backwards through time with decay
     beta, including the post-spike reset path for the configured reset mode.
@@ -376,30 +414,32 @@ def backward(model: Model, cache: ForwardCache, label: int) -> Gradients:
     which is how the backward pass is verified.
     """
     steps, hidden = model.input_steps, model.hidden_dim
-    if cache.spikes.shape != (steps, hidden) or cache.input.shape != (
-        steps,
-        model.input_dim,
-    ):
+    n = len(cache.input)
+    if cache.input.shape != (n, steps, model.input_dim) or cache.spikes.shape != (n, steps, hidden):
         raise UsageError(
             f"cache shapes {cache.input.shape}/{cache.spikes.shape} do not "
-            f"match model dims ({steps}, {model.input_dim}, {hidden})"
+            f"match model dims (N, {steps}, {model.input_dim}, {hidden})"
         )
-    label = int(label)
-    if not 0 <= label < model.classes:
-        raise UsageError(f"label {label} outside [0, {model.classes})")
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (n,):
+        raise UsageError(f"{n} windows but labels shape {labels.shape}")
+    bad = (labels < 0) | (labels >= model.classes)
+    if bad.any():
+        raise UsageError(f"label {labels[bad][0]} outside [0, {model.classes})")
 
     dlogits = np.exp(cache.log_probs)
-    dlogits[label] -= 1.0
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
 
-    grad_w2 = np.outer(cache.pooled, dlogits)
-    grad_b2 = dlogits
+    grad_w2 = cache.pooled.T @ dlogits
+    grad_b2 = dlogits.sum(axis=0)
 
-    dpooled = model.classifier.weights @ dlogits
+    dpooled = dlogits @ model.classifier.weights.T
     dspike = dpooled / steps  # pooling spreads the gradient evenly over time
 
     lam = _membrane_adjoint(model.lif, cache.membrane, cache.spikes, dspike)
-    grad_w1 = cache.input.T @ lam
-    grad_b1 = lam.sum(axis=0)
+    grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
+    grad_b1 = lam.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
 
 
@@ -412,7 +452,7 @@ def _membrane_adjoint(
     """Backward sweep over the LIF recurrence; returns dLoss/dCurrents.
 
     dspike is the loss gradient on each spike (identical for every time step
-    here, but broadcast either way).  Works on (T, H) and (N, T, H) stacks.
+    here, but broadcast either way).  Works on (N, T, H) stacks.
     """
     steps = membrane.shape[-2]
     sg = surrogate_grad(membrane - cfg.v_threshold, cfg.surrogate_slope)
@@ -427,62 +467,3 @@ def _membrane_adjoint(
         lam[..., t, :] = dspike * sg[..., t, :] + mu * dreset
         mu = cfg.beta * lam[..., t, :]
     return lam
-
-
-# ---------------------------------------------------------------------------
-# batched twins, used by training and evaluation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchForwardCache:
-    """ForwardCache with a leading batch axis on every field."""
-
-    input: np.ndarray      # (N, T, in)
-    currents: np.ndarray   # (N, T, hidden)
-    membrane: np.ndarray
-    spikes: np.ndarray
-    pooled: np.ndarray     # (N, hidden)
-    logits: np.ndarray     # (N, classes)
-    log_probs: np.ndarray
-
-
-def forward_batch(model: Model, windows: np.ndarray) -> BatchForwardCache:
-    """Vectorized forward pass over a (N, input_steps, input_dim) stack."""
-    xs = np.asarray(windows, dtype=np.float64)
-    expected = (model.input_steps, model.input_dim)
-    if xs.ndim != 3 or xs.shape[1:] != expected:
-        raise ShapeError(f"window stack shape {xs.shape}, expected (N, {expected[0]}, {expected[1]})")
-    if not np.isfinite(xs).all():
-        raise NumericError("window stack must be finite")
-    currents = xs @ model.feature_layer.weights + model.feature_layer.bias
-    spikes, membrane = _lif_core(currents, model.lif)
-    pooled = spikes.mean(axis=1)
-    logits = pooled @ model.classifier.weights + model.classifier.bias
-    log_probs = _log_softmax(logits)
-    return BatchForwardCache(xs, currents, membrane, spikes, pooled, logits, log_probs)
-
-
-def backward_batch(
-    model: Model, cache: BatchForwardCache, labels: np.ndarray
-) -> Gradients:
-    """Mean gradients of the batch NLL loss (the 1/N average over samples)."""
-    labels = np.asarray(labels, dtype=np.intp)
-    n = cache.input.shape[0]
-    if labels.shape != (n,):
-        raise UsageError(f"{n} windows but labels shape {labels.shape}")
-
-    dlogits = np.exp(cache.log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-
-    grad_w2 = cache.pooled.T @ dlogits
-    grad_b2 = dlogits.sum(axis=0)
-
-    dpooled = dlogits @ model.classifier.weights.T
-    dspike = dpooled / model.input_steps
-
-    lam = _membrane_adjoint(model.lif, cache.membrane, cache.spikes, dspike)
-    grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
-    grad_b1 = lam.sum(axis=(0, 1))
-    return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)

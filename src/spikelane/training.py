@@ -221,6 +221,8 @@ def load_train_config(source: str | Path, **overrides) -> TrainConfig:
             key = key.strip()
             if key not in _CONFIG_FIELD_TYPES:
                 raise ConfigError(f"line {line_no}: unknown config key {key!r}")
+            if key in values:
+                raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
             try:
                 values[key] = _CONFIG_FIELD_TYPES[key](value.strip())
             except ValueError:

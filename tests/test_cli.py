@@ -139,6 +139,28 @@ class TestEval:
             ).split()[1])
         assert counts["train"] + counts["test"] == counts["all"]
 
+    @pytest.mark.parametrize("row", [
+        "v_x,1.5",            # short row
+        "v_x,fast,2.0",       # non-numeric cell
+        "v_x,1.5,0",          # zero std
+        "v_x,1.5,-2",         # negative std
+        "v_x,nan,2.0",        # non-finite mean
+        "v_x,1.5,inf",        # non-finite std
+    ])
+    def test_bad_normalizer_row_is_usage_error(
+        self, data_csv, trained_dir, tmp_path, capsys, row
+    ):
+        lines = (trained_dir / "norm.csv").read_text().splitlines()
+        bad = tmp_path / "norm.csv"
+        bad.write_text("\n".join(row if l.startswith("v_x,") else l for l in lines) + "\n")
+        code = cli.main([
+            "eval", "--data", str(data_csv),
+            "--model", str(trained_dir / "model.spkl"), "--norm", str(bad),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_corrupt_model_is_usage_error(self, data_csv, trained_dir, tmp_path, capsys):
         bad = tmp_path / "bad.spkl"
         bad.write_bytes(b"NOPE" + bytes(42))
@@ -206,35 +228,29 @@ class TestBench:
         assert int(lines["checkpoint_bytes"]) == 46 + 8 * 219
 
 
-class TestThreadCap:
-    def test_unset_uses_cpu_count(self):
-        assert cli.resolve_thread_cap({}) >= 1
-
-    def test_blank_uses_cpu_count(self):
-        assert cli.resolve_thread_cap({"SPIKE_LANE_THREADS": "  "}) >= 1
-
-    def test_explicit_value(self):
-        assert cli.resolve_thread_cap({"SPIKE_LANE_THREADS": "3"}) == 3
-
-    def test_zero_means_auto(self):
-        assert cli.resolve_thread_cap({"SPIKE_LANE_THREADS": "0"}) >= 1
-
-    def test_garbage_rejected(self):
-        with pytest.raises(sl.ConfigError):
-            cli.resolve_thread_cap({"SPIKE_LANE_THREADS": "many"})
-        with pytest.raises(sl.ConfigError):
-            cli.resolve_thread_cap({"SPIKE_LANE_THREADS": "-1"})
-
-    def test_garbage_env_fails_run(self, data_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPIKE_LANE_THREADS", "plenty")
+class TestOutputPath:
+    def test_out_is_existing_file(self, data_csv, trained_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
         code = cli.main([
-            "train", "--data", str(data_csv), "--max-epochs", "1",
-            "--out", str(tmp_path),
+            "eval", "--data", str(data_csv), "--stride", "4", "--seed", "1",
+            "--model", str(trained_dir / "model.spkl"),
+            "--norm", str(trained_dir / "norm.csv"), "--out", str(taken),
         ])
         assert code == 2
-        assert "SPIKE_LANE_THREADS" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err
 
-    def test_capped_run_still_works(self, data_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPIKE_LANE_THREADS", "2")
-        path = tmp_path / "again.csv"
-        assert cli.main(["synth", "--n", "2", "--seed", "5", "--out", str(path)]) == 0
+    def test_out_below_a_file(self, data_csv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main([
+            "train", "--data", str(data_csv), "--stride", "8", "--max-epochs", "1",
+            "--out", str(taken / "run"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_synth_out_is_directory(self, tmp_path, capsys):
+        code = cli.main(["synth", "--n", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

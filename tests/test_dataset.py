@@ -154,15 +154,6 @@ class TestMakeWindows:
         with pytest.raises(sl.ConfigError):
             sl.make_windows(traj, sl.label_frames(traj), stride_frames=0)
 
-    def test_build_windows_threaded_matches_serial(self):
-        trajs = [make_traj(n=150, vid=f"v{i}", rng_seed=i) for i in range(5)]
-        serial = sl.build_windows(trajs, max_workers=None)
-        threaded = sl.build_windows(trajs, max_workers=4)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert a.vehicle_id == b.vehicle_id and a.end_frame == b.end_frame
-            assert (a.features == b.features).all()
-
 
 class TestNormalizer:
     def test_moments_zero_one_after_normalizing(self):

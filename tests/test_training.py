@@ -124,6 +124,10 @@ class TestTrainConfig:
         no_eq.write_text("batch_size\n")
         with pytest.raises(sl.ConfigError, match="line 1"):
             sl.load_train_config(no_eq)
+        duplicate = tmp_path / "d.cfg"
+        duplicate.write_text("max_epochs=1\n# again\nmax_epochs=2\n")
+        with pytest.raises(sl.ConfigError, match="line 3.*duplicate"):
+            sl.load_train_config(duplicate)
 
 
 class TestTrainLoop:
