@@ -23,6 +23,7 @@ from .dataset import (
     Trajectory,
     WindowConfig,
     WindowSample,
+    WindowSet,
     apply_normalizer,
     build_windows,
     downsample_factor,
@@ -30,7 +31,6 @@ from .dataset import (
     fit_normalizer,
     label_frames,
     load_norm_stats,
-    make_windows,
     parse_trajectories,
     save_norm_stats,
     split_by_vehicle,

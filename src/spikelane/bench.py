@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -73,36 +73,10 @@ def write_bench_report(report: BenchReport, out_dir: str | Path) -> list[Path]:
     text = out_dir / "bench_report.txt"
     text.write_text(format_bench_report(report), encoding="utf-8")
     table = out_dir / "bench_report.csv"
-    fields = (
-        "param_count",
-        "checkpoint_bytes",
-        "train_memory_bytes",
-        "epochs_run",
-        "mean_epoch_time_s",
-        "min_epoch_time_s",
-        "max_epoch_time_s",
-        "final_accuracy",
-        "macro_auc",
-    )
+    names = [f.name for f in fields(BenchReport)]
+    values = [getattr(report, name) for name in names]
     with open(table, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(fields)
-        writer.writerow(
-            [
-                report.param_count,
-                report.checkpoint_bytes,
-                report.train_memory_bytes,
-                report.epochs_run,
-            ]
-            + [
-                format(v, ".9g")
-                for v in (
-                    report.mean_epoch_time_s,
-                    report.min_epoch_time_s,
-                    report.max_epoch_time_s,
-                    report.final_accuracy,
-                    report.macro_auc,
-                )
-            ]
-        )
+        writer.writerow(names)
+        writer.writerow([v if isinstance(v, int) else format(v, ".9g") for v in values])
     return [text, table]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .model import LifConfig, LinearLayer, Model, RESET_MODES
+from .model import LifConfig, LinearLayer, Model, RESET_MODES, model_params
 
 MAGIC = b"SPKL"
 VERSION = 1
@@ -45,14 +45,7 @@ def model_to_bytes(model: Model) -> bytes:
         model.lif.v_threshold,
         model.lif.surrogate_slope,
     )
-    params = np.concatenate(
-        [
-            model.feature_layer.weights.ravel(),
-            model.feature_layer.bias,
-            model.classifier.weights.ravel(),
-            model.classifier.bias,
-        ]
-    )
+    params = np.concatenate([p.ravel() for p in model_params(model)])
     return header + params.astype("<f8").tobytes()
 
 

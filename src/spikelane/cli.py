@@ -25,7 +25,8 @@ from .errors import (
 )
 from .model import new_model
 
-_USAGE_ERRORS = (UsageError, ConfigError, ParseError, CheckpointError)
+# OSError: an input that cannot be read or an output path that cannot be written
+_USAGE_ERRORS = (UsageError, ConfigError, ParseError, CheckpointError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,7 +127,7 @@ def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(**overrides)
 
 
-def _load_windows(args) -> list[dataset.WindowSample]:
+def _load_windows(args) -> dataset.WindowSet:
     trajectories = dataset.parse_trajectories(args.data, args.rate_hz)
     config = dataset.WindowConfig(
         window_rate_hz=args.window_rate_hz, stride_frames=args.stride
@@ -135,16 +136,21 @@ def _load_windows(args) -> list[dataset.WindowSample]:
 
 
 def _fit_and_train(args):
-    """Shared train/bench path: windows -> split -> normalize -> train."""
+    """Shared train/bench path: windows -> split -> normalize -> train, then
+    write the checkpoint, normalizer and log to --out."""
     config = _train_config(args)
     windows = _load_windows(args)
     split = dataset.split_by_vehicle(windows, args.train_ratio, config.seed)
     stats = dataset.fit_normalizer(split.train)
     train_set = dataset.apply_normalizer(stats, split.train)
     test_set = dataset.apply_normalizer(stats, split.test)
-    model = new_model(seed=config.seed)
-    trained, logs = training.train(model, train_set, config)
-    return config, stats, trained, logs, train_set, test_set
+    trained, logs = training.train(new_model(seed=config.seed), train_set, config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(trained, out / "model.spkl")
+    dataset.save_norm_stats(stats, out / "norm.csv")
+    training.write_training_log(logs, out / "train_log.csv")
+    return config, trained, logs, test_set, out
 
 
 def cmd_synth(args) -> int:
@@ -161,12 +167,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, stats, trained, logs, _, _ = _fit_and_train(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(trained, out / "model.spkl")
-    dataset.save_norm_stats(stats, out / "norm.csv")
-    training.write_training_log(logs, out / "train_log.csv")
+    _, _, logs, _, out = _fit_and_train(args)
     total = sum(log.wall_time_s for log in logs)
     best = min(log.mean_loss for log in logs)
     print(f"trained {logs[-1].epoch} epochs in {total:.2f} s "
@@ -225,12 +226,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config, stats, trained, logs, _, test_set = _fit_and_train(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(trained, out / "model.spkl")
-    dataset.save_norm_stats(stats, out / "norm.csv")
-    training.write_training_log(logs, out / "train_log.csv")
+    config, trained, logs, test_set, out = _fit_and_train(args)
     eval_report = evaluation.evaluate(trained, test_set)
     report = bench_mod.make_bench_report(
         trained,
@@ -254,12 +250,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpikeLaneError as exc:

@@ -9,7 +9,9 @@ frames are lane-keeping.
 
 Windows are built by downsampling the frame stream toward a target rate and
 taking 12 consecutive downsampled steps; the window's label is the per-frame
-label at its final frame.
+label at its final frame.  A window set is a `WindowSet`: four parallel arrays
+(features, labels, vehicle ids, end frames), not one object per window;
+indexing it with an int gives one `WindowSample`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -39,6 +41,7 @@ LABEL_NAMES = ("keep", "left", "right")
 DIRECTION_LEFT, DIRECTION_RIGHT = "left", "right"
 
 INTENTION_HORIZON_S = 3.0  # intention labels span this long before each event
+WINDOW_STEPS = 12  # downsampled steps per window
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,55 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One (12, 5) feature window with its intention label and origin."""
+    """One (12, 5) feature window with its intention label and origin: a row
+    of a WindowSet, or a single window handed to `predict`."""
 
     features: np.ndarray
     label: int
     vehicle_id: str
     end_frame: int
+
+
+@dataclass(frozen=True)
+class WindowSet:
+    """N windows as four parallel arrays.
+
+    An int index gives a WindowSample whose features are a view; a slice,
+    mask or index array gives a WindowSet.  Iteration yields WindowSamples.
+    """
+
+    features: np.ndarray     # (N, steps, 5) float64, C-contiguous
+    labels: np.ndarray       # (N,) intp
+    vehicle_ids: np.ndarray  # (N,) str
+    end_frames: np.ndarray   # (N,) int64
+
+    def __post_init__(self):
+        columns = {
+            "features": np.ascontiguousarray(self.features, dtype=np.float64),
+            "labels": np.asarray(self.labels, dtype=np.intp),
+            "vehicle_ids": np.asarray(self.vehicle_ids, dtype=str),
+            "end_frames": np.asarray(self.end_frames, dtype=np.int64),
+        }
+        shapes = [c.shape for c in columns.values()]
+        if len(shapes[0]) != 3 or any(shape != shapes[0][:1] for shape in shapes[1:]):
+            raise ShapeError(f"window set column shapes {shapes} do not match")
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    def __getitem__(self, index):
+        features, label, vehicle_id, end_frame = (
+            self.features[index], self.labels[index],
+            self.vehicle_ids[index], self.end_frames[index],
+        )
+        if isinstance(index, (int, np.integer)):
+            return WindowSample(features, int(label), str(vehicle_id), int(end_frame))
+        return WindowSet(features, label, vehicle_id, end_frame)
+
+    def __iter__(self) -> Iterator[WindowSample]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -109,13 +155,15 @@ class NormStats:
     std: np.ndarray   # (5,)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.std
+        out = features - self.mean
+        out /= self.std
+        return out
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: list[WindowSample]
-    test: list[WindowSample]
+    train: WindowSet
+    test: WindowSet
     seed: int
     ratio: float
 
@@ -275,55 +323,51 @@ def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
     return factor
 
 
-def make_windows(
-    traj: Trajectory,
-    labels: np.ndarray,
-    window_rate_hz: float = 4.0,
-    stride_frames: int = 1,
-    window_steps: int = 12,
-) -> list[WindowSample]:
-    """Slice a trajectory into (window_steps, 5) samples.
-
-    The stream is downsampled by the integer factor round(rate / window_rate);
-    each sample takes window_steps consecutive downsampled frames starting
-    every stride_frames raw frames, and is labeled by the per-frame label at
-    its final raw frame.  Trajectories shorter than one window yield an
-    empty list.
-    """
-    if stride_frames < 1:
-        raise ConfigError(f"stride_frames must be >= 1, got {stride_frames}")
-    labels = np.asarray(labels)
-    if labels.shape != (len(traj),):
-        raise ShapeError(f"labels shape {labels.shape} does not match {len(traj)} frames")
-    factor = downsample_factor(traj.sample_rate_hz, window_rate_hz)
-    span = (window_steps - 1) * factor
-    samples = []
-    for start in range(0, len(traj) - span, stride_frames):
-        end = start + span
-        samples.append(
-            WindowSample(
-                features=traj.features[start : end + 1 : factor].copy(),
-                label=int(labels[end]),
-                vehicle_id=traj.vehicle_id,
-                end_frame=int(traj.t_index[end]),
-            )
-        )
-    return samples
+def _window_positions(
+    n_frames: int, factor: int, stride: int, steps: int = WINDOW_STEPS
+) -> np.ndarray:
+    """(windows, steps) frame positions: `steps` frames `factor` apart, one
+    window starting every `stride` frames while the window still fits."""
+    starts = np.arange(0, n_frames - (steps - 1) * factor, stride)
+    return starts[:, None] + factor * np.arange(steps)
 
 
 def build_windows(
     trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig()
-) -> list[WindowSample]:
-    """Label and window every trajectory; result ordered by (vehicle, end frame)."""
-    samples = [
-        s
-        for traj in trajectories
-        for s in make_windows(
-            traj, label_frames(traj), config.window_rate_hz, config.stride_frames
+) -> WindowSet:
+    """Label and window every trajectory; result ordered by (vehicle, end frame).
+
+    The stream is downsampled by the integer factor round(rate / window_rate);
+    each window takes WINDOW_STEPS downsampled frames, starts every
+    stride_frames raw frames, and is labeled by the per-frame label at its
+    final raw frame.  Trajectories shorter than one window give no windows;
+    two trajectories with one vehicle id raise UsageError.
+    """
+    if config.stride_frames < 1:
+        raise ConfigError(f"stride_frames must be >= 1, got {config.stride_frames}")
+    ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
+    ids = [t.vehicle_id for t in ordered]
+    if len(set(ids)) < len(ids):
+        raise UsageError("trajectories share a vehicle id")
+    positions = [
+        _window_positions(
+            len(t), downsample_factor(t.sample_rate_hz, config.window_rate_hz),
+            config.stride_frames,
         )
+        for t in ordered
     ]
-    samples.sort(key=lambda s: (s.vehicle_id, s.end_frame))
-    return samples
+    counts = [len(p) for p in positions]
+    # Each column is allocated once and filled trajectory by trajectory; a
+    # concatenated frame copy and (N, steps) index left heap behind that
+    # raised the peak RSS of ingest.
+    features = np.empty((sum(counts), WINDOW_STEPS, len(FEATURE_NAMES)))
+    labels = np.empty(sum(counts), dtype=np.intp)
+    end_frames = np.empty(sum(counts), dtype=np.int64)
+    for t, p, at in zip(ordered, positions, np.cumsum([0] + counts)):
+        features[at : at + len(p)] = t.features[p]
+        labels[at : at + len(p)] = label_frames(t)[p[:, -1]]
+        end_frames[at : at + len(p)] = t.t_index[p[:, -1]]
+    return WindowSet(features, labels, np.repeat(ids, counts), end_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +375,11 @@ def build_windows(
 # ---------------------------------------------------------------------------
 
 
-def fit_normalizer(train: Sequence[WindowSample]) -> NormStats:
+def fit_normalizer(train: WindowSet) -> NormStats:
     """Per-feature mean/std over all rows of the training windows."""
-    if not train:
+    if len(train) == 0:
         raise UsageError("fit_normalizer needs at least one window")
-    rows = np.concatenate([s.features for s in train], axis=0)
+    rows = train.features.reshape(-1, train.features.shape[-1])
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     degenerate = std <= 1e-12 * (1.0 + np.abs(mean))
@@ -345,10 +389,8 @@ def fit_normalizer(train: Sequence[WindowSample]) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def apply_normalizer(
-    stats: NormStats, samples: Iterable[WindowSample]
-) -> list[WindowSample]:
-    return [replace(s, features=stats.transform(s.features)) for s in samples]
+def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
+    return replace(samples, features=stats.transform(samples.features))
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:
@@ -380,6 +422,9 @@ def load_norm_stats(source: str | Path) -> NormStats:
                 raise ParseError(
                     f"line {line_no}: need a finite mean and a finite std > 0, got {row}"
                 )
+            if row[0] not in FEATURE_NAMES or row[0] in values:
+                word = "duplicate" if row[0] in values else "unknown"
+                raise ParseError(f"line {line_no}: {word} feature {row[0]!r}")
             values[row[0]] = (mean, std)
     missing = [name for name in FEATURE_NAMES if name not in values]
     if missing:
@@ -389,24 +434,22 @@ def load_norm_stats(source: str | Path) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def split_by_vehicle(
-    samples: Sequence[WindowSample], ratio: float, seed: int
-) -> DatasetSplit:
-    """Seeded split keeping every vehicle entirely on one side."""
+def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSplit:
+    """Seeded split keeping every vehicle entirely on one side; both sides
+    keep the input order."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
-    vehicles = sorted({s.vehicle_id for s in samples})
+    vehicles = np.unique(samples.vehicle_ids)
     if len(vehicles) < 2:
         raise SplitError(f"need at least 2 vehicles to split, got {len(vehicles)}")
     rng = np.random.default_rng(seed)
-    order = [vehicles[i] for i in rng.permutation(len(vehicles))]
+    order = vehicles[rng.permutation(len(vehicles))]
     n_train = int(round(ratio * len(vehicles)))
     n_train = min(max(n_train, 1), len(vehicles) - 1)
-    train_vehicles = set(order[:n_train])
-    key = lambda s: (s.vehicle_id, s.end_frame)
-    train = sorted((s for s in samples if s.vehicle_id in train_vehicles), key=key)
-    test = sorted((s for s in samples if s.vehicle_id not in train_vehicles), key=key)
-    return DatasetSplit(train=train, test=test, seed=seed, ratio=ratio)
+    in_train = np.isin(samples.vehicle_ids, order[:n_train])
+    return DatasetSplit(
+        train=samples[in_train], test=samples[~in_train], seed=seed, ratio=ratio
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +457,14 @@ def split_by_vehicle(
 # ---------------------------------------------------------------------------
 
 
-def stack_windows(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (N, 12, 5) features and (N,) labels."""
-    if not samples:
+def stack_windows(samples: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 12, 5) features and (N,) labels of a window set, not copied."""
+    if len(samples) == 0:
         raise UsageError("no windows to stack")
-    xs = np.stack([s.features for s in samples])
-    ys = np.array([s.label for s in samples], dtype=np.intp)
-    return xs, ys
+    return samples.features, samples.labels
 
 
-def export_windows(samples: Sequence[WindowSample], destination: str | Path) -> None:
+def export_windows(samples: WindowSet, destination: str | Path) -> None:
     """Debug export: one `label,f0_0,...,f11_4` row-major line per window."""
     with open(destination, "w", encoding="utf-8") as handle:
         for s in samples:

@@ -17,6 +17,8 @@ from .dataset import (
     Trajectory,
     WindowConfig,
     WindowSample,
+    WindowSet,
+    _window_positions,
     downsample_factor,
     stack_windows,
 )
@@ -137,13 +139,13 @@ class EvalReport:
     warnings: tuple[str, ...]
 
 
-def evaluate(model: Model, test_set: Sequence[WindowSample]) -> EvalReport:
+def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     """Accuracy, confusion matrix, and one-vs-rest ROC/AUC per class.
 
     A class with no positives or no negatives in the test labels gets no
     curve and a warning instead; the macro AUC averages whatever remains.
     """
-    if not test_set:
+    if len(test_set) == 0:
         raise UsageError("test_set is empty")
     windows, labels = stack_windows(test_set)
     cache = forward_batch(model, windows)
@@ -237,22 +239,18 @@ def timeline_predict(
     ground-truth onset follows it within the 3-second intention horizon.
     """
     factor = downsample_factor(traj.sample_rate_hz, config.window_rate_hz)
-    span = (model.input_steps - 1) * factor
-    if len(traj) < span + 1:
+    positions = _window_positions(len(traj), factor, factor, model.input_steps)
+    if len(positions) == 0:
         raise UsageError(
-            f"trajectory {traj.vehicle_id} has {len(traj)} frames, needs {span + 1}"
+            f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
+            f"needs {(model.input_steps - 1) * factor + 1}"
         )
-    starts = range(0, len(traj) - span, factor)
-    stack = np.stack(
-        [normalizer.transform(traj.features[s : s + span + 1 : factor]) for s in starts]
-    )
-    cache = forward_batch(model, stack)
+    cache = forward_batch(model, normalizer.transform(traj.features[positions]))
     probs = np.exp(cache.log_probs)
     predicted = np.argmax(probs, axis=1)
-    end_frames = [int(traj.t_index[s + span]) for s in starts]
     entries = tuple(
-        TimelineEntry(end_frame=end_frames[i], predicted=int(predicted[i]), probs=probs[i])
-        for i in range(len(end_frames))
+        TimelineEntry(end_frame=int(frame), predicted=int(k), probs=p)
+        for frame, k, p in zip(traj.t_index[positions[:, -1]], predicted, probs)
     )
 
     detections = [

@@ -208,12 +208,7 @@ def new_model(
 
 def param_count(model: Model) -> int:
     """Number of trainable scalars (weights and biases of both linear layers)."""
-    return (
-        model.feature_layer.weights.size
-        + model.feature_layer.bias.size
-        + model.classifier.weights.size
-        + model.classifier.bias.size
-    )
+    return sum(p.size for p in model_params(model))
 
 
 def model_params(model: Model) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import WindowSample, stack_windows
+from .dataset import WindowSet, stack_windows
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
@@ -111,7 +111,7 @@ def optimizer_step(
 
 def train(
     model: Model,
-    train_set: Sequence[WindowSample],
+    train_set: WindowSet,
     config: TrainConfig = TrainConfig(),
 ) -> tuple[Model, list[EpochLog]]:
     """Train on the given windows; returns the best-loss model and the log.
@@ -122,7 +122,7 @@ def train(
     without improving by more than min_loss_delta.  A non-finite epoch loss
     raises DivergenceError.
     """
-    if not train_set:
+    if len(train_set) == 0:
         raise UsageError("train_set is empty")
     windows, labels = stack_windows(train_set)
     if windows.shape[1:] != (model.input_steps, model.feature_layer.in_dim):

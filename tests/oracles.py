@@ -124,3 +124,29 @@ def auc_concordance(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def naive_windows(traj, stride, window_rate_hz=4.0, steps=12):
+    """One trajectory's windows by a per-window slice loop.
+
+    Returns (features, label, vehicle_id, end_frame) tuples in end-frame
+    order.  Labels follow the 3-second rule frame by frame, a later event
+    overwriting an earlier one.
+    """
+    factor = int(round(traj.sample_rate_hz / window_rate_hz))
+    horizon = int(round(3.0 * traj.sample_rate_hz))
+    frames = [int(f) for f in traj.t_index]
+    labels = [0] * len(frames)
+    for event in traj.events:
+        onset = frames.index(event.onset_frame)
+        for i in range(max(0, onset - horizon), onset):
+            labels[i] = 1 if event.direction == "left" else 2
+    span = (steps - 1) * factor
+    windows = []
+    for start in range(0, len(frames) - span, stride):
+        end = start + span
+        windows.append(
+            (traj.features[start : end + 1 : factor].copy(), labels[end],
+             traj.vehicle_id, frames[end])
+        )
+    return windows

@@ -213,11 +213,8 @@ def test_c09_early_stop_semantics():
         model = sl.replace_params(
             sl.new_model(), [np.zeros_like(p) for p in sl.model_params(sl.new_model())]
         )
-        windows = [
-            sl.WindowSample(features=np.zeros((12, 5)), label=k % 3,
-                            vehicle_id="flat", end_frame=k)
-            for k in range(6)
-        ]
+        windows = sl.WindowSet(features=np.zeros((6, 12, 5)), labels=np.arange(6) % 3,
+                               vehicle_ids=["flat"] * 6, end_frames=np.arange(6))
         config = sl.TrainConfig(batch_size=6, max_epochs=100, patience_epochs=7, seed=0)
         _, logs = sl.train(model, windows, config)
         # epoch 1 improves on the initial sentinel; nothing after it can,

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, exercised in process via cli.main."""
 
 import csv
+import errno
 
 import pytest
 
@@ -75,6 +76,16 @@ class TestTrain:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_unreadable_data_is_usage_error(self, data_csv, tmp_path, capsys, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(sl.dataset, "open", denied, raising=False)
+        code = cli.main(["train", "--data", str(data_csv), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Permission denied" in err
+
     def test_config_file_applies(self, tmp_path, data_csv, capsys):
         config = tmp_path / "train.cfg"
         config.write_text("max_epochs = 1\nseed = 2\n")
@@ -146,6 +157,8 @@ class TestEval:
         "v_x,1.5,-2",         # negative std
         "v_x,nan,2.0",        # non-finite mean
         "v_x,1.5,inf",        # non-finite std
+        "delta_y,0.1,1.0",    # duplicate feature
+        "bogus,1.5,2.0",      # unknown feature
     ])
     def test_bad_normalizer_row_is_usage_error(
         self, data_csv, trained_dir, tmp_path, capsys, row
@@ -171,6 +184,33 @@ class TestEval:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestNoWindows:
+    """Inputs that give no window at all keep the exit codes of an empty set."""
+
+    @pytest.fixture(params=["header_only", "all_too_short"])
+    def sparse_csv(self, request, tmp_path):
+        rows = [",".join(sl.dataset.CSV_HEADER)]
+        if request.param == "all_too_short":
+            rows += [f"{v},{f},0.0,30.0,0.0,0.0,0.0,3" for v in ("a", "b") for f in range(30)]
+        path = tmp_path / "sparse.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_train_needs_two_vehicles(self, sparse_csv, tmp_path, capsys):
+        code = cli.main(["train", "--data", str(sparse_csv), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "need at least 2 vehicles" in capsys.readouterr().err
+
+    def test_eval_all_has_nothing_to_score(self, sparse_csv, trained_dir, tmp_path, capsys):
+        code = cli.main([
+            "eval", "--data", str(sparse_csv), "--split", "all",
+            "--model", str(trained_dir / "model.spkl"),
+            "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "test_set is empty" in capsys.readouterr().err
 
 
 class TestPredict:

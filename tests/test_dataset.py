@@ -8,6 +8,8 @@ import pytest
 import spikelane as sl
 from spikelane.dataset import CSV_HEADER
 
+from oracles import naive_windows
+
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -114,7 +116,7 @@ class TestMakeWindows:
     def test_first_window_spans_strided_frames(self):
         traj = make_traj(n=80)
         labels = sl.label_frames(traj)
-        windows = sl.make_windows(traj, labels)
+        windows = sl.build_windows([traj])
         first = windows[0]
         assert first.features.shape == (12, 5)
         np.testing.assert_array_equal(first.features, traj.features[0:67:6])
@@ -122,22 +124,22 @@ class TestMakeWindows:
 
     def test_window_count_at_stride_one(self):
         traj = make_traj(n=100)
-        windows = sl.make_windows(traj, sl.label_frames(traj))
+        windows = sl.build_windows([traj])
         assert len(windows) == 100 - 66
 
     def test_stride_thins_starts(self):
         traj = make_traj(n=100)
-        windows = sl.make_windows(traj, sl.label_frames(traj), stride_frames=5)
+        windows = sl.build_windows([traj], sl.WindowConfig(stride_frames=5))
         assert [w.end_frame for w in windows] == [66, 71, 76, 81, 86, 91, 96]
 
     def test_too_short_gives_empty_list(self):
         traj = make_traj(n=66)
-        assert sl.make_windows(traj, sl.label_frames(traj)) == []
+        assert len(sl.build_windows([traj])) == 0
 
     def test_label_comes_from_final_frame(self):
         traj = make_traj(n=200, events=[sl.LaneChangeEvent(150, "left")])
         labels = sl.label_frames(traj)
-        windows = sl.make_windows(traj, labels)
+        windows = sl.build_windows([traj])
         for w in windows:
             assert w.label == labels[w.end_frame]
         assert any(w.label == sl.LABEL_LEFT for w in windows)
@@ -152,7 +154,47 @@ class TestMakeWindows:
     def test_bad_stride_rejected(self):
         traj = make_traj(n=100)
         with pytest.raises(sl.ConfigError):
-            sl.make_windows(traj, sl.label_frames(traj), stride_frames=0)
+            sl.build_windows([traj], sl.WindowConfig(stride_frames=0))
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("stride", [1, 2, 5])
+    def test_matches_slice_loop_row_for_row(self, stride):
+        trajs = sl.synthesize_dataset(12, 4) + [make_traj(n=50, vid="short")]
+        shuffled = [trajs[i] for i in np.random.default_rng(stride).permutation(len(trajs))]
+        got = sl.build_windows(shuffled, sl.WindowConfig(stride_frames=stride))
+        want = sorted(
+            (w for t in trajs for w in naive_windows(t, stride)), key=lambda w: (w[2], w[3])
+        )
+        assert len(got) == len(want)
+        assert np.array_equal(got.features, np.stack([w[0] for w in want]))
+        assert got.labels.tolist() == [w[1] for w in want]
+        assert got.vehicle_ids.tolist() == [w[2] for w in want]
+        assert got.end_frames.tolist() == [w[3] for w in want]
+
+    def test_shared_vehicle_id_rejected(self):
+        with pytest.raises(sl.UsageError, match="vehicle id"):
+            sl.build_windows([make_traj(n=80), make_traj(n=90)])
+
+    def test_window_set_rows_and_subsets(self):
+        windows = sl.build_windows([make_traj(n=80, vid="a"), make_traj(n=70, vid="b")])
+        assert windows.features.flags.c_contiguous
+        assert windows.features.shape == (len(windows), 12, 5)
+        row = windows[-1]
+        assert isinstance(row, sl.WindowSample)
+        assert (row.vehicle_id, row.end_frame, row.label) == ("b", 69, 0)
+        assert np.shares_memory(row.features, windows.features)
+        head = windows[:3]
+        assert isinstance(head, sl.WindowSet) and len(head) == 3
+        assert [w.end_frame for w in head] == [66, 67, 68]
+        only_b = windows[windows.vehicle_ids == "b"]
+        assert only_b.end_frames.tolist() == [66, 67, 68, 69]
+        xs, ys = sl.stack_windows(windows)
+        assert xs is windows.features and ys is windows.labels
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(sl.ShapeError):
+            sl.WindowSet(np.zeros((2, 12, 5)), [0], ["v", "v"], [0, 1])
 
 
 class TestNormalizer:
@@ -176,13 +218,13 @@ class TestNormalizer:
     def test_constant_feature_named_in_error(self):
         traj = make_traj(n=100)
         traj.features[:, 1] = 30.0  # constant v_x column
-        windows = sl.make_windows(traj, sl.label_frames(traj))
+        windows = sl.build_windows([traj])
         with pytest.raises(sl.DegenerateFeatureError, match="v_x"):
             sl.fit_normalizer(windows)
 
     def test_single_window_means_subtract_exactly(self):
         traj = make_traj(n=67)
-        windows = sl.make_windows(traj, sl.label_frames(traj))
+        windows = sl.build_windows([traj])
         assert len(windows) == 1
         stats = sl.fit_normalizer(windows)
         normalized = sl.apply_normalizer(stats, windows)

@@ -161,11 +161,10 @@ class TestRocCurve:
 class TestEvaluate:
     def _toy_windows(self, labels):
         rng = np.random.default_rng(44)
-        return [
-            sl.WindowSample(features=rng.normal(size=(12, 5)), label=int(y),
-                            vehicle_id="v", end_frame=i)
-            for i, y in enumerate(labels)
-        ]
+        return sl.WindowSet(
+            features=np.stack([rng.normal(size=(12, 5)) for _ in labels]),
+            labels=labels, vehicle_ids=["v"] * len(labels), end_frames=np.arange(len(labels)),
+        )
 
     def test_report_consistency(self):
         model = sl.new_model(seed=5)
@@ -276,11 +275,11 @@ class TestReportWriters:
     def test_eval_report_files(self, tmp_path):
         model = sl.new_model(seed=10)
         rng = np.random.default_rng(46)
-        windows = [
-            sl.WindowSample(features=rng.normal(size=(12, 5)), label=int(y),
-                            vehicle_id="v", end_frame=i)
-            for i, y in enumerate([0, 1, 2] * 10)
-        ]
+        labels = [0, 1, 2] * 10
+        windows = sl.WindowSet(
+            features=np.stack([rng.normal(size=(12, 5)) for _ in labels]),
+            labels=labels, vehicle_ids=["v"] * len(labels), end_frames=np.arange(len(labels)),
+        )
         report = sl.evaluate(model, windows)
         paths = sl.write_eval_report(report, tmp_path)
         text = (tmp_path / "eval_report.txt").read_text()

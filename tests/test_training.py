@@ -16,11 +16,8 @@ def zero_model():
 
 
 def zero_windows(n, labels):
-    return [
-        sl.WindowSample(features=np.zeros((12, 5)), label=int(labels[i]),
-                        vehicle_id="z", end_frame=i)
-        for i in range(n)
-    ]
+    return sl.WindowSet(features=np.zeros((n, 12, 5)), labels=labels[:n],
+                        vehicle_ids=["z"] * n, end_frames=np.arange(n))
 
 
 def synth_train_set(seed=7, n_vehicles=5, stride=2):
@@ -178,8 +175,8 @@ class TestTrainLoop:
             sl.train(sl.new_model(), [], sl.TrainConfig())
 
     def test_shape_mismatch_rejected(self):
-        bad = [sl.WindowSample(features=np.zeros((10, 5)), label=0,
-                               vehicle_id="x", end_frame=0)]
+        bad = sl.WindowSet(features=np.zeros((1, 10, 5)), labels=[0],
+                           vehicle_ids=["x"], end_frames=[0])
         with pytest.raises(sl.UsageError):
             sl.train(sl.new_model(), bad, sl.TrainConfig())
 
