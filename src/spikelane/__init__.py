@@ -73,6 +73,7 @@ from .model import (
     Model,
     backward,
     backward_batch,
+    flatten_params,
     forward,
     forward_batch,
     lif_forward,
@@ -83,6 +84,7 @@ from .model import (
     param_count,
     replace_params,
     softmax_logprobs,
+    split_params,
     surrogate_grad,
     temporal_mean,
 )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .model import Model, model_params, param_count
+from .model import Model, param_count
 from .checkpoint import model_to_bytes
 from .training import EpochLog
 
@@ -36,12 +36,10 @@ def make_bench_report(
     optimizer: str = "adam",
 ) -> BenchReport:
     times = [log.wall_time_s for log in logs]
-    copies = 3 if optimizer == "adam" else 1
-    memory = sum(p.size for p in model_params(model)) * _BYTES_PER_PARAM * copies
     return BenchReport(
         param_count=param_count(model),
         checkpoint_bytes=len(model_to_bytes(model)),
-        train_memory_bytes=memory,
+        train_memory_bytes=param_count(model) * _BYTES_PER_PARAM * (3 if optimizer == "adam" else 1),
         epochs_run=len(logs),
         mean_epoch_time_s=sum(times) / len(times) if times else 0.0,
         min_epoch_time_s=min(times) if times else 0.0,
@@ -52,17 +50,10 @@ def make_bench_report(
 
 
 def format_bench_report(report: BenchReport) -> str:
-    lines = [
-        f"parameters: {report.param_count}",
-        f"checkpoint_bytes: {report.checkpoint_bytes}",
-        f"train_memory_bytes: {report.train_memory_bytes}",
-        f"epochs_run: {report.epochs_run}",
-        f"mean_epoch_time_s: {report.mean_epoch_time_s:.6f}",
-        f"min_epoch_time_s: {report.min_epoch_time_s:.6f}",
-        f"max_epoch_time_s: {report.max_epoch_time_s:.6f}",
-        f"final_accuracy: {report.final_accuracy:.6f}",
-        f"macro_auc: {report.macro_auc:.6f}",
-    ]
+    lines = [f"parameters: {report.param_count}"]
+    for f in fields(BenchReport)[1:]:
+        value = getattr(report, f.name)
+        lines.append(f"{f.name}: {value}" if isinstance(value, int) else f"{f.name}: {value:.6f}")
     return "\n".join(lines) + "\n"
 
 

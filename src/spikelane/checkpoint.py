@@ -7,7 +7,7 @@ Layout, all little-endian:
     bytes 5..20  four u32 dims: input_steps, input_dim, hidden_dim, classes
     byte  21     reset mode (0 = to_zero, 1 = subtract)
     bytes 22..45 three f64: beta, v_threshold, surrogate_slope
-    rest         f64 parameters in declaration order: feature weights
+    rest         f64 parameters in model.flatten_params order: feature weights
                  (row-major in x hidden), feature bias, classifier weights
                  (row-major hidden x classes), classifier bias
 
@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
-from .model import LifConfig, LinearLayer, Model, RESET_MODES, model_params
+from .errors import CheckpointError, ShapeError
+from .model import (
+    LifConfig, LinearLayer, Model, RESET_MODES, flatten_params, model_params, split_params
+)
 
 MAGIC = b"SPKL"
 VERSION = 1
@@ -45,8 +47,7 @@ def model_to_bytes(model: Model) -> bytes:
         model.lif.v_threshold,
         model.lif.surrogate_slope,
     )
-    params = np.concatenate([p.ravel() for p in model_params(model)])
-    return header + params.astype("<f8").tobytes()
+    return header + flatten_params(model_params(model)).astype("<f8").tobytes()
 
 
 def model_from_bytes(blob: bytes) -> Model:
@@ -72,22 +73,17 @@ def model_from_bytes(blob: bytes) -> Model:
     if reset >= len(RESET_MODES):
         raise CheckpointError(f"unknown reset mode byte {reset}")
 
-    n_params = in_dim * hidden + hidden + hidden * classes + classes
-    expected = _HEADER.size + 8 * n_params
-    if len(blob) != expected:
-        raise CheckpointError(
-            f"checkpoint size {len(blob)} bytes, expected {expected} for these dims"
-        )
-
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
+    try:  # ValueError: the parameter bytes are not whole f64 values
+        flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
+        w1, b1, w2, b2 = split_params(flat, in_dim, hidden, classes)
+    except (ValueError, ShapeError) as exc:
+        raise CheckpointError(f"{len(blob)} bytes do not fit the header dims: {exc}") from None
     if not np.isfinite(flat).all():
         raise CheckpointError("checkpoint holds non-finite parameters")
-    splits = np.cumsum([in_dim * hidden, hidden, hidden * classes])
-    w1, b1, w2, b2 = np.split(flat, splits)
     try:
         return Model(
-            feature_layer=LinearLayer(w1.reshape(in_dim, hidden), b1),
-            classifier=LinearLayer(w2.reshape(hidden, classes), b2),
+            feature_layer=LinearLayer(w1, b1),
+            classifier=LinearLayer(w2, b2),
             lif=LifConfig(
                 beta=beta,
                 v_threshold=v_th,

@@ -10,6 +10,7 @@ or input-format problems, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -25,8 +26,12 @@ from .errors import (
 )
 from .model import new_model
 
-# OSError: an input that cannot be read or an output path that cannot be written
-_USAGE_ERRORS = (UsageError, ConfigError, ParseError, CheckpointError, OSError)
+# OSError: an input that cannot be read or an output path that cannot be written;
+# UnicodeDecodeError: a text input (trajectory CSV, normalizer, config) that is not UTF-8;
+# csv.Error: a CSV the csv module rejects, e.g. a quote that opens a field past its size limit
+_USAGE_ERRORS = (
+    UsageError, ConfigError, ParseError, CheckpointError, OSError, UnicodeDecodeError, csv.Error,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,15 +140,20 @@ def _load_windows(args) -> dataset.WindowSet:
     return dataset.build_windows(trajectories, config)
 
 
-def _fit_and_train(args):
-    """Shared train/bench path: windows -> split -> normalize -> train, then
-    write the checkpoint, normalizer and log to --out."""
-    config = _train_config(args)
-    windows = _load_windows(args)
-    split = dataset.split_by_vehicle(windows, args.train_ratio, config.seed)
+def _normalized_split(args, seed: int):
+    """Windows -> split -> normalize.  Returns the stats and both normalized
+    sides; the raw windows and split die with this call."""
+    split = dataset.split_by_vehicle(_load_windows(args), args.train_ratio, seed)
     stats = dataset.fit_normalizer(split.train)
     train_set = dataset.apply_normalizer(stats, split.train)
-    test_set = dataset.apply_normalizer(stats, split.test)
+    return stats, train_set, dataset.apply_normalizer(stats, split.test)
+
+
+def _fit_and_train(args):
+    """Shared train/bench path: normalized split -> train, then write the
+    checkpoint, normalizer and log to --out."""
+    config = _train_config(args)
+    stats, train_set, test_set = _normalized_split(args, config.seed)
     trained, logs = training.train(new_model(seed=config.seed), train_set, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -42,6 +42,7 @@ DIRECTION_LEFT, DIRECTION_RIGHT = "left", "right"
 
 INTENTION_HORIZON_S = 3.0  # intention labels span this long before each event
 WINDOW_STEPS = 12  # downsampled steps per window
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # frame and lane_id are stored as int64
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,8 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
             lane = int(row[7])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric cell in {row}") from None
+        if not (_INT64_MIN <= frame <= _INT64_MAX and _INT64_MIN <= lane <= _INT64_MAX):
+            raise ParseError(f"line {line_no}: frame or lane_id outside the int64 range")
         if not all(np.isfinite(values)):
             raise ParseError(f"line {line_no}: non-finite feature value")
         key = (vid, frame)
@@ -439,6 +442,8 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
     keep the input order."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     vehicles = np.unique(samples.vehicle_ids)
     if len(vehicles) < 2:
         raise SplitError(f"need at least 2 vehicles to split, got {len(vehicles)}")

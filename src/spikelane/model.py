@@ -221,6 +221,22 @@ def model_params(model: Model) -> list[np.ndarray]:
     ]
 
 
+def flatten_params(params: Sequence[np.ndarray]) -> np.ndarray:
+    """model_params (or Gradients.as_list()) arrays as one new vector, in checkpoint order."""
+    return np.concatenate([np.ravel(p) for p in params])
+
+
+def split_params(
+    theta: np.ndarray, input_dim: int, hidden_dim: int, classes: int
+) -> list[np.ndarray]:
+    """Views of a flatten_params vector as the four model_params arrays of these dims."""
+    shapes = [(input_dim, hidden_dim), (hidden_dim,), (hidden_dim, classes), (classes,)]
+    ends = np.cumsum([np.prod(s) for s in shapes])
+    if theta.shape != (ends[-1],):
+        raise ShapeError(f"parameter vector shape {theta.shape}, expected ({ends[-1]},)")
+    return [part.reshape(s) for part, s in zip(np.split(theta, ends[:-1]), shapes)]
+
+
 def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
     """New model with the same config but the given parameter arrays."""
     w1, b1, w2, b2 = params

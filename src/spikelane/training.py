@@ -15,9 +15,11 @@ from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
     backward_batch,
+    flatten_params,
     forward_batch,
     model_params,
     replace_params,
+    split_params,
 )
 
 OPTIMIZERS = ("adam", "sgd")
@@ -36,14 +38,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience_epochs < 1:
             raise ConfigError(f"patience_epochs must be >= 1, got {self.patience_epochs}")
-        if self.min_loss_delta < 0:
-            raise ConfigError(f"min_loss_delta must be >= 0, got {self.min_loss_delta}")
+        if not 0 <= self.min_loss_delta < np.inf:
+            raise ConfigError(f"min_loss_delta must be finite and >= 0, got {self.min_loss_delta}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
@@ -58,55 +60,46 @@ class EpochLog:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the bias-correction step count."""
+    """First/second moment vectors plus the bias-correction step count."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def init_optimizer_state(params: Sequence[np.ndarray], config: TrainConfig):
+def init_optimizer_state(theta: np.ndarray, config: TrainConfig):
     if config.optimizer == "adam":
-        return AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+        return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
     return None
 
 
 def optimizer_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    theta: np.ndarray,
+    grad: np.ndarray,
     state,
     config: TrainConfig,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> list[np.ndarray]:
-    """One in-place-free update; returns new parameter arrays.
+) -> np.ndarray:
+    """One update of a flat parameter vector; returns the new vector.
 
     Adam uses bias-corrected moment estimates; SGD is plain
-    p - lr * g with no state.
+    theta - lr * grad with no state.
     """
-    if len(params) != len(grads) or any(
-        p.shape != g.shape for p, g in zip(params, grads)
-    ):
-        raise UsageError("params and grads do not align")
+    if theta.shape != grad.shape:
+        raise UsageError(f"params shape {theta.shape} and grads shape {grad.shape} do not align")
     lr = config.learning_rate
     if config.optimizer == "sgd":
-        return [p - lr * g for p, g in zip(params, grads)]
+        return theta - lr * grad
     if not isinstance(state, AdamState):
         raise UsageError("adam step needs an AdamState")
     state.step += 1
-    t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-    return out
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1**state.step)
+    v_hat = state.v / (1.0 - beta2**state.step)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def train(
@@ -119,8 +112,8 @@ def train(
     Epochs shuffle with a generator seeded from config.seed, so identical
     inputs reproduce identical parameter trajectories.  Training stops after
     max_epochs, or once the best epoch loss has gone patience_epochs epochs
-    without improving by more than min_loss_delta.  A non-finite epoch loss
-    raises DivergenceError.
+    without improving by more than min_loss_delta.  A non-finite parameter
+    or epoch loss raises DivergenceError.  The input model is not modified.
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
@@ -132,12 +125,14 @@ def train(
         )
     n = windows.shape[0]
     rng = np.random.default_rng(config.seed)
-    params = [p.copy() for p in model_params(model)]
-    state = init_optimizer_state(params, config)
-    current = replace_params(model, params)
+    dims = (model.input_dim, model.hidden_dim, model.classes)
+    theta = flatten_params(model_params(model))
+    # the working model views theta, which each step updates in place
+    current = replace_params(model, split_params(theta, *dims))
+    state = init_optimizer_state(theta, config)
 
     best_loss = np.inf
-    best_params = [p.copy() for p in params]
+    best_theta = theta.copy()
     epochs_without_improvement = 0
     logs: list[EpochLog] = []
 
@@ -153,8 +148,9 @@ def train(
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())
             grads = backward_batch(current, cache, batch_labels)
-            params = optimizer_step(params, grads.as_list(), state, config)
-            current = replace_params(current, params)
+            theta[:] = optimizer_step(theta, flatten_params(grads.as_list()), state, config)
+            if not np.isfinite(theta).all():
+                raise DivergenceError(f"non-finite parameters at epoch {epoch}")
         mean_loss = total_nll / n
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
@@ -172,11 +168,11 @@ def train(
             epochs_without_improvement += 1
         if mean_loss < best_loss:
             best_loss = mean_loss
-            best_params = [p.copy() for p in params]
+            best_theta = theta.copy()
         if epochs_without_improvement >= config.patience_epochs:
             break
 
-    return replace_params(model, best_params), logs
+    return replace_params(model, split_params(best_theta, *dims)), logs
 
 
 def write_training_log(logs: Sequence[EpochLog], destination: str | Path) -> None:

@@ -86,6 +86,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Permission denied" in err
 
+    def test_runaway_quote_is_usage_error(self, data_csv, tmp_path, capsys):
+        # a quote opening a cell swallows the rest of the file into one field
+        lines = data_csv.read_text().splitlines()
+        lines[2] = lines[2].replace(",", ',"', 1)
+        bad = tmp_path / "quote.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--data", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_config_file_applies(self, tmp_path, data_csv, capsys):
         config = tmp_path / "train.cfg"
         config.write_text("max_epochs = 1\nseed = 2\n")
@@ -106,6 +116,26 @@ class TestTrain:
         ])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """Text inputs that are not UTF-8 give exit 2 with an error line."""
+
+    @pytest.mark.parametrize("reader", ["data", "norm", "config"])
+    def test_exit_2(self, reader, data_csv, trained_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + (trained_dir / "norm.csv").read_bytes())
+        data = bad if reader == "data" else data_csv
+        if reader == "norm":
+            argv = ["eval", "--data", str(data), "--model", str(trained_dir / "model.spkl"),
+                    "--norm", str(bad)]
+        else:
+            argv = ["train", "--data", str(data), "--max-epochs", "1"]
+            if reader == "config":
+                argv += ["--config", str(bad)]
+        code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEval:

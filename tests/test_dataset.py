@@ -67,6 +67,13 @@ class TestParse:
         with pytest.raises(sl.ParseError, match="line 3"):
             sl.parse_trajectories(io.StringIO(body), 25.0)
 
+    @pytest.mark.parametrize("frame,lane", [("99999999999999999999999", "3"),
+                                            ("1", "-99999999999999999999999")])
+    def test_integer_beyond_int64_names_line(self, frame, lane):
+        body = "\n".join([HEADER, keep_row("a", 0), f"a,{frame},0.0,30.0,0.0,0.0,0.0,{lane}"])
+        with pytest.raises(sl.ParseError, match="line 3"):
+            sl.parse_trajectories(io.StringIO(body), 25.0)
+
     def test_duplicate_frame_rejected(self):
         body = "\n".join([HEADER, keep_row("a", 5), keep_row("a", 5)])
         with pytest.raises(sl.ParseError, match="line 3"):
@@ -284,6 +291,8 @@ class TestSplit:
     def test_bad_ratio_rejected(self):
         with pytest.raises(sl.ConfigError):
             sl.split_by_vehicle(self._windows(4), 1.0, seed=0)
+        with pytest.raises(sl.ConfigError):
+            sl.split_by_vehicle(self._windows(4), 0.8, seed=-1)
 
 
 class TestExportAndWrite:

@@ -30,7 +30,7 @@ def synth_train_set(seed=7, n_vehicles=5, stride=2):
 class TestOptimizerStep:
     def test_sgd_basic(self):
         config = sl.TrainConfig(optimizer="sgd", learning_rate=0.1)
-        (out,) = sl.optimizer_step([np.array([1.0])], [np.array([1.0])], None, config)
+        out = sl.optimizer_step(np.array([1.0]), np.array([1.0]), None, config)
         assert out[0] == pytest.approx(0.9, abs=0)
 
     def test_adam_first_step_closed_form(self):
@@ -39,8 +39,8 @@ class TestOptimizerStep:
         config = sl.TrainConfig(optimizer="adam", learning_rate=1e-3)
         for scale in (1e-5, 1.0, 1e6):
             g = np.array([scale, -scale])
-            state = sl.init_optimizer_state([np.zeros(2)], config)
-            (out,) = sl.optimizer_step([np.zeros(2)], [g], state, config)
+            state = sl.init_optimizer_state(np.zeros(2), config)
+            out = sl.optimizer_step(np.zeros(2), g, state, config)
             want = -config.learning_rate * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(out, want, rtol=1e-12)
             assert np.abs(out).max() == pytest.approx(1e-3, rel=2e-3)
@@ -49,9 +49,9 @@ class TestOptimizerStep:
         config = sl.TrainConfig(optimizer="adam", learning_rate=0.01)
         g1, g2 = np.array([0.3]), np.array([-0.2])
         p = np.array([1.0])
-        state = sl.init_optimizer_state([p], config)
-        (p1,) = sl.optimizer_step([p], [g1], state, config)
-        (p2,) = sl.optimizer_step([p1], [g2], state, config)
+        state = sl.init_optimizer_state(p, config)
+        p1 = sl.optimizer_step(p, g1, state, config)
+        p2 = sl.optimizer_step(p1, g2, state, config)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1**2) + 0.001 * g2**2
         m_hat = m / (1 - 0.9**2)
@@ -60,21 +60,21 @@ class TestOptimizerStep:
         np.testing.assert_allclose(p2, want, rtol=1e-12)
 
     def test_zero_grads_leave_params_unchanged(self):
-        p = [np.array([1.0, -2.0])]
-        g = [np.zeros(2)]
+        p = np.array([1.0, -2.0])
+        g = np.zeros(2)
         sgd = sl.TrainConfig(optimizer="sgd")
-        assert (sl.optimizer_step(p, g, None, sgd)[0] == p[0]).all()
+        assert (sl.optimizer_step(p, g, None, sgd) == p).all()
         adam = sl.TrainConfig(optimizer="adam")
         state = sl.init_optimizer_state(p, adam)
-        np.testing.assert_allclose(sl.optimizer_step(p, g, state, adam)[0], p[0], atol=1e-12)
+        np.testing.assert_allclose(sl.optimizer_step(p, g, state, adam), p, atol=1e-12)
 
     def test_misaligned_shapes_rejected(self):
         config = sl.TrainConfig()
-        state = sl.init_optimizer_state([np.zeros(2)], config)
+        state = sl.init_optimizer_state(np.zeros(2), config)
         with pytest.raises(sl.UsageError):
-            sl.optimizer_step([np.zeros(2)], [np.zeros(3)], state, config)
+            sl.optimizer_step(np.zeros(2), np.zeros(3), state, config)
         with pytest.raises(sl.UsageError):
-            sl.optimizer_step([np.zeros(2)], [np.zeros(2)], None, config)
+            sl.optimizer_step(np.zeros(2), np.zeros(2), None, config)
 
 
 class TestTrainConfig:
@@ -95,6 +95,10 @@ class TestTrainConfig:
             sl.TrainConfig(optimizer="rmsprop")
         with pytest.raises(sl.ConfigError):
             sl.TrainConfig(min_loss_delta=-1.0)
+        for bad in ({"learning_rate": np.inf}, {"learning_rate": np.nan},
+                    {"min_loss_delta": np.inf}, {"min_loss_delta": np.nan}):
+            with pytest.raises(sl.ConfigError):
+                sl.TrainConfig(**bad)
 
     def test_config_file_load_and_overrides(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -198,6 +202,41 @@ class TestTrainLoop:
         samples = zero_windows(4, [0, 1, 2, 0])
         with pytest.raises(sl.DivergenceError, match="epoch 1"):
             sl.train(zero_model(), samples, sl.TrainConfig(max_epochs=3))
+
+    def test_nonfinite_parameter_mid_epoch_raises_divergence(self, monkeypatch):
+        # three batches per epoch; the fifth gradient (epoch 2) is poisoned
+        real, calls = tr.backward_batch, []
+
+        def poisoned(model, cache, labels):
+            grads = real(model, cache, labels)
+            calls.append(None)
+            if len(calls) == 5:
+                grads.feature_weights[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(tr, "backward_batch", poisoned)
+        samples = zero_windows(6, [0, 1, 2, 0, 1, 2])
+        config = sl.TrainConfig(batch_size=2, max_epochs=3, patience_epochs=5)
+        with pytest.raises(sl.DivergenceError, match="epoch 2"):
+            sl.train(zero_model(), samples, config)
+        assert len(calls) == 5
+
+    def test_input_model_left_unchanged(self):
+        model = sl.new_model(seed=3)
+        before = [p.copy() for p in sl.model_params(model)]
+        sl.train(model, synth_train_set(n_vehicles=2), sl.TrainConfig(max_epochs=2, seed=3))
+        for p, q in zip(sl.model_params(model), before):
+            assert (p == q).all()
+
+    def test_returned_models_share_no_memory(self):
+        model = sl.new_model(seed=4)
+        train_set = synth_train_set(n_vehicles=2)
+        config = sl.TrainConfig(max_epochs=2, seed=4)
+        a, _ = sl.train(model, train_set, config)
+        b, _ = sl.train(model, train_set, config)
+        for pa in sl.model_params(a):
+            for pb in sl.model_params(b) + sl.model_params(model):
+                assert not np.shares_memory(pa, pb)
 
     def test_seeded_convergence_regression(self):
         # separable seed-7 set, 2000 windows: loss under 0.1 and train
