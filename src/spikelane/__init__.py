@@ -83,6 +83,7 @@ from .model import (
     nll_loss,
     param_count,
     replace_params,
+    score,
     softmax_logprobs,
     split_params,
     surrogate_grad,

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from ._atomic import atomic_open
 from .model import Model, param_count
 from .checkpoint import model_to_bytes
 from .training import EpochLog
@@ -62,11 +63,12 @@ def write_bench_report(report: BenchReport, out_dir: str | Path) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = out_dir / "bench_report.txt"
-    text.write_text(format_bench_report(report), encoding="utf-8")
+    with atomic_open(text, "w", encoding="utf-8") as handle:
+        handle.write(format_bench_report(report))
     table = out_dir / "bench_report.csv"
     names = [f.name for f in fields(BenchReport)]
     values = [getattr(report, name) for name in names]
-    with open(table, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(table, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
         writer.writerow([v if isinstance(v, int) else format(v, ".9g") for v in values])

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .errors import CheckpointError, ShapeError
 from .model import (
     LifConfig, LinearLayer, Model, RESET_MODES, flatten_params, model_params, split_params
@@ -99,7 +100,8 @@ def model_from_bytes(blob: bytes) -> Model:
 def save_model(model: Model, destination: str | Path) -> bytes:
     """Write the checkpoint to a file and return its bytes."""
     blob = model_to_bytes(model)
-    Path(destination).write_bytes(blob)
+    with atomic_open(destination, "wb") as handle:
+        handle.write(blob)
     return blob
 
 

@@ -205,6 +205,8 @@ def cmd_eval(args) -> int:
     print(f"samples: {report.n_samples}")
     print(f"accuracy: {report.accuracy:.6f}")
     print(f"macro_auc: {report.macro_auc:.6f}")
+    print(f"spikes_per_window: {report.spikes_per_window:.6f}")
+    print(f"synops_per_window: {report.synops_per_window:.6f}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"reports: {', '.join(str(p) for p in paths)}")

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -71,7 +72,7 @@ class Trajectory:
                 f"features shape {f.shape} does not match {t.shape[0]} frames x "
                 f"{len(FEATURE_NAMES)} features"
             )
-        if t.size and np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):  # not np.diff, which overflows int64
             raise UsageError(f"t_index not strictly increasing for vehicle {self.vehicle_id}")
         if not np.isfinite(f).all():
             raise NumericError(f"non-finite feature values for vehicle {self.vehicle_id}")
@@ -269,7 +270,7 @@ def write_trajectories_csv(
     """Write trajectories in the ingest schema; lane ids are reconstructed
     from the event list starting from a canonical base lane."""
     base_lane = 3
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for traj in trajectories:
@@ -397,7 +398,7 @@ def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("feature", "mean", "std"))
         for i, name in enumerate(FEATURE_NAMES):
@@ -471,7 +472,7 @@ def stack_windows(samples: WindowSet) -> tuple[np.ndarray, np.ndarray]:
 
 def export_windows(samples: WindowSet, destination: str | Path) -> None:
     """Debug export: one `label,f0_0,...,f11_4` row-major line per window."""
-    with open(destination, "w", encoding="utf-8") as handle:
+    with atomic_open(destination, "w", encoding="utf-8") as handle:
         for s in samples:
             flat = ",".join(format(v, ".17g") for v in s.features.ravel())
             handle.write(f"{s.label},{flat}\n")

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .dataset import (
     INTENTION_HORIZON_S,
     LABEL_KEEP,
@@ -23,18 +24,24 @@ from .dataset import (
     stack_windows,
 )
 from .errors import DegenerateLabelsError, ShapeError, UsageError
-from .model import Model, forward, forward_batch
+from .model import Model, score
 
 
 def predict(model: Model, window) -> tuple[int, np.ndarray]:
     """Class index and class probabilities for one window.
 
     Accepts a WindowSample or a bare (input_steps, input_dim) array.  Ties
-    resolve to the lowest class index, i.e. toward lane-keeping.
+    resolve to the lowest class index, i.e. toward lane-keeping.  The window
+    is scored as a batch of one, so the probabilities are bit for bit those
+    evaluate and timeline_predict give the same window.
     """
     features = window.features if isinstance(window, WindowSample) else window
-    cache = forward(model, features)
-    probs = np.exp(cache.log_probs)
+    x = np.asarray(features, dtype=np.float64)
+    expected = (model.input_steps, model.input_dim)
+    if x.shape != expected:
+        raise ShapeError(f"input window shape {x.shape}, expected {expected}")
+    log_probs, _ = score(model, x[None])
+    probs = np.exp(log_probs[0])
     return int(np.argmax(probs)), probs
 
 
@@ -137,6 +144,8 @@ class EvalReport:
     roc_curves: tuple[RocCurve | None, ...]  # per class, None when degenerate
     macro_auc: float                      # mean over available curves, nan if none
     warnings: tuple[str, ...]
+    spikes_per_window: float              # mean hidden-layer spikes per window
+    synops_per_window: float              # spikes_per_window x classifier fan-out
 
 
 def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
@@ -144,12 +153,15 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
 
     A class with no positives or no negatives in the test labels gets no
     curve and a warning instead; the macro AUC averages whatever remains.
+    Spike telemetry comes from the same scoring pass: each hidden spike
+    drives one synaptic operation per classifier output (SynOps).
     """
     if len(test_set) == 0:
         raise UsageError("test_set is empty")
     windows, labels = stack_windows(test_set)
-    cache = forward_batch(model, windows)
-    probs = np.exp(cache.log_probs)
+    log_probs, spike_counts = score(model, windows)
+    spikes_per_window = float(spike_counts.mean())
+    probs = np.exp(log_probs)
     predictions = np.argmax(probs, axis=1)
     confusion, accuracy = confusion_and_accuracy(predictions, labels, model.classes)
 
@@ -175,6 +187,8 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
         roc_curves=tuple(curves),
         macro_auc=macro,
         warnings=tuple(warnings),
+        spikes_per_window=spikes_per_window,
+        synops_per_window=spikes_per_window * model.classes,
     )
 
 
@@ -245,8 +259,8 @@ def timeline_predict(
             f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
             f"needs {(model.input_steps - 1) * factor + 1}"
         )
-    cache = forward_batch(model, normalizer.transform(traj.features[positions]))
-    probs = np.exp(cache.log_probs)
+    log_probs, _ = score(model, normalizer.transform(traj.features[positions]))
+    probs = np.exp(log_probs)
     predicted = np.argmax(probs, axis=1)
     entries = tuple(
         TimelineEntry(end_frame=int(frame), predicted=int(k), probs=p)
@@ -282,7 +296,7 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     text = out_dir / "eval_report.txt"
-    with open(text, "w", encoding="utf-8") as handle:
+    with atomic_open(text, "w", encoding="utf-8") as handle:
         handle.write(f"samples: {report.n_samples}\n")
         handle.write(f"accuracy: {report.accuracy:.6f}\n")
         handle.write(f"macro_auc: {report.macro_auc:.6f}\n")
@@ -297,12 +311,14 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
                 handle.write(f"auc_{LABEL_NAMES[k]}: {curve.auc:.6f}\n")
         for warning in report.warnings:
             handle.write(f"warning: {warning}\n")
+        handle.write(f"spikes_per_window: {report.spikes_per_window:.6f}\n")
+        handle.write(f"synops_per_window: {report.synops_per_window:.6f}\n")
     paths.append(text)
     for k, curve in enumerate(report.roc_curves):
         if curve is None:
             continue
         path = out_dir / f"roc_class{k}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("threshold", "fpr", "tpr"))
             for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points):
@@ -314,7 +330,7 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
 
 
 def write_timeline_csv(report: TimelineReport, destination: str | Path) -> None:
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("end_frame", "predicted", "p_keep", "p_left", "p_right"))
         for entry in report.entries:

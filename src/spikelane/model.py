@@ -8,9 +8,11 @@ classes through three stages:
    whose binary spikes are averaged along time into a rate vector,
 3. a linear layer mapping the 24 rates to 3 logits, read out as log-probabilities.
 
-Everything is computed in float64.  Forward and backward are pure functions of
-their arguments; models are plain frozen-array containers, so sharing a model
-across threads for inference is safe.
+Everything is computed in float64.  forward_batch keeps every intermediate for
+backward_batch and serves training; score is the inference path, which keeps
+none of them and gives each window the same bits at any batch size.  All of
+these are pure functions of their arguments; models are plain frozen-array
+containers, so sharing a model across threads for inference is safe.
 """
 
 from __future__ import annotations
@@ -290,22 +292,29 @@ def lif_forward(
     return _lif_core(currents, cfg)
 
 
-def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
-    # Time runs along axis -2 so the same loop serves (T, H) and (N, T, H).
-    steps = currents.shape[-2]
-    state_shape = currents.shape[:-2] + currents.shape[-1:]
-    u_post = np.zeros(state_shape)
-    spikes = np.empty_like(currents)
-    membrane = np.empty_like(currents)
-    for t in range(steps):
+def _lif_steps(currents: np.ndarray, cfg: LifConfig):
+    """The LIF recurrence: yields (t, pre-reset potential, fired mask) per step.
+
+    Time runs along axis -2 so the same loop serves (T, H) and (N, T, H).
+    Only the running state is kept; callers record what they need of each step.
+    """
+    u_post = np.zeros(currents.shape[:-2] + currents.shape[-1:])
+    for t in range(currents.shape[-2]):
         u = cfg.beta * u_post + currents[..., t, :]
         fired = u >= cfg.v_threshold
-        membrane[..., t, :] = u
-        spikes[..., t, :] = fired
+        yield t, u, fired
         if cfg.reset_mode == RESET_TO_ZERO:
             u_post = np.where(fired, 0.0, u)
         else:
             u_post = np.where(fired, u - cfg.v_threshold, u)
+
+
+def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
+    spikes = np.empty_like(currents)
+    membrane = np.empty_like(currents)
+    for t, u, fired in _lif_steps(currents, cfg):
+        membrane[..., t, :] = u
+        spikes[..., t, :] = fired
     return spikes, membrane
 
 
@@ -350,13 +359,58 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
     """Vectorized forward pass over a (N, input_steps, input_dim) stack."""
+    xs = _window_stack(model, windows)
+    if not np.isfinite(xs).all():
+        raise NumericError("window stack must be finite")
+    return _forward_stack(model, xs)
+
+
+def _window_stack(model: Model, windows) -> np.ndarray:
     xs = np.asarray(windows, dtype=np.float64)
     expected = (model.input_steps, model.input_dim)
     if xs.ndim != 3 or xs.shape[1:] != expected:
         raise ShapeError(f"window stack shape {xs.shape}, expected (N, {expected[0]}, {expected[1]})")
-    if not np.isfinite(xs).all():
-        raise NumericError("window stack must be finite")
-    return _forward_stack(model, xs)
+    return xs
+
+
+# Windows per score() chunk.  It bounds the working memory of scoring: one
+# chunk's (chunk, T, hidden) currents are the largest array score() holds.
+SCORE_CHUNK = 4096
+
+
+def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference over a (N, input_steps, input_dim) stack, caching nothing.
+
+    Returns the (N, classes) log-probabilities and the (N,) int64 count of
+    hidden-layer spikes per window.  The stack is scored SCORE_CHUNK windows
+    at a time: the feature map, a LIF loop that keeps only the running state
+    and a per-neuron spike count, then the readout.  The readout is an einsum
+    rather than a BLAS matmul, so every row depends only on its own window:
+    a batch of one gives the same bits as that window inside any batch, for
+    any chunk size.  forward_batch stays the training path, whose cache the
+    backward pass reads.
+    """
+    xs = _window_stack(model, windows)
+    n = len(xs)
+    log_probs = np.empty((n, model.classes))
+    spike_counts = np.empty(n, dtype=np.int64)
+    for start in range(0, n, SCORE_CHUNK):
+        chunk = xs[start : start + SCORE_CHUNK]
+        if not np.isfinite(chunk).all():
+            raise NumericError("window stack must be finite")
+        # The same bits as forward_batch's currents: with only input_dim terms
+        # per sum, BLAS adds them in one order whatever the number of rows.
+        currents = chunk @ model.feature_layer.weights
+        currents += model.feature_layer.bias
+        counts = np.zeros((len(chunk), model.hidden_dim))
+        for _, _, fired in _lif_steps(currents, model.lif):
+            counts += fired
+        pooled = counts / model.input_steps  # the bits of _temporal_mean
+        logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
+        logits += model.classifier.bias
+        log_probs[start : start + len(chunk)] = _log_softmax(logits)
+        spike_counts[start : start + len(chunk)] = counts.sum(axis=1)
+    return log_probs, spike_counts
 
 
 def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:

@@ -10,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .dataset import WindowSet, stack_windows
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
@@ -177,7 +178,7 @@ def train(
 
 def write_training_log(logs: Sequence[EpochLog], destination: str | Path) -> None:
     """CSV log: epoch,mean_loss,wall_time_s,train_accuracy at 9 significant digits."""
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("epoch", "mean_loss", "wall_time_s", "train_accuracy"))
         for log in logs:

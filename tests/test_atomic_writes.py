@@ -1,0 +1,104 @@
+"""Artifact writers replace their destination whole, or leave it as it was."""
+
+import csv
+import os
+
+import numpy as np
+import pytest
+
+import spikelane as sl
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """name -> (write into a directory, a CSV it writes, the first file it writes)."""
+    model = sl.new_model(seed=1)
+    traj = sl.synthesize_dataset(24, 1)[0]
+    stats = sl.NormStats(mean=np.zeros(5), std=np.ones(5))
+    windows = sl.build_windows(sl.synthesize_dataset(25, 2), sl.WindowConfig(stride_frames=6))
+    logs = [sl.EpochLog(epoch, 1.0 / epoch, 0.1, 0.5) for epoch in (1, 2, 3)]
+    report = sl.evaluate(model, sl.apply_normalizer(sl.fit_normalizer(windows), windows))
+    bench = sl.make_bench_report(model, logs, final_accuracy=0.5, macro_auc=0.5)
+    return {
+        "save_model": (lambda d: sl.save_model(model, d / "model.spkl"), None, "model.spkl"),
+        "save_norm_stats": (lambda d: sl.save_norm_stats(stats, d / "norm.csv"),
+                            "norm.csv", "norm.csv"),
+        "write_training_log": (lambda d: sl.write_training_log(logs, d / "log.csv"),
+                               "log.csv", "log.csv"),
+        "write_eval_report": (lambda d: sl.write_eval_report(report, d),
+                              "roc_class0.csv", "eval_report.txt"),
+        "write_timeline_csv": (
+            lambda d: sl.write_timeline_csv(sl.timeline_predict(model, traj, stats), d / "t.csv"),
+            "t.csv", "t.csv"),
+        "write_bench_report": (lambda d: sl.write_bench_report(bench, d),
+                               "bench_report.csv", "bench_report.txt"),
+        "write_trajectories_csv": (lambda d: sl.write_trajectories_csv([traj], d / "traj.csv"),
+                                   "traj.csv", "traj.csv"),
+    }
+
+
+ALL_WRITERS = [
+    "save_model", "save_norm_stats", "write_training_log", "write_eval_report",
+    "write_timeline_csv", "write_bench_report", "write_trajectories_csv",
+]
+CSV_WRITERS = ALL_WRITERS[1:]
+
+
+def _temp_files(directory):
+    return [p.name for p in directory.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("old", [b"old\n", None], ids=["replacing", "new"])
+@pytest.mark.parametrize("name", CSV_WRITERS)
+def test_writer_failing_midway_leaves_no_partial_file(name, old, writers, tmp_path, monkeypatch):
+    write, target, _ = writers[name]
+    if old is not None:
+        (tmp_path / target).write_bytes(old)
+    real_writer = csv.writer
+
+    def writer_failing_on_second_row(handle, *args, **kwargs):
+        inner = real_writer(handle, *args, **kwargs)
+        rows = []
+
+        class Failing:
+            def writerow(self, row):
+                rows.append(row)
+                if len(rows) == 2:
+                    raise RuntimeError("disk full")
+                return inner.writerow(row)
+
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", writer_failing_on_second_row)
+    with pytest.raises(RuntimeError, match="disk full"):
+        write(tmp_path)
+    if old is None:
+        assert not (tmp_path / target).exists()
+    else:
+        assert (tmp_path / target).read_bytes() == old
+    assert _temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ALL_WRITERS)
+def test_failed_rename_keeps_old_file(name, writers, tmp_path, monkeypatch):
+    write, _, first = writers[name]
+    (tmp_path / first).write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first]
+    assert (tmp_path / first).read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("name", ALL_WRITERS)
+def test_success_leaves_no_temp_file_and_usual_permissions(name, writers, tmp_path):
+    write, _, first = writers[name]
+    write(tmp_path)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert _temp_files(tmp_path) == []
+    assert os.stat(tmp_path / first).st_mode == os.stat(plain).st_mode

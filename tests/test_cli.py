@@ -153,6 +153,10 @@ class TestEval:
         accuracy = float(next(l for l in out.splitlines() if l.startswith("accuracy:")).split()[1])
         assert 0.0 <= accuracy <= 1.0
         assert (tmp_path / "eval_report.txt").is_file()
+        report = (tmp_path / "eval_report.txt").read_text().splitlines()
+        for key in ("spikes_per_window:", "synops_per_window:"):
+            printed = [l for l in out.splitlines() if l.startswith(key)]
+            assert len(printed) == 1 and printed == [l for l in report if l.startswith(key)]
 
     def test_roc_csv_spans_unit_square(self, data_csv, trained_dir, tmp_path):
         self._run(data_csv, trained_dir, tmp_path)

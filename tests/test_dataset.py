@@ -79,6 +79,14 @@ class TestParse:
         with pytest.raises(sl.ParseError, match="line 3"):
             sl.parse_trajectories(io.StringIO(body), 25.0)
 
+    def test_frames_at_int64_extremes(self):
+        lo, hi = -(2**63), 2**63 - 1
+        body = "\n".join([HEADER, keep_row("a", hi), keep_row("a", lo)])
+        (traj,) = sl.parse_trajectories(io.StringIO(body), 25.0)
+        assert traj.t_index.tolist() == [lo, hi]
+        with pytest.raises(sl.UsageError, match="strictly increasing"):
+            sl.Trajectory("a", 25.0, np.array([hi, lo]), np.zeros((2, 5)))
+
     def test_unsorted_rows_are_ordered_by_frame(self):
         body = "\n".join([HEADER, keep_row("a", 2), keep_row("a", 0), keep_row("a", 1)])
         (traj,) = sl.parse_trajectories(io.StringIO(body), 25.0)

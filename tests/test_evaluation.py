@@ -1,11 +1,13 @@
 """Metrics, ROC/AUC against the concordance oracle, and timeline replay."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spikelane as sl
+from spikelane import model as model_module
 
 from oracles import auc_concordance
 
@@ -41,6 +43,16 @@ class TestPredict:
         b = sl.predict(model, sample)
         assert a[0] == b[0]
         assert (a[1] == b[1]).all()
+
+    def test_rejects_wrong_shape_and_nan(self):
+        model = sl.new_model()
+        for shape in [(11, 5), (12,), (1, 12, 5)]:
+            with pytest.raises(sl.ShapeError):
+                sl.predict(model, np.zeros(shape))
+        bad = np.zeros((12, 5))
+        bad[3, 2] = np.nan
+        with pytest.raises(sl.NumericError):
+            sl.predict(model, bad)
 
 
 class TestConfusion:
@@ -207,6 +219,90 @@ class TestEvaluate:
             sl.evaluate(sl.new_model(), [])
 
 
+def fleet_windows(seed=31, vehicles=3):
+    """Synthetic vehicles, their normalizer, and their normalized windows at
+    the stride timeline_predict replays (one window per downsampled step)."""
+    trajectories = sl.synthesize_dataset(seed, vehicles)
+    factor = sl.downsample_factor(trajectories[0].sample_rate_hz, 4.0)
+    windows = sl.build_windows(trajectories, sl.WindowConfig(stride_frames=factor))
+    stats = sl.fit_normalizer(windows)
+    return trajectories, stats, sl.apply_normalizer(stats, windows)
+
+
+def assert_same_report(a, b):
+    assert (a.n_samples, a.accuracy, a.macro_auc, a.warnings) == \
+        (b.n_samples, b.accuracy, b.macro_auc, b.warnings)
+    assert (a.spikes_per_window, a.synops_per_window) == (b.spikes_per_window, b.synops_per_window)
+    assert np.array_equal(a.confusion, b.confusion)
+    for curve_a, curve_b in zip(a.roc_curves, b.roc_curves, strict=True):
+        assert np.array_equal(curve_a.thresholds, curve_b.thresholds)
+        assert np.array_equal(curve_a.points, curve_b.points)
+        assert curve_a.auc == curve_b.auc
+
+
+class TestScoringPath:
+    """predict, evaluate and timeline_predict share one batch-invariant scorer."""
+
+    def test_predict_matches_evaluate_and_timeline_bitwise(self):
+        trajectories, stats, windows = fleet_windows()
+        model = sl.new_model(seed=5)
+        predicted = [sl.predict(model, w) for w in windows.features]
+        classes = np.array([k for k, _ in predicted])
+        probs = np.array([p for _, p in predicted])
+
+        report = sl.evaluate(model, windows)
+        assert np.array_equal(
+            report.confusion, sl.confusion_and_accuracy(classes, windows.labels)[0]
+        )
+        for k, curve in enumerate(report.roc_curves):
+            # past the +inf corner, the thresholds are the distinct class-k scores
+            assert np.array_equal(curve.thresholds[1:], np.unique(probs[:, k])[::-1])
+
+        for traj in trajectories:
+            mine = windows.vehicle_ids == traj.vehicle_id
+            timeline = sl.timeline_predict(model, traj, stats)
+            assert np.array_equal(np.array([e.probs for e in timeline.entries]), probs[mine])
+            assert [e.predicted for e in timeline.entries] == classes[mine].tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 7, "N"])
+    def test_report_independent_of_chunk_size(self, chunk, monkeypatch):
+        _, _, windows = fleet_windows()
+        model = sl.new_model(seed=5)
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", 100_000)
+        want = sl.evaluate(model, windows)
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", len(windows) if chunk == "N" else chunk)
+        assert_same_report(sl.evaluate(model, windows), want)
+
+    def test_spike_telemetry_counts_hidden_spikes(self):
+        _, _, windows = fleet_windows()
+        model = sl.new_model(seed=5)
+        spikes = sl.forward_batch(model, windows.features).spikes.sum(axis=(1, 2))
+        report = sl.evaluate(model, windows)
+        assert report.spikes_per_window > 0
+        assert report.spikes_per_window == pytest.approx(spikes.mean(), rel=1e-12)
+        assert report.synops_per_window == pytest.approx(
+            spikes.mean() * model.classes, rel=1e-12
+        )
+
+    def test_evaluate_memory_is_bounded(self):
+        # a whole-set activation cache would hold three (N, 12, 24) float64
+        # arrays: about 200 MB for these 30,000 windows
+        rng = np.random.default_rng(47)
+        n = 30_000
+        windows = sl.WindowSet(
+            features=rng.normal(size=(n, 12, 5)), labels=rng.integers(0, 3, size=n),
+            vehicle_ids=np.full(n, "v"), end_frames=np.arange(n),
+        )
+        model = sl.new_model(seed=5)
+        tracemalloc.start()
+        try:
+            sl.evaluate(model, windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
 class TestDetectRuns:
     def test_debounce_thresholds(self):
         assert sl.detect_runs([0, 1, 1, 1, 0]) == [1]
@@ -284,6 +380,10 @@ class TestReportWriters:
         paths = sl.write_eval_report(report, tmp_path)
         text = (tmp_path / "eval_report.txt").read_text()
         assert "accuracy:" in text and "macro_auc:" in text
+        assert text.splitlines()[-2:] == [
+            f"spikes_per_window: {report.spikes_per_window:.6f}",
+            f"synops_per_window: {report.synops_per_window:.6f}",
+        ]
         for k, curve in enumerate(report.roc_curves):
             if curve is None:
                 continue

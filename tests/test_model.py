@@ -167,6 +167,32 @@ class TestForward:
             sl.forward(model, bad)
 
 
+class TestScore:
+    def test_matches_forward_batch(self):
+        model = sl.new_model(seed=5)
+        windows = np.random.default_rng(16).normal(size=(300, 12, 5))
+        log_probs, spike_counts = sl.score(model, windows)
+        cache = sl.forward_batch(model, windows)
+        assert spike_counts.dtype == np.int64
+        assert np.array_equal(spike_counts, cache.spikes.sum(axis=(1, 2)))
+        assert spike_counts.sum() > 0
+        # the readouts differ only in summation order
+        np.testing.assert_allclose(log_probs, cache.log_probs, rtol=0, atol=1e-14)
+
+    def test_rejects_wrong_shape_and_nan(self):
+        model = sl.new_model()
+        with pytest.raises(sl.ShapeError):
+            sl.score(model, np.zeros((4, 11, 5)))
+        bad = np.zeros((4, 12, 5))
+        bad[2, 0, 0] = np.inf
+        with pytest.raises(sl.NumericError):
+            sl.score(model, bad)
+
+    def test_empty_stack(self):
+        log_probs, spike_counts = sl.score(sl.new_model(), np.zeros((0, 12, 5)))
+        assert log_probs.shape == (0, 3) and spike_counts.shape == (0,)
+
+
 class TestNllLoss:
     def test_uniform_single_sample_is_ln3(self):
         lp = np.log(np.full(3, 1 / 3))
