@@ -55,7 +55,6 @@ from .evaluation import (
     RocCurve,
     TimelineEntry,
     TimelineReport,
-    binary_rates,
     confusion_and_accuracy,
     detect_runs,
     evaluate,

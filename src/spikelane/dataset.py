@@ -17,6 +17,7 @@ indexing it with an int gives one `WindowSample`.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -200,16 +201,98 @@ def parse_trajectories(
 
 
 def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
-    reader = csv.reader(stream)
+    # Lines are read up front for the column parser.  A decode error is held
+    # back until the row parser has seen the lines before it, so that a bad
+    # row earlier in the file is the error reported.
+    lines: list[str] = []
+    undecodable = None
+    try:
+        lines.extend(stream)
+    except UnicodeDecodeError as error:
+        undecodable = error
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
+        if undecodable is not None:
+            raise undecodable from None
         raise ParseError("line 1: empty input, expected header") from None
     if tuple(cell.strip() for cell in header) != CSV_HEADER:
         raise ParseError(
             f"line 1: header {header} does not match {','.join(CSV_HEADER)}"
         )
+    if undecodable is None:
+        trajectories = _parse_columns(lines[reader.line_num:], sample_rate_hz)
+        if trajectories is not None:
+            return trajectories
+    trajectories = _parse_rows(reader, sample_rate_hz)
+    if undecodable is not None:
+        raise undecodable
+    return trajectories
 
+
+# Every cell of a row, so that loadtxt rejects a row with more or fewer than
+# eight.  The id cell goes to a one-character placeholder: ids are read by a
+# separate call whose str dtype takes its width from the data.
+_CSV_COLUMNS = np.dtype([
+    ("vehicle_id", "U1"),
+    ("frame", np.int64),
+    ("features", np.float64, (len(FEATURE_NAMES),)),
+    ("lane_id", np.int64),
+])
+
+
+def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] | None:
+    """Column-wise parse of the rows after the header with NumPy's C reader.
+
+    Returns None whenever the row parser must decide instead: on any loadtxt
+    error or warning (syntax the C reader rejects, such as `1_000`, which
+    int() accepts; blank lines; a wrong cell count; an integer outside int64)
+    and on any failed column check (non-finite feature, duplicate (vehicle,
+    frame)).  The row parser then gives the result or the line-numbered
+    ParseError.  NUL characters, which NumPy str arrays drop at the end of a
+    string, and lines past the csv module's field size limit go to the row
+    parser too.
+    """
+    if "\0" in "".join(body) or max(map(len, body), default=0) > csv.field_size_limit():
+        return None
+    options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(body, dtype=_CSV_COLUMNS, **options)
+            ids = np.loadtxt(body, dtype=str, usecols=0, **options)
+    except (ValueError, Warning):
+        return None
+    if not np.isfinite(table["features"]).all():
+        return None
+    vehicles, inverse, counts = np.unique(
+        np.strings.strip(ids), return_inverse=True, return_counts=True
+    )
+    order = np.lexsort((table["frame"], inverse))
+    frames, inverse = table["frame"][order], inverse[order]
+    if np.any((frames[1:] == frames[:-1]) & (inverse[1:] == inverse[:-1])):
+        return None
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        Trajectory(
+            vehicle_id=vid,
+            sample_rate_hz=sample_rate_hz,
+            t_index=t_index,
+            features=features,
+            events=_events_from_lanes(t_index, features[:, 0], lanes),
+        )
+        for vid, t_index, features, lanes in zip(
+            vehicles.tolist(),
+            np.split(frames, bounds),
+            np.split(table["features"][order], bounds),
+            np.split(table["lane_id"][order], bounds),
+        )
+    ]
+
+
+def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Trajectory]:
+    """The row-by-row parser: every check per line, errors name the line."""
     per_vehicle: dict[str, list[tuple[int, float, float, float, float, float, int]]] = {}
     seen: set[tuple[str, int]] = set()
     for line_no, row in enumerate(reader, start=2):

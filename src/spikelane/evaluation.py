@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,25 +63,6 @@ def confusion_and_accuracy(
     np.add.at(confusion, (labels, predictions), 1)
     accuracy = float((predictions == labels).mean())
     return confusion, accuracy
-
-
-def binary_rates(
-    scores: np.ndarray, labels: np.ndarray, threshold: float
-) -> tuple[float, float]:
-    """(false positive rate, true positive rate) at `score >= threshold`."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ShapeError(f"scores shape {scores.shape} vs labels shape {labels.shape}")
-    positive = labels == 1
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError("both binary classes must be present")
-    predicted = scores >= threshold
-    tp = int((predicted & positive).sum())
-    fp = int((predicted & ~positive).sum())
-    return fp / n_neg, tp / n_pos
 
 
 @dataclass(frozen=True)
@@ -318,23 +298,33 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         if curve is None:
             continue
         path = out_dir / f"roc_class{k}.csv"
-        with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("threshold", "fpr", "tpr"))
-            for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points):
-                writer.writerow(
-                    (format(threshold, ".9g"), format(fpr, ".9g"), format(tpr, ".9g"))
-                )
+        fpr, tpr = curve.points.T
+        _write_numeric_csv(
+            path, ("threshold", "fpr", "tpr"), "%.9g,%.9g,%.9g",
+            zip(curve.thresholds.tolist(), fpr.tolist(), tpr.tolist()),
+        )
         paths.append(path)
     return paths
 
 
 def write_timeline_csv(report: TimelineReport, destination: str | Path) -> None:
+    _write_numeric_csv(
+        destination, ("end_frame", "predicted", "p_keep", "p_left", "p_right"),
+        "%d,%d,%.9g,%.9g,%.9g",
+        ((e.end_frame, e.predicted, *e.probs.tolist()) for e in report.entries),
+    )
+
+
+def _write_numeric_csv(
+    destination: str | Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
+) -> None:
+    """Write a header and numeric rows as one formatted block.
+
+    `row_format` holds one %-conversion per cell, e.g. "%d,%.9g"; %.9g gives
+    the text of format(x, ".9g").  Lines end in \\r\\n like csv.writer's, so
+    the bytes are those a csv.writer of the same formatted cells writes.
+    """
+    line = row_format + "\r\n"
     with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("end_frame", "predicted", "p_keep", "p_left", "p_right"))
-        for entry in report.entries:
-            writer.writerow(
-                (entry.end_frame, entry.predicted)
-                + tuple(format(p, ".9g") for p in entry.probs)
-            )
+        handle.write(",".join(header) + "\r\n")
+        handle.write("".join(map(line.__mod__, rows)))

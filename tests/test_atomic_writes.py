@@ -1,12 +1,13 @@
 """Artifact writers replace their destination whole, or leave it as it was."""
 
-import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spikelane as sl
+from spikelane import _atomic
 
 
 @pytest.fixture(scope="module")
@@ -54,22 +55,38 @@ def test_writer_failing_midway_leaves_no_partial_file(name, old, writers, tmp_pa
     write, target, _ = writers[name]
     if old is not None:
         (tmp_path / target).write_bytes(old)
-    real_writer = csv.writer
+    real_open = open
 
-    def writer_failing_on_second_row(handle, *args, **kwargs):
-        inner = real_writer(handle, *args, **kwargs)
-        rows = []
+    class FailingOnSecondWrite:
+        """The file a writer opens, except that its second write fails, as on
+        a full disk: after the header, whether rows go out one by one or as
+        one block."""
 
-        class Failing:
-            def writerow(self, row):
-                rows.append(row)
-                if len(rows) == 2:
-                    raise RuntimeError("disk full")
-                return inner.writerow(row)
+        def __init__(self, handle):
+            self._handle, self._writes = handle, 0
 
-        return Failing()
+        def write(self, text):
+            self._writes += 1
+            if self._writes == 2:
+                raise RuntimeError("disk full")
+            return self._handle.write(text)
 
-    monkeypatch.setattr(csv, "writer", writer_failing_on_second_row)
+        def __getattr__(self, attr):
+            return getattr(self._handle, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self._handle.__exit__(*exc_info)
+
+    def open_failing_for_target(path, *args, **kwargs):
+        handle = real_open(path, *args, **kwargs)
+        if Path(path).name.startswith(f".{target}."):  # atomic_open's temp file
+            return FailingOnSecondWrite(handle)
+        return handle
+
+    monkeypatch.setattr(_atomic, "open", open_failing_for_target, raising=False)
     with pytest.raises(RuntimeError, match="disk full"):
         write(tmp_path)
     if old is None:

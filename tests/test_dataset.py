@@ -1,11 +1,14 @@
 """Ingestion, labeling, windowing, normalization, and splitting."""
 
+import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 import spikelane as sl
+from spikelane import dataset
 from spikelane.dataset import CSV_HEADER
 
 from oracles import naive_windows
@@ -95,6 +98,131 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(sl.ParseError, match="line 1"):
             sl.parse_trajectories(io.StringIO(""), 25.0)
+
+
+def _rows_only(text):
+    """Parse with the row parser alone, the reference for the column path;
+    a ParseError becomes its message."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    try:
+        return dataset._parse_rows(reader, 25.0)
+    except sl.ParseError as error:
+        return str(error)
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [t.vehicle_id for t in got] == [t.vehicle_id for t in want]
+    for a, b in zip(got, want):
+        assert a.sample_rate_hz == b.sample_rate_hz
+        assert a.t_index.dtype == b.t_index.dtype
+        assert a.t_index.tolist() == b.t_index.tolist()
+        assert a.features.dtype == b.features.dtype
+        assert a.features.tobytes() == b.features.tobytes()  # bit for bit, NaN-safe
+        assert a.events == b.events
+
+
+def _body(*rows, newline="\n"):
+    return newline.join([HEADER, *rows]) + newline
+
+
+def _synth_csv():
+    """A synthetic fleet in the ingest schema, with CRLF line ends as
+    csv.writer writes them; the lane id steps at every lane change."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    for traj in sl.synthesize_dataset(7, 3):
+        lanes = np.full(len(traj), 3)
+        for event in traj.events:
+            lanes[traj.t_index >= event.onset_frame] += 1 if event.direction == "left" else -1
+        for frame, row, lane in zip(traj.t_index.tolist(), traj.features.tolist(), lanes.tolist()):
+            writer.writerow([traj.vehicle_id, frame, *map(repr, row), lane])
+    return buffer.getvalue()
+
+
+# (name, CSV text, whether the column path accepts it without the row parser)
+PARITY_CASES = [
+    ("synth", _synth_csv(), True),
+    ("long_id", _body(keep_row("x" * 300, 0), keep_row("b", 0), keep_row("x" * 300, 1)), True),
+    ("quoted_comma_id", _body('"a,b",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), True),
+    ("padded_id", _body(keep_row("  a  ", 1), keep_row("a", 0), keep_row("\ta", 2)), True),
+    ("crlf", _body(keep_row("a", 0), keep_row("a", 1), newline="\r\n"), True),
+    ("blank_lines", _body(keep_row("a", 0), "", keep_row("a", 1), ""), False),
+    ("whitespace_line", _body(keep_row("a", 0), "   ", keep_row("a", 1)), False),
+    ("hash_line", _body("# comment", keep_row("a", 0)), False),
+    ("underscore_frame", _body(keep_row("a", "1_000"), keep_row("a", 0)), False),
+    ("signed_padded_frame", _body(keep_row("a", "+5"), keep_row("a", " 12 ")), True),
+    ("interleaved", _body(*(keep_row(v, f) for f in (3, 1, 2, 0) for v in "cab")), True),
+    ("duplicate", _body(keep_row("a", 0), keep_row("b", 0), keep_row(" a", 0)), False),
+    ("nan", _body(keep_row("a", 0), "a,1,nan,30.0,0.0,0.0,0.0,3"), False),
+    ("infinity", _body(keep_row("a", 0), "a,1,0.0,infinity,0.0,0.0,0.0,3"), False),
+    ("frame_2_63", _body(keep_row("a", 0), keep_row("a", 2**63)), False),
+    ("extra_cell", _body(keep_row("a", 0), keep_row("a", 1) + ",9"), False),
+    ("nul_in_id", _body(keep_row("a\0", 0), keep_row("a", 1)), False),
+    ("one_row", _body(keep_row("a", 7, lane=2, delta=-0.25)), True),
+    ("header_only", _body(), False),
+]
+
+
+class TestParseParity:
+    """The column path and the row parser agree on results and on errors."""
+
+    @pytest.mark.parametrize("name,text,columnar", PARITY_CASES,
+                             ids=[case[0] for case in PARITY_CASES])
+    def test_path_matches_row_parser(self, tmp_path, name, text, columnar):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _rows_only(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = io.StringIO(text, newline="").readlines()[1:]
+            direct = dataset._parse_columns(body, 25.0)
+            try:
+                got = sl.parse_trajectories(path, 25.0)
+            except sl.ParseError as error:
+                got = str(error)
+        assert (direct is not None) == columnar
+        if direct is not None:
+            _assert_same_parse(direct, want)
+        _assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("name,text,columnar", PARITY_CASES,
+                             ids=[case[0] for case in PARITY_CASES])
+    def test_text_source_matches_path(self, tmp_path, name, text, columnar):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for source in (path, io.StringIO(text, newline="")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    outcomes.append(sl.parse_trajectories(source, 25.0))
+                except sl.ParseError as error:
+                    outcomes.append(str(error))
+        _assert_same_parse(*outcomes)
+
+    def test_cell_past_csv_field_limit_still_rejected(self):
+        # NumPy would read this zero-padded frame as 5; the csv module refuses it
+        frame = "0" * csv.field_size_limit() + "5"
+        with pytest.raises(csv.Error, match="field limit"):
+            sl.parse_trajectories(io.StringIO(_body(keep_row("a", frame))), 25.0)
+
+    def test_bad_row_before_undecodable_bytes_is_reported(self, tmp_path):
+        # A bad row ahead of an invalid UTF-8 byte is the error reported; the
+        # decode error only when the rows before it are sound.
+        path = tmp_path / "bad.csv"
+        rows = [keep_row("a", f) for f in range(3000)]
+        rows[1] = "a,1,oops,30.0,0.0,0.0,0.0,3"
+        path.write_bytes(_body(*rows).encode("utf-8") + b"\xff\n")
+        with pytest.raises(sl.ParseError, match="line 3: non-numeric"):
+            sl.parse_trajectories(path, 25.0)
+        path.write_bytes(_body(keep_row("a", 0)).encode("utf-8") + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            sl.parse_trajectories(path, 25.0)
 
 
 class TestLabelFrames:

@@ -1,6 +1,7 @@
 """Metrics, ROC/AUC against the concordance oracle, and timeline replay."""
 
 import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -84,43 +85,6 @@ class TestConfusion:
             sl.confusion_and_accuracy([], [])
         with pytest.raises(sl.UsageError):
             sl.confusion_and_accuracy([0, 3], [0, 1])
-
-
-class TestBinaryRates:
-    def test_direct_counts(self):
-        scores = np.array([0.9, 0.8, 0.3, 0.2, 0.1])
-        labels = np.array([1, 0, 0, 0, 1])
-        fpr, tpr = sl.binary_rates(scores, labels, threshold=0.5)
-        assert fpr == pytest.approx(1 / 3)  # one of three negatives at 0.8
-        assert tpr == pytest.approx(1 / 2)
-
-    def test_sweep_endpoints(self):
-        scores = np.array([0.2, 0.6, 0.9])
-        labels = np.array([0, 1, 1])
-        assert sl.binary_rates(scores, labels, threshold=-1.0) == (1.0, 1.0)
-        assert sl.binary_rates(scores, labels, threshold=2.0) == (0.0, 0.0)
-
-    def test_threshold_inclusive(self):
-        scores = np.array([0.5, 0.4])
-        labels = np.array([1, 0])
-        fpr, tpr = sl.binary_rates(scores, labels, threshold=0.5)
-        assert (fpr, tpr) == (0.0, 1.0)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(41)
-        scores = rng.random(50)
-        labels = (rng.random(50) < 0.4).astype(int)
-        threshold = 0.37
-        fpr, tpr = sl.binary_rates(scores, labels, threshold)
-        pred = scores >= threshold
-        tp = int((pred & (labels == 1)).sum())
-        fp = int((pred & (labels == 0)).sum())
-        assert tpr == pytest.approx(tp / (labels == 1).sum())
-        assert fpr == pytest.approx(fp / (labels == 0).sum())
-
-    def test_degenerate_labels_rejected(self):
-        with pytest.raises(sl.DegenerateLabelsError):
-            sl.binary_rates(np.array([0.1, 0.2]), np.array([1, 1]), 0.5)
 
 
 class TestRocCurve:
@@ -407,3 +371,59 @@ class TestReportWriters:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(report.entries)
         assert int(rows[0]["end_frame"]) == report.entries[0].end_frame
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for these rows: the oracle for the block writer."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriterBytes:
+    """ROC and timeline CSVs are byte for byte what csv.writer wrote."""
+
+    def test_roc_csv_bytes(self, tmp_path):
+        # ties, an exponent-sized score, a 9-digit-rounded one and zero; the
+        # first threshold is +inf
+        scores = np.array([0.9, 0.8, 0.8, 1 / 3, 1 / 3, 1.5e-300, 0.0, 0.8, 0.123456789123])
+        labels = np.array([1, 1, 0, 0, 1, 0, 0, 1, 0])
+        curves = (None, sl.roc_curve(scores, labels, class_id=1),
+                  sl.roc_curve(-scores, 1 - labels, class_id=2))
+        report = sl.EvalReport(
+            n_samples=len(scores), accuracy=0.5, confusion=np.zeros((3, 3), dtype=np.int64),
+            roc_curves=curves, macro_auc=0.5, warnings=(), spikes_per_window=0.0,
+            synops_per_window=0.0,
+        )
+        paths = sl.write_eval_report(report, tmp_path)
+        assert not (tmp_path / "roc_class0.csv").exists()
+        for k in (1, 2):
+            curve = curves[k]
+            assert curve.thresholds[0] == np.inf
+            want = csv_writer_bytes(("threshold", "fpr", "tpr"), [
+                (format(t, ".9g"), format(fpr, ".9g"), format(tpr, ".9g"))
+                for t, (fpr, tpr) in zip(curve.thresholds, curve.points)
+            ])
+            path = tmp_path / f"roc_class{k}.csv"
+            assert path in paths
+            assert path.read_bytes() == want
+
+    def test_timeline_csv_bytes(self, tmp_path):
+        traj = sl.synthesize_dataset(25, 1)[0]
+        report = sl.timeline_predict(
+            sl.new_model(seed=12), traj, sl.NormStats(mean=np.zeros(5), std=np.ones(5)),
+        )
+        extreme = sl.TimelineEntry(
+            end_frame=-(2**63), predicted=2, probs=np.array([1e-300, 1 / 3, 1.0])
+        )
+        for entries in (report.entries, (extreme,)):
+            case = sl.TimelineReport("v", entries, (), (), ())
+            path = tmp_path / "timeline.csv"
+            sl.write_timeline_csv(case, path)
+            want = csv_writer_bytes(("end_frame", "predicted", "p_keep", "p_left", "p_right"), [
+                (e.end_frame, e.predicted) + tuple(format(p, ".9g") for p in e.probs)
+                for e in entries
+            ])
+            assert path.read_bytes() == want
