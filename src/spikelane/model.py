@@ -10,8 +10,12 @@ classes through three stages:
 
 Everything is computed in float64.  forward_batch keeps every intermediate for
 backward_batch and serves training; score is the inference path, which keeps
-none of them and gives each window the same bits at any batch size.  All of
-these are pure functions of their arguments; models are plain frozen-array
+none of them and gives each window the same bits at any batch size.  Both run
+one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
+step reads and writes one contiguous block; the backward sweep runs over the
+same layout.  ForwardCache keeps its batch-major (N, T, hidden) shapes as
+transposed views of those stacks, which are therefore not C-contiguous.  All
+of these are pure functions of their arguments; models are plain frozen-array
 containers, so sharing a model across threads for inference is safe.
 """
 
@@ -140,7 +144,10 @@ class ForwardCache:
     """All intermediates of a forward pass, kept for the backward pass.
 
     forward_batch fills every field with a leading batch axis N; forward
-    returns the same fields for one window, without that axis.
+    returns the same fields for one window, without that axis.  currents,
+    membrane and spikes are transposed views of the time-major (T, N, hidden)
+    arrays the LIF recurrence fills, so for N > 1 they are not C-contiguous.
+    backward_batch also takes caches whose fields are plain C-contiguous arrays.
     """
 
     input: np.ndarray      # ([N,] T, in)
@@ -267,8 +274,23 @@ def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
 
 
 def _affine(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
-    # Maps the last axis, so the same code serves (T, in) and (N, T, in).
+    # Maps the last axis, so the same code serves (T, in) and (N, hidden).
     return x @ layer.weights + layer.bias
+
+
+def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
+    """Time-major (T, N, hidden) input currents of an (N, T, in) window stack.
+
+    One GEMM over a contiguous time-major copy of the stack.  With only in_dim
+    terms per sum, BLAS adds them in one order whatever the number or order
+    of rows, so every current has the bits of x[n, t] @ W + b.  For a batch
+    of one the time-major stack is the same memory, and nothing is copied.
+    """
+    n, steps, in_dim = xs.shape
+    rows = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * n, in_dim)
+    currents = rows @ layer.weights
+    currents += layer.bias
+    return currents.reshape(steps, n, layer.out_dim)
 
 
 def lif_forward(
@@ -295,12 +317,14 @@ def lif_forward(
 def _lif_steps(currents: np.ndarray, cfg: LifConfig):
     """The LIF recurrence: yields (t, pre-reset potential, fired mask) per step.
 
-    Time runs along axis -2 so the same loop serves (T, H) and (N, T, H).
-    Only the running state is kept; callers record what they need of each step.
+    Time runs along axis 0, so the same loop serves (T, H) and the
+    time-major (T, N, H) stacks of training and scoring, and each step reads
+    one contiguous block.  Only the running state is kept; callers record
+    what they need of each step.
     """
-    u_post = np.zeros(currents.shape[:-2] + currents.shape[-1:])
-    for t in range(currents.shape[-2]):
-        u = cfg.beta * u_post + currents[..., t, :]
+    u_post = np.zeros(currents.shape[1:])
+    for t in range(len(currents)):
+        u = cfg.beta * u_post + currents[t]
         fired = u >= cfg.v_threshold
         yield t, u, fired
         if cfg.reset_mode == RESET_TO_ZERO:
@@ -310,11 +334,12 @@ def _lif_steps(currents: np.ndarray, cfg: LifConfig):
 
 
 def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
+    # Time-major like _lif_steps: spikes and membrane come back shaped like currents.
     spikes = np.empty_like(currents)
     membrane = np.empty_like(currents)
     for t, u, fired in _lif_steps(currents, cfg):
-        membrane[..., t, :] = u
-        spikes[..., t, :] = fired
+        membrane[t] = u
+        spikes[t] = fired
     return spikes, membrane
 
 
@@ -324,8 +349,8 @@ def temporal_mean(spikes: np.ndarray) -> np.ndarray:
 
 
 def _temporal_mean(spikes: np.ndarray) -> np.ndarray:
-    # Time runs along axis -2, as in _lif_core.
-    return spikes.mean(axis=-2)
+    # Time runs along axis 0, as in _lif_core.
+    return spikes.mean(axis=0)
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -383,12 +408,12 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the (N, classes) log-probabilities and the (N,) int64 count of
     hidden-layer spikes per window.  The stack is scored SCORE_CHUNK windows
-    at a time: the feature map, a LIF loop that keeps only the running state
-    and a per-neuron spike count, then the readout.  The readout is an einsum
-    rather than a BLAS matmul, so every row depends only on its own window:
-    a batch of one gives the same bits as that window inside any batch, for
-    any chunk size.  forward_batch stays the training path, whose cache the
-    backward pass reads.
+    at a time: the time-major feature currents, the LIF recurrence keeping
+    only the running state and a per-neuron spike count, then the readout.
+    The readout is an einsum rather than a BLAS matmul, so every row depends
+    only on its own window: a batch of one gives the same bits as that window
+    inside any batch, for any chunk size.  forward_batch stays the training
+    path, whose cache the backward pass reads.
     """
     xs = _window_stack(model, windows)
     n = len(xs)
@@ -398,11 +423,9 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chunk = xs[start : start + SCORE_CHUNK]
         if not np.isfinite(chunk).all():
             raise NumericError("window stack must be finite")
-        # The same bits as forward_batch's currents: with only input_dim terms
-        # per sum, BLAS adds them in one order whatever the number of rows.
-        currents = chunk @ model.feature_layer.weights
-        currents += model.feature_layer.bias
+        currents = _feature_currents(chunk, model.feature_layer)
         counts = np.zeros((len(chunk), model.hidden_dim))
+        # training's recurrence, over the same (T, chunk, hidden) layout
         for _, _, fired in _lif_steps(currents, model.lif):
             counts += fired
         pooled = counts / model.input_steps  # the bits of _temporal_mean
@@ -414,11 +437,18 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
-    currents = _affine(xs, model.feature_layer)
+    currents = _feature_currents(xs, model.feature_layer)
     spikes, membrane = _lif_core(currents, model.lif)
     pooled = _temporal_mean(spikes)
     logits = _affine(pooled, model.classifier)
+    currents, membrane, spikes = (_swap_batch_time(a) for a in (currents, membrane, spikes))
     return ForwardCache(xs, currents, membrane, spikes, pooled, logits, _log_softmax(logits))
+
+
+def _swap_batch_time(a: np.ndarray) -> np.ndarray:
+    # (T, N, H) <-> (N, T, H) as a view: ForwardCache fields are batch-major
+    # views of the time-major arrays the LIF recurrence runs on.
+    return a.transpose(1, 0, 2)
 
 
 def _index_cache(cache: ForwardCache, key) -> ForwardCache:
@@ -502,7 +532,12 @@ def backward_batch(
     dpooled = dlogits @ model.classifier.weights.T
     dspike = dpooled / steps  # pooling spreads the gradient evenly over time
 
-    lam = _membrane_adjoint(model.lif, cache.membrane, cache.spikes, dspike)
+    lam = _membrane_adjoint(
+        model.lif, _swap_batch_time(cache.membrane), _swap_batch_time(cache.spikes), dspike
+    )
+    # Both reductions read a C-contiguous (N, T, H) lam: their summation order
+    # follows the memory layout, and this one keeps the trained bits.
+    lam = np.ascontiguousarray(_swap_batch_time(lam))
     grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
     grad_b1 = lam.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
@@ -516,19 +551,22 @@ def _membrane_adjoint(
 ) -> np.ndarray:
     """Backward sweep over the LIF recurrence; returns dLoss/dCurrents.
 
-    dspike is the loss gradient on each spike (identical for every time step
-    here, but broadcast either way).  Works on (N, T, H) stacks.
+    Works on time-major (T, N, H) stacks, like _lif_steps.  dspike is the loss
+    gradient on each spike (identical for every time step here, but broadcast
+    either way).  Everything that does not depend on the next step's adjoint
+    is computed for the whole stack first; the sweep then does three in-place
+    ops per step, with the bits of lam[t] = dspike * sg[t] + mu * dreset[t].
     """
-    steps = membrane.shape[-2]
     sg = surrogate_grad(membrane - cfg.v_threshold, cfg.surrogate_slope)
-    lam = np.empty_like(membrane)
-    mu = np.zeros(membrane.shape[:-2] + membrane.shape[-1:])
-    for t in reversed(range(steps)):
-        if cfg.reset_mode == RESET_TO_ZERO:
-            # d(u * (1 - s)) / du with s depending on u via the surrogate
-            dreset = (1.0 - spikes[..., t, :]) - membrane[..., t, :] * sg[..., t, :]
-        else:
-            dreset = 1.0 - cfg.v_threshold * sg[..., t, :]
-        lam[..., t, :] = dspike * sg[..., t, :] + mu * dreset
-        mu = cfg.beta * lam[..., t, :]
+    if cfg.reset_mode == RESET_TO_ZERO:
+        # d(u * (1 - s)) / du with s depending on u via the surrogate
+        dreset = (1.0 - spikes) - membrane * sg
+    else:
+        dreset = 1.0 - cfg.v_threshold * sg
+    lam = dspike * sg
+    mu = np.zeros(membrane.shape[1:])
+    for t in reversed(range(len(membrane))):
+        mu *= dreset[t]
+        lam[t] += mu
+        np.multiply(lam[t], cfg.beta, out=mu)
     return lam

@@ -7,7 +7,7 @@ the library's fast paths beyond plain dataclass construction.
 
 import numpy as np
 
-from spikelane.model import ForwardCache, _log_softmax
+from spikelane.model import RESET_TO_ZERO, ForwardCache, Gradients, _log_softmax
 
 
 def naive_matmul(x, w, b):
@@ -48,6 +48,80 @@ def closed_form_membrane(currents, beta, t):
     """Geometric-sum membrane at step t assuming no spike ever fired."""
     powers = beta ** (t - np.arange(t + 1))
     return powers @ currents[: t + 1]
+
+
+# ---------------------------------------------------------------------------
+# batch-major reference training step
+# ---------------------------------------------------------------------------
+# The library's forward_batch/backward_batch as they were before the LIF
+# stacks went time-major, with the LIF loop and the adjoint sweep kept
+# verbatim (sg spells out surrogate_grad's formula): time runs along axis -2
+# of (N, T, H) arrays, and every step of both loops works on a strided (N, H)
+# slice.  The library must match them bit for bit.
+
+
+def _lif_steps_batch_major(currents, cfg):
+    u_post = np.zeros(currents.shape[:-2] + currents.shape[-1:])
+    for t in range(currents.shape[-2]):
+        u = cfg.beta * u_post + currents[..., t, :]
+        fired = u >= cfg.v_threshold
+        yield t, u, fired
+        if cfg.reset_mode == RESET_TO_ZERO:
+            u_post = np.where(fired, 0.0, u)
+        else:
+            u_post = np.where(fired, u - cfg.v_threshold, u)
+
+
+def lif_core_batch_major(currents, cfg):
+    spikes = np.empty_like(currents)
+    membrane = np.empty_like(currents)
+    for t, u, fired in _lif_steps_batch_major(currents, cfg):
+        membrane[..., t, :] = u
+        spikes[..., t, :] = fired
+    return spikes, membrane
+
+
+def membrane_adjoint_batch_major(cfg, membrane, spikes, dspike):
+    steps = membrane.shape[-2]
+    slope = cfg.surrogate_slope
+    sg = slope / (1.0 + slope * np.abs(membrane - cfg.v_threshold)) ** 2
+    lam = np.empty_like(membrane)
+    mu = np.zeros(membrane.shape[:-2] + membrane.shape[-1:])
+    for t in reversed(range(steps)):
+        if cfg.reset_mode == RESET_TO_ZERO:
+            # d(u * (1 - s)) / du with s depending on u via the surrogate
+            dreset = (1.0 - spikes[..., t, :]) - membrane[..., t, :] * sg[..., t, :]
+        else:
+            dreset = 1.0 - cfg.v_threshold * sg[..., t, :]
+        lam[..., t, :] = dspike * sg[..., t, :] + mu * dreset
+        mu = cfg.beta * lam[..., t, :]
+    return lam
+
+
+def forward_batch_batch_major(model, windows):
+    """Reference forward_batch over a (N, T, in) stack, all arrays batch-major."""
+    xs = np.asarray(windows, dtype=np.float64)
+    currents = xs @ model.feature_layer.weights + model.feature_layer.bias
+    spikes, membrane = lif_core_batch_major(currents, model.lif)
+    pooled = spikes.mean(axis=-2)
+    logits = pooled @ model.classifier.weights + model.classifier.bias
+    return ForwardCache(xs, currents, membrane, spikes, pooled, logits, _log_softmax(logits))
+
+
+def backward_batch_batch_major(model, cache, labels):
+    """Reference backward_batch: mean gradients of the batch NLL loss."""
+    n, steps = len(cache.input), model.input_steps
+    labels = np.asarray(labels, dtype=np.intp)
+    dlogits = np.exp(cache.log_probs)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    grad_w2 = cache.pooled.T @ dlogits
+    grad_b2 = dlogits.sum(axis=0)
+    dspike = (dlogits @ model.classifier.weights.T) / steps
+    lam = membrane_adjoint_batch_major(model.lif, cache.membrane, cache.spikes, dspike)
+    grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
+    grad_b1 = lam.sum(axis=(0, 1))
+    return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
 
 
 def smooth_spike(v, slope):

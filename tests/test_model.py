@@ -1,12 +1,20 @@
 """Core network ops against independent naive oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import spikelane as sl
-from spikelane.model import _log_softmax
+from spikelane.model import ForwardCache, _log_softmax
 
-from oracles import naive_lif, naive_matmul
+from oracles import (
+    backward_batch_batch_major,
+    forward_batch_batch_major,
+    naive_lif,
+    naive_matmul,
+    smooth_cache,
+)
 
 
 class TestLinearForward:
@@ -287,6 +295,73 @@ class TestBatchedTwins:
         batch = sl.forward_batch(model, np.zeros((4, 12, 5)))
         with pytest.raises(sl.UsageError):
             sl.backward_batch(model, batch, np.zeros(3, dtype=int))
+
+
+class TestTimeMajorStepMatchesBatchMajor:
+    """forward_batch/backward_batch against the batch-major reference step,
+    bit for bit: the time-major layout must not move a single ulp."""
+
+    @staticmethod
+    def make_case(reset_mode, n, seed):
+        rng = np.random.default_rng(seed)
+        model = sl.new_model(seed=seed, lif=sl.LifConfig(reset_mode=reset_mode))
+        # scaled so that some neurons fire and some do not
+        windows = rng.normal(size=(n, 12, 5)) * 3.0
+        labels = rng.integers(0, 3, size=n)
+        return model, windows, labels
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for name in ("input", "currents", "membrane", "spikes", "pooled", "logits", "log_probs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    @staticmethod
+    def assert_same_grads(got, want):
+        for a, b in zip(got.as_list(), want.as_list()):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+    @pytest.mark.parametrize("n", [1, 128, 1000])
+    def test_forward_and_backward(self, reset_mode, n):
+        model, windows, labels = self.make_case(reset_mode, n, seed=40 + n)
+        cache = sl.forward_batch(model, windows)
+        want = forward_batch_batch_major(model, windows)
+        self.assert_same_bits(cache, want)
+        assert 0 < want.spikes.mean() < 1
+        self.assert_same_grads(
+            sl.backward_batch(model, cache, labels),
+            backward_batch_batch_major(model, want, labels),
+        )
+
+    @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+    def test_backward_on_contiguous_batch_major_cache(self, reset_mode):
+        model, windows, labels = self.make_case(reset_mode, 128, seed=7)
+        cache = sl.forward_batch(model, windows)
+        copied = ForwardCache(
+            *(np.ascontiguousarray(getattr(cache, f.name)) for f in fields(ForwardCache))
+        )
+        assert copied.membrane.flags.c_contiguous
+        want = backward_batch_batch_major(model, copied, labels)
+        self.assert_same_grads(sl.backward_batch(model, copied, labels), want)
+        self.assert_same_grads(sl.backward_batch(model, cache, labels), want)
+
+    @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+    @pytest.mark.parametrize("n", [1, 128])
+    def test_backward_on_smooth_cache(self, reset_mode, n):
+        # non-binary spikes, stacked into C-contiguous (N, T, H) fields
+        model, windows, labels = self.make_case(reset_mode, n, seed=8 + n)
+        singles = [smooth_cache(model, w) for w in windows]
+        cache = ForwardCache(
+            *(np.stack([getattr(c, f.name) for c in singles]) for f in fields(ForwardCache))
+        )
+        assert not np.isin(cache.spikes, (0.0, 1.0)).any()
+        self.assert_same_grads(
+            sl.backward_batch(model, cache, labels),
+            backward_batch_batch_major(model, cache, labels),
+        )
 
 
 def test_log_softmax_batched_rows_match_single():

@@ -8,6 +8,8 @@ import pytest
 import spikelane as sl
 from spikelane import training as tr
 
+from oracles import backward_batch_batch_major, forward_batch_batch_major
+
 
 def zero_model():
     model = sl.new_model()
@@ -237,6 +239,21 @@ class TestTrainLoop:
         for pa in sl.model_params(a):
             for pb in sl.model_params(b) + sl.model_params(model):
                 assert not np.shares_memory(pa, pb)
+
+    @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+    def test_step_keeps_batch_major_bits(self, monkeypatch, reset_mode):
+        # the same run with the batch-major reference step: equal bytes on any
+        # host, where a pinned checkpoint hash would depend on the BLAS build
+        samples = synth_train_set(seed=11, n_vehicles=4, stride=3)
+        model = sl.new_model(seed=4, lif=sl.LifConfig(reset_mode=reset_mode))
+        config = sl.TrainConfig(max_epochs=2, patience_epochs=3, learning_rate=0.03, seed=2)
+        got, got_logs = sl.train(model, samples, config)
+        monkeypatch.setattr(tr, "forward_batch", forward_batch_batch_major)
+        monkeypatch.setattr(tr, "backward_batch", backward_batch_batch_major)
+        want, want_logs = sl.train(model, samples, config)
+        assert sl.model_to_bytes(got) == sl.model_to_bytes(want)
+        assert [log.mean_loss for log in got_logs] == [log.mean_loss for log in want_logs]
+        assert sl.model_to_bytes(got) != sl.model_to_bytes(model)
 
     def test_seeded_convergence_regression(self):
         # separable seed-7 set, 2000 windows: loss under 0.1 and train
