@@ -245,23 +245,17 @@ _CSV_COLUMNS = np.dtype([
 def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] | None:
     """Column-wise parse of the rows after the header with NumPy's C reader.
 
-    Blank lines, which csv.reader reads as empty rows and the row parser
-    skips, are dropped first, unless the text has a quote character: a blank
-    line may then sit inside a quoted cell.  Returns None whenever the row
-    parser must decide instead: on any loadtxt error or warning (syntax the C
-    reader rejects, such as `1_000`, which int() accepts; a wrong cell count;
-    an integer outside int64), on any failed column check (non-finite
-    feature, duplicate (vehicle, frame)) and on blank lines in quoted text.
-    The row parser then gives the result or the line-numbered ParseError.
-    NUL characters, which NumPy str arrays drop at the end of a string, and
-    lines past the csv module's field size limit go to the row parser too.
+    Returns None whenever the row parser must decide instead: on any loadtxt
+    error or warning (syntax the C reader rejects, such as `1_000`, which
+    int() accepts; blank lines; a wrong cell count; an integer outside int64)
+    and on any failed column check (non-finite feature, duplicate (vehicle,
+    frame)).  The row parser then gives the result or the line-numbered
+    ParseError.  NUL characters, which NumPy str arrays drop at the end of a
+    string, and lines past the csv module's field size limit go to the row
+    parser too.
     """
     if "\0" in "".join(body) or max(map(len, body), default=0) > csv.field_size_limit():
         return None
-    rows = [line for line in body if line not in ("\n", "\r\n", "\r")]
-    if len(rows) < len(body) and any('"' in line for line in body):
-        return None
-    body = rows
     options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
     try:
         with warnings.catch_warnings():

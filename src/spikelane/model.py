@@ -441,14 +441,15 @@ def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
     spikes, membrane = _lif_core(currents, model.lif)
     pooled = _temporal_mean(spikes)
     logits = _affine(pooled, model.classifier)
-    currents, membrane, spikes = (_swap_batch_time(a) for a in (currents, membrane, spikes))
-    return ForwardCache(xs, currents, membrane, spikes, pooled, logits, _log_softmax(logits))
-
-
-def _swap_batch_time(a: np.ndarray) -> np.ndarray:
-    # (T, N, H) <-> (N, T, H) as a view: ForwardCache fields are batch-major
-    # views of the time-major arrays the LIF recurrence runs on.
-    return a.transpose(1, 0, 2)
+    return ForwardCache(
+        xs,
+        currents.transpose(1, 0, 2),
+        membrane.transpose(1, 0, 2),
+        spikes.transpose(1, 0, 2),
+        pooled,
+        logits,
+        _log_softmax(logits),
+    )
 
 
 def _index_cache(cache: ForwardCache, key) -> ForwardCache:
@@ -533,11 +534,11 @@ def backward_batch(
     dspike = dpooled / steps  # pooling spreads the gradient evenly over time
 
     lam = _membrane_adjoint(
-        model.lif, _swap_batch_time(cache.membrane), _swap_batch_time(cache.spikes), dspike
+        model.lif, cache.membrane.transpose(1, 0, 2), cache.spikes.transpose(1, 0, 2), dspike
     )
     # Both reductions read a C-contiguous (N, T, H) lam: their summation order
     # follows the memory layout, and this one keeps the trained bits.
-    lam = np.ascontiguousarray(_swap_batch_time(lam))
+    lam = np.ascontiguousarray(lam.transpose(1, 0, 2))
     grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
     grad_b1 = lam.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)

@@ -151,12 +151,12 @@ PARITY_CASES = [
     ("quoted_comma_id", _body('"a,b",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), True),
     ("padded_id", _body(keep_row("  a  ", 1), keep_row("a", 0), keep_row("\ta", 2)), True),
     ("crlf", _body(keep_row("a", 0), keep_row("a", 1), newline="\r\n"), True),
-    ("blank_lines", _body(keep_row("a", 0), "", keep_row("a", 1), ""), True),
-    ("trailing_blank_line", _body(keep_row("a", 0), keep_row("a", 1), ""), True),
+    ("blank_lines", _body(keep_row("a", 0), "", keep_row("a", 1), ""), False),
+    ("trailing_blank_line", _body(keep_row("a", 0), keep_row("a", 1), ""), False),
     ("crlf_blank_lines",
-     _body("", keep_row("a", 0), "", "", keep_row("a", 1), newline="\r\n"), True),
+     _body("", keep_row("a", 0), "", "", keep_row("a", 1), newline="\r\n"), False),
     ("quoted_cell_spans_blank_line",
-     _body('"a\n\nb",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), False),
+     _body('"a\n\nb",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), True),
     ("whitespace_line", _body(keep_row("a", 0), "   ", keep_row("a", 1)), False),
     ("hash_line", _body("# comment", keep_row("a", 0)), False),
     ("underscore_frame", _body(keep_row("a", "1_000"), keep_row("a", 0)), False),
