@@ -27,7 +27,6 @@ from .dataset import (
     apply_normalizer,
     build_windows,
     downsample_factor,
-    export_windows,
     fit_normalizer,
     label_frames,
     load_norm_stats,
@@ -76,7 +75,6 @@ from .model import (
     forward,
     forward_batch,
     lif_forward,
-    linear_forward,
     model_params,
     new_model,
     nll_loss,
@@ -86,7 +84,6 @@ from .model import (
     softmax_logprobs,
     split_params,
     surrogate_grad,
-    temporal_mean,
 )
 from .synth import synthesize_dataset
 from .training import (

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from ._atomic import atomic_open
+from ._atomic import atomic_open, write_numeric_csv
 from .model import Model, param_count
 from .checkpoint import model_to_bytes
 from .training import EpochLog
@@ -67,9 +66,7 @@ def write_bench_report(report: BenchReport, out_dir: str | Path) -> list[Path]:
         handle.write(format_bench_report(report))
     table = out_dir / "bench_report.csv"
     names = [f.name for f in fields(BenchReport)]
-    values = [getattr(report, name) for name in names]
-    with atomic_open(table, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        writer.writerow([v if isinstance(v, int) else format(v, ".9g") for v in values])
+    values = tuple(getattr(report, name) for name in names)
+    row_format = ",".join("%d" if isinstance(v, int) else "%.9g" for v in values)
+    write_numeric_csv(table, names, row_format, [values])
     return [text, table]

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import atomic_open, write_numeric_csv
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -64,8 +64,12 @@ class Trajectory:
     events: tuple[LaneChangeEvent, ...] = ()
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        # finite in frames over the intention horizon, which label_frames rounds to an int
+        if not 0 < self.sample_rate_hz * INTENTION_HORIZON_S < np.inf:
+            raise ConfigError(
+                f"sample_rate_hz must be > 0 and give a finite frame count over "
+                f"{INTENTION_HORIZON_S:g} s, got {self.sample_rate_hz}"
+            )
         t = np.asarray(self.t_index, dtype=np.int64)
         f = np.asarray(self.features, dtype=np.float64)
         if f.ndim != 2 or f.shape[1] != len(FEATURE_NAMES) or f.shape[0] != t.shape[0]:
@@ -354,6 +358,7 @@ def write_trajectories_csv(
     from the event list starting from a canonical base lane."""
     base_lane = 3
     with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
+        # csv.writer, not write_numeric_csv: vehicle ids are free text that may need quoting
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for traj in trajectories:
@@ -402,7 +407,12 @@ def label_frames(traj: Trajectory) -> np.ndarray:
 def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
     if not window_rate_hz > 0:
         raise ConfigError(f"window_rate_hz must be > 0, got {window_rate_hz}")
-    factor = int(round(sample_rate_hz / window_rate_hz))
+    ratio = sample_rate_hz / window_rate_hz
+    if not ratio < _INT64_MAX:  # frame positions are int64
+        raise ConfigError(
+            f"downsample factor {sample_rate_hz}/{window_rate_hz} exceeds the int64 frame range"
+        )
+    factor = int(round(ratio))
     if factor < 1:
         raise ConfigError(
             f"downsample factor {sample_rate_hz}/{window_rate_hz} rounds below 1"
@@ -415,7 +425,8 @@ def _window_positions(
 ) -> np.ndarray:
     """(windows, steps) frame positions: `steps` frames `factor` apart, one
     window starting every `stride` frames while the window still fits."""
-    starts = np.arange(0, n_frames - (steps - 1) * factor, stride)
+    # stop clamped at 0: np.arange rejects one below the int64 range, as a huge factor gives
+    starts = np.arange(0, max(n_frames - (steps - 1) * factor, 0), stride)
     return starts[:, None] + factor * np.arange(steps)
 
 
@@ -481,11 +492,10 @@ def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:
-    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("feature", "mean", "std"))
-        for i, name in enumerate(FEATURE_NAMES):
-            writer.writerow((name, format(stats.mean[i], ".17g"), format(stats.std[i], ".17g")))
+    write_numeric_csv(
+        destination, ("feature", "mean", "std"), "%s,%.17g,%.17g",
+        zip(FEATURE_NAMES, stats.mean, stats.std),
+    )
 
 
 def load_norm_stats(source: str | Path) -> NormStats:
@@ -542,7 +552,7 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
 
 
 # ---------------------------------------------------------------------------
-# array helpers and debug export
+# array helpers
 # ---------------------------------------------------------------------------
 
 
@@ -551,11 +561,3 @@ def stack_windows(samples: WindowSet) -> tuple[np.ndarray, np.ndarray]:
     if len(samples) == 0:
         raise UsageError("no windows to stack")
     return samples.features, samples.labels
-
-
-def export_windows(samples: WindowSet, destination: str | Path) -> None:
-    """Debug export: one `label,f0_0,...,f11_4` row-major line per window."""
-    with atomic_open(destination, "w", encoding="utf-8") as handle:
-        for s in samples:
-            flat = ",".join(format(v, ".17g") for v in s.features.ravel())
-            handle.write(f"{s.label},{flat}\n")

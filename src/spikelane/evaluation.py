@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import atomic_open, write_numeric_csv
 from .dataset import (
     INTENTION_HORIZON_S,
     LABEL_KEEP,
@@ -214,10 +214,6 @@ class TimelineReport:
     onsets: tuple[int, ...]            # ground-truth lane-change onset frames
     false_detections: tuple[int, ...]  # detections with no onset within 3 s after
 
-    @property
-    def debounce_runs(self) -> int:
-        return len(self.detections)
-
 
 def timeline_predict(
     model: Model,
@@ -299,7 +295,7 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
             continue
         path = out_dir / f"roc_class{k}.csv"
         fpr, tpr = curve.points.T
-        _write_numeric_csv(
+        write_numeric_csv(
             path, ("threshold", "fpr", "tpr"), "%.9g,%.9g,%.9g",
             zip(curve.thresholds.tolist(), fpr.tolist(), tpr.tolist()),
         )
@@ -308,23 +304,8 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
 
 
 def write_timeline_csv(report: TimelineReport, destination: str | Path) -> None:
-    _write_numeric_csv(
+    write_numeric_csv(
         destination, ("end_frame", "predicted", "p_keep", "p_left", "p_right"),
         "%d,%d,%.9g,%.9g,%.9g",
         ((e.end_frame, e.predicted, *e.probs.tolist()) for e in report.entries),
     )
-
-
-def _write_numeric_csv(
-    destination: str | Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
-) -> None:
-    """Write a header and numeric rows as one formatted block.
-
-    `row_format` holds one %-conversion per cell, e.g. "%d,%.9g"; %.9g gives
-    the text of format(x, ".9g").  Lines end in \\r\\n like csv.writer's, so
-    the bytes are those a csv.writer of the same formatted cells writes.
-    """
-    line = row_format + "\r\n"
-    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.write("".join(map(line.__mod__, rows)))

@@ -198,6 +198,8 @@ def new_model(
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def init_layer(fan_in: int, fan_out: int) -> LinearLayer:
@@ -260,22 +262,6 @@ def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
 # ---------------------------------------------------------------------------
 # forward-pass operations
 # ---------------------------------------------------------------------------
-
-
-def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
-    """Affine map out[t, j] = sum_k x[t, k] * W[k, j] + b[j]."""
-    x = _as_matrix(x, "input")
-    if x.shape[1] != layer.in_dim:
-        raise ShapeError(
-            f"input shape {x.shape} does not match layer weights shape "
-            f"{layer.weights.shape}"
-        )
-    return _affine(x, layer)
-
-
-def _affine(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
-    # Maps the last axis, so the same code serves (T, in) and (N, hidden).
-    return x @ layer.weights + layer.bias
 
 
 def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
@@ -341,16 +327,6 @@ def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndar
         membrane[t] = u
         spikes[t] = fired
     return spikes, membrane
-
-
-def temporal_mean(spikes: np.ndarray) -> np.ndarray:
-    """Average spikes along the time dimension into one rate per neuron."""
-    return _temporal_mean(_as_matrix(spikes, "spikes"))
-
-
-def _temporal_mean(spikes: np.ndarray) -> np.ndarray:
-    # Time runs along axis 0, as in _lif_core.
-    return spikes.mean(axis=0)
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -428,7 +404,7 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # training's recurrence, over the same (T, chunk, hidden) layout
         for _, _, fired in _lif_steps(currents, model.lif):
             counts += fired
-        pooled = counts / model.input_steps  # the bits of _temporal_mean
+        pooled = counts / model.input_steps  # the bits of _forward_stack's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[start : start + len(chunk)] = _log_softmax(logits)
@@ -439,8 +415,8 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
     currents = _feature_currents(xs, model.feature_layer)
     spikes, membrane = _lif_core(currents, model.lif)
-    pooled = _temporal_mean(spikes)
-    logits = _affine(pooled, model.classifier)
+    pooled = spikes.mean(axis=0)
+    logits = pooled @ model.classifier.weights + model.classifier.bias
     return ForwardCache(
         xs,
         currents.transpose(1, 0, 2),

@@ -45,6 +45,15 @@ def synthesize_dataset(
         raise UsageError(f"n_trajectories must be >= 1, got {n_trajectories}")
     if maneuvers[0] < 0 or maneuvers[1] < maneuvers[0]:
         raise UsageError(f"bad maneuver range {maneuvers}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    # np.gradient needs two frames in the shortest record; the longest must count finitely
+    shortest, longest = (np.rint(d * sample_rate_hz) for d in duration_s)
+    if not (sample_rate_hz > 0 and shortest >= 2 and longest < np.inf):
+        raise UsageError(
+            f"sample rate must give a finite count of >= 2 frames over "
+            f"{duration_s[0]:g}-{duration_s[1]:g} s, got {sample_rate_hz}"
+        )
     streams = np.random.SeedSequence(seed).spawn(n_trajectories)
     return [
         _one_vehicle(f"veh{i:04d}", np.random.default_rng(streams[i]),

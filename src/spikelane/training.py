@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import write_numeric_csv
 from .dataset import WindowSet, stack_windows
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
@@ -47,6 +46,8 @@ class TrainConfig:
             raise ConfigError(f"patience_epochs must be >= 1, got {self.patience_epochs}")
         if not 0 <= self.min_loss_delta < np.inf:
             raise ConfigError(f"min_loss_delta must be finite and >= 0, got {self.min_loss_delta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
@@ -178,29 +179,13 @@ def train(
 
 def write_training_log(logs: Sequence[EpochLog], destination: str | Path) -> None:
     """CSV log: epoch,mean_loss,wall_time_s,train_accuracy at 9 significant digits."""
-    with atomic_open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("epoch", "mean_loss", "wall_time_s", "train_accuracy"))
-        for log in logs:
-            writer.writerow(
-                (
-                    log.epoch,
-                    format(log.mean_loss, ".9g"),
-                    format(log.wall_time_s, ".9g"),
-                    format(log.train_accuracy, ".9g"),
-                )
-            )
+    write_numeric_csv(
+        destination, ("epoch", "mean_loss", "wall_time_s", "train_accuracy"), "%d,%.9g,%.9g,%.9g",
+        ((log.epoch, log.mean_loss, log.wall_time_s, log.train_accuracy) for log in logs),
+    )
 
 
-_CONFIG_FIELD_TYPES = {
-    "batch_size": int,
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience_epochs": int,
-    "min_loss_delta": float,
-    "seed": int,
-    "optimizer": str,
-}
+_CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def load_train_config(source: str | Path, **overrides) -> TrainConfig:

@@ -29,6 +29,13 @@ def trained_dir(tmp_path_factory, data_csv):
     return out
 
 
+def assert_one_error_line(err):
+    """A usage failure prints one `error:` line and no traceback."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
 class TestSynth:
     def test_writes_parseable_csv(self, data_csv, capsys):
         trajectories = sl.parse_trajectories(data_csv, 25.0)
@@ -52,6 +59,16 @@ class TestSynth:
         code = cli.main(["synth", "--n", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--rate-hz", "0"], ["--rate-hz", "nan"], ["--rate-hz", "-5"],
+        ["--rate-hz", "1e-9"], ["--rate-hz", "inf"], ["--rate-hz", "1e308"],
+    ])
+    def test_bad_seed_or_rate_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["synth", "--n", "2", *flags, "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestTrain:
@@ -116,6 +133,15 @@ class TestTrain:
         ])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--rate-hz", "inf"], ["--rate-hz", "1e308"], ["--window-rate-hz", "1e-320"],
+    ])
+    def test_rate_without_frame_count_is_usage_error(self, flags, data_csv, tmp_path, capsys):
+        code = cli.main(["train", "--data", str(data_csv), *flags, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestUndecodableInput:

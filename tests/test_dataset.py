@@ -3,6 +3,7 @@
 import csv
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ class TestParse:
         body = "\n".join([HEADER, keep_row("a", 2), keep_row("a", 0), keep_row("a", 1)])
         (traj,) = sl.parse_trajectories(io.StringIO(body), 25.0)
         assert traj.t_index.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, np.nan, np.inf, 1e308])
+    def test_sample_rate_without_finite_horizon_rejected(self, rate):
+        with pytest.raises(sl.ConfigError, match="sample_rate_hz"):
+            make_traj(n=10, rate=rate)
 
     def test_empty_input(self):
         with pytest.raises(sl.ParseError, match="line 1"):
@@ -299,6 +305,15 @@ class TestMakeWindows:
         with pytest.raises(sl.ConfigError):
             sl.downsample_factor(1.0, 4.0)
 
+    @pytest.mark.parametrize("rate, window_rate", [(25.0, 1e-320), (1e307, 4.0), (25.0, np.nan)])
+    def test_downsample_factor_beyond_int64_rejected(self, rate, window_rate):
+        with pytest.raises(sl.ConfigError):
+            sl.downsample_factor(rate, window_rate)
+
+    def test_window_longer_than_any_trajectory_gives_no_windows(self):
+        # factor 2.5e18: the eleven steps of one window span more frames than int64 holds
+        assert len(sl.build_windows([make_traj(n=100, rate=1e19)])) == 0
+
     def test_bad_stride_rejected(self):
         traj = make_traj(n=100)
         with pytest.raises(sl.ConfigError):
@@ -449,14 +464,15 @@ class TestExportAndWrite:
             # %.17g output reproduces float64 exactly
             assert (back.features == orig.features).all()
 
-    def test_export_windows_line_count(self, tmp_path):
-        windows = sl.build_windows([make_traj(n=80)])
-        path = tmp_path / "windows.csv"
-        sl.export_windows(windows, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(windows)
-        first = lines[0].split(",")
-        assert len(first) == 1 + 12 * 5
+    def test_trajectory_csv_quotes_free_text_ids(self, tmp_path):
+        # ids are free text, which is why this writer keeps csv.writer
+        traj = replace(make_traj(n=20), vehicle_id='car "7", lane 2')
+        path = tmp_path / "data.csv"
+        sl.write_trajectories_csv([traj], path)
+        assert '"car ""7"", lane 2"' in path.read_text()
+        (back,) = sl.parse_trajectories(path, 25.0)
+        assert back.vehicle_id == traj.vehicle_id
+        assert (back.features == traj.features).all()
 
     def test_stack_windows_shapes(self):
         windows = sl.build_windows([make_traj(n=80)])

@@ -17,31 +17,40 @@ from oracles import (
 )
 
 
+def with_feature_layer(weights, bias):
+    """The default model with the given feature layer and a zero classifier."""
+    return sl.replace_params(sl.new_model(), [weights, bias, np.zeros((24, 3)), np.zeros(3)])
+
+
 class TestLinearForward:
+    """The feature layer's currents, as forward returns them."""
+
     def test_zero_input_rows_equal_bias(self):
-        layer = sl.new_model(seed=1).feature_layer
-        out = sl.linear_forward(np.zeros((12, 5)), layer)
-        assert out.shape == (12, 24)
-        assert (out == layer.bias).all()
+        model = sl.new_model(seed=1)
+        currents = sl.forward(model, np.zeros((12, 5))).currents
+        assert currents.shape == (12, 24)
+        assert (currents == model.feature_layer.bias).all()
 
     def test_identity_weights_pass_through(self):
-        layer = sl.LinearLayer(weights=np.eye(5), bias=np.zeros(5))
-        e1 = np.zeros((1, 5))
-        e1[0, 0] = 1.0
-        assert (sl.linear_forward(e1, layer) == e1).all()
+        model = sl.Model(
+            feature_layer=sl.LinearLayer(weights=np.eye(5), bias=np.zeros(5)),
+            classifier=sl.LinearLayer(weights=np.zeros((5, 3)), bias=np.zeros(3)),
+        )
+        x = np.random.default_rng(2).normal(size=(12, 5))
+        assert (sl.forward(model, x).currents == x).all()
 
     def test_matches_naive_matmul(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3))
-        layer = sl.LinearLayer(weights=rng.normal(size=(3, 2)), bias=rng.normal(size=2))
-        got = sl.linear_forward(x, layer)
+        x = rng.normal(size=(12, 5))
+        model = sl.new_model(seed=3)
+        got = sl.forward(model, x).currents
+        layer = model.feature_layer
         want = naive_matmul(x, layer.weights, layer.bias)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
-        layer = sl.LinearLayer(weights=np.zeros((3, 2)), bias=np.zeros(2))
-        with pytest.raises(sl.ShapeError, match=r"\(2, 4\).*\(3, 2\)"):
-            sl.linear_forward(np.zeros((2, 4)), layer)
+        with pytest.raises(sl.ShapeError, match=r"\(12, 4\).*\(12, 5\)"):
+            sl.forward(sl.new_model(), np.zeros((12, 4)))
 
 
 class TestLifForward:
@@ -103,13 +112,21 @@ class TestLifForward:
 
 class TestPoolingAndSoftmax:
     def test_all_ones_pool_to_one(self):
-        assert (sl.temporal_mean(np.ones((12, 24))) == 1.0).all()
-        assert (sl.temporal_mean(np.zeros((12, 24))) == 0.0).all()
+        # a bias at twice the threshold fires every neuron on every step
+        firing = with_feature_layer(np.zeros((5, 24)), np.full(24, 2.0))
+        assert (sl.forward(firing, np.zeros((12, 5))).pooled == 1.0).all()
+        silent = with_feature_layer(np.zeros((5, 24)), np.zeros(24))
+        assert (sl.forward(silent, np.zeros((12, 5))).pooled == 0.0).all()
 
     def test_single_spike_pools_to_one_twelfth(self):
-        spikes = np.zeros((12, 24))
-        spikes[4, 9] = 1.0
-        pooled = sl.temporal_mean(spikes)
+        # feature 0 drives neuron 9 alone; one unit pulse at step 4 fires it once
+        weights = np.zeros((5, 24))
+        weights[0, 9] = 1.0
+        x = np.zeros((12, 5))
+        x[4, 0] = 1.0
+        cache = sl.forward(with_feature_layer(weights, np.zeros(24)), x)
+        assert cache.spikes.sum() == cache.spikes[4, 9] == 1.0
+        pooled = cache.pooled
         assert pooled[9] == pytest.approx(1 / 12, abs=0)
         assert pooled.sum() == pooled[9]
 
@@ -237,6 +254,10 @@ class TestParamsAndConfig:
     def test_degenerate_dims_rejected(self):
         with pytest.raises(sl.ConfigError):
             sl.new_model(hidden_dim=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(sl.ConfigError, match="seed"):
+            sl.new_model(seed=-1)
 
     def test_lif_config_validation(self):
         with pytest.raises(sl.ConfigError):

@@ -115,6 +115,12 @@ class TestStructure:
         with pytest.raises(sl.UsageError):
             sl.synthesize_dataset(0, 2, maneuvers=(3, 1))
 
+    @pytest.mark.parametrize("seed, rate", [(-1, 25.0), (0, 0.0), (0, np.nan), (0, -5.0),
+                                            (0, 1e-9), (0, np.inf), (0, 1e308)])
+    def test_bad_seed_or_rate(self, seed, rate):
+        with pytest.raises(sl.UsageError):
+            sl.synthesize_dataset(seed, 2, sample_rate_hz=rate)
+
     def test_onsets_match_half_crossing(self):
         traj = sl.synthesize_dataset(8, 1)[0]
         y = reconstruct_absolute_path(traj)

@@ -1,6 +1,7 @@
 """Optimizer math, the training loop, early stopping, and the log file."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestTrainConfig:
                     {"min_loss_delta": np.inf}, {"min_loss_delta": np.nan}):
             with pytest.raises(sl.ConfigError):
                 sl.TrainConfig(**bad)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(sl.ConfigError, match="seed"):
+            sl.TrainConfig(seed=-1)
+
+    def test_config_file_naming_every_field_loads(self, tmp_path):
+        values = dict(batch_size=16, learning_rate=0.5, max_epochs=7, patience_epochs=3,
+                      min_loss_delta=0.25, seed=9, optimizer="sgd")
+        assert set(values) == {f.name for f in fields(sl.TrainConfig)}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert sl.load_train_config(path) == sl.TrainConfig(**values)
 
     def test_config_file_load_and_overrides(self, tmp_path):
         path = tmp_path / "train.cfg"
