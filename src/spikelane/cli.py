@@ -222,8 +222,7 @@ def cmd_predict(args) -> int:
         raise UsageError(
             f"vehicle {args.vehicle!r} not in data (have {', '.join(sorted(by_id))})"
         )
-    config = dataset.WindowConfig(window_rate_hz=args.window_rate_hz)
-    report = evaluation.timeline_predict(model, by_id[args.vehicle], stats, config)
+    report = evaluation.timeline_predict(model, by_id[args.vehicle], stats, args.window_rate_hz)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"timeline_{report.vehicle_id}.csv"

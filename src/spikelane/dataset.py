@@ -171,8 +171,6 @@ class NormStats:
 class DatasetSplit:
     train: WindowSet
     test: WindowSet
-    seed: int
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,8 @@ def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] |
     string, and lines past the csv module's field size limit go to the row
     parser too.
     """
-    if "\0" in "".join(body) or max(map(len, body), default=0) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if any("\0" in line or len(line) > limit for line in body):
         return None
     options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
     try:
@@ -270,34 +269,15 @@ def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] |
         return None
     if not np.isfinite(table["features"]).all():
         return None
-    vehicles, inverse, counts = np.unique(
-        np.strings.strip(ids), return_inverse=True, return_counts=True
+    return _build_trajectories(
+        np.strings.strip(ids), table["frame"], table["features"], table["lane_id"],
+        sample_rate_hz,
     )
-    order = np.lexsort((table["frame"], inverse))
-    frames, inverse = table["frame"][order], inverse[order]
-    if np.any((frames[1:] == frames[:-1]) & (inverse[1:] == inverse[:-1])):
-        return None
-    bounds = np.cumsum(counts)[:-1]
-    return [
-        Trajectory(
-            vehicle_id=vid,
-            sample_rate_hz=sample_rate_hz,
-            t_index=t_index,
-            features=features,
-            events=_events_from_lanes(t_index, features[:, 0], lanes),
-        )
-        for vid, t_index, features, lanes in zip(
-            vehicles.tolist(),
-            np.split(frames, bounds),
-            np.split(table["features"][order], bounds),
-            np.split(table["lane_id"][order], bounds),
-        )
-    ]
 
 
 def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Trajectory]:
     """The row-by-row parser: every check per line, errors name the line."""
-    per_vehicle: dict[str, list[tuple[int, float, float, float, float, float, int]]] = {}
+    rows: list[tuple[str, int, list[float], int]] = []
     seen: set[tuple[str, int]] = set()
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -319,25 +299,46 @@ def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Traj
         if key in seen:
             raise ParseError(f"line {line_no}: duplicate (vehicle, frame) = {key}")
         seen.add(key)
-        per_vehicle.setdefault(vid, []).append((frame, *values, lane))
+        rows.append((vid, frame, values, lane))
+    ids, frames, values, lanes = zip(*rows) if rows else ((), (), (), ())
+    # ids as objects: a NumPy str array drops trailing NULs
+    return _build_trajectories(
+        np.array(ids, dtype=object), np.array(frames, dtype=np.int64),
+        np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
+        np.array(lanes, dtype=np.int64), sample_rate_hz,
+    )
 
-    trajectories = []
-    for vid in sorted(per_vehicle):
-        rows = sorted(per_vehicle[vid])
-        t_index = np.array([r[0] for r in rows], dtype=np.int64)
-        features = np.array([r[1:6] for r in rows], dtype=np.float64)
-        lanes = np.array([r[6] for r in rows], dtype=np.int64)
-        events = _events_from_lanes(t_index, features[:, 0], lanes)
-        trajectories.append(
-            Trajectory(
-                vehicle_id=vid,
-                sample_rate_hz=sample_rate_hz,
-                t_index=t_index,
-                features=features,
-                events=events,
-            )
+
+def _build_trajectories(
+    ids: np.ndarray, frames: np.ndarray, features: np.ndarray, lanes: np.ndarray,
+    sample_rate_hz: float,
+) -> list[Trajectory] | None:
+    """One Trajectory per distinct id, in id order, its rows in frame order.
+
+    Returns None on a repeated (vehicle, frame) pair, which only the column
+    parser passes on: the row parser rejects it at its line.
+    """
+    vehicles, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    order = np.lexsort((frames, inverse))
+    frames, inverse = frames[order], inverse[order]
+    if np.any((frames[1:] == frames[:-1]) & (inverse[1:] == inverse[:-1])):
+        return None
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        Trajectory(
+            vehicle_id=vid,
+            sample_rate_hz=sample_rate_hz,
+            t_index=t_index,
+            features=values,
+            events=_events_from_lanes(t_index, values[:, 0], lane_ids),
         )
-    return trajectories
+        for vid, t_index, values, lane_ids in zip(
+            vehicles.tolist(),
+            np.split(frames, bounds),
+            np.split(features[order], bounds),
+            np.split(lanes[order], bounds),
+        )
+    ]
 
 
 def _events_from_lanes(
@@ -420,14 +421,12 @@ def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
     return factor
 
 
-def _window_positions(
-    n_frames: int, factor: int, stride: int, steps: int = WINDOW_STEPS
-) -> np.ndarray:
-    """(windows, steps) frame positions: `steps` frames `factor` apart, one
+def _window_positions(n_frames: int, factor: int, stride: int) -> np.ndarray:
+    """(windows, WINDOW_STEPS) frame positions: frames `factor` apart, one
     window starting every `stride` frames while the window still fits."""
     # stop clamped at 0: np.arange rejects one below the int64 range, as a huge factor gives
-    starts = np.arange(0, max(n_frames - (steps - 1) * factor, 0), stride)
-    return starts[:, None] + factor * np.arange(steps)
+    starts = np.arange(0, max(n_frames - (WINDOW_STEPS - 1) * factor, 0), stride)
+    return starts[:, None] + factor * np.arange(WINDOW_STEPS)
 
 
 def build_windows(
@@ -540,15 +539,14 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
         raise ConfigError(f"seed must be >= 0, got {seed}")
     vehicles = np.unique(samples.vehicle_ids)
     if len(vehicles) < 2:
-        raise SplitError(f"need at least 2 vehicles to split, got {len(vehicles)}")
+        empty = "the window set is empty; " if len(samples) == 0 else ""
+        raise SplitError(f"{empty}need at least 2 vehicles to split, got {len(vehicles)}")
     rng = np.random.default_rng(seed)
     order = vehicles[rng.permutation(len(vehicles))]
     n_train = int(round(ratio * len(vehicles)))
     n_train = min(max(n_train, 1), len(vehicles) - 1)
     in_train = np.isin(samples.vehicle_ids, order[:n_train])
-    return DatasetSplit(
-        train=samples[in_train], test=samples[~in_train], seed=seed, ratio=ratio
-    )
+    return DatasetSplit(train=samples[in_train], test=samples[~in_train])
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from .dataset import (
     LABEL_KEEP,
     LABEL_NAMES,
     NormStats,
+    WINDOW_STEPS,
     Trajectory,
     WindowConfig,
     WindowSample,
     WindowSet,
-    _window_positions,
+    build_windows,
     downsample_factor,
     stack_windows,
 )
@@ -35,11 +36,7 @@ def predict(model: Model, window) -> tuple[int, np.ndarray]:
     evaluate and timeline_predict give the same window.
     """
     features = window.features if isinstance(window, WindowSample) else window
-    x = np.asarray(features, dtype=np.float64)
-    expected = (model.input_steps, model.input_dim)
-    if x.shape != expected:
-        raise ShapeError(f"input window shape {x.shape}, expected {expected}")
-    log_probs, _ = score(model, x[None])
+    log_probs, _ = score(model, np.asarray(features)[None])
     probs = np.exp(log_probs[0])
     return int(np.argmax(probs)), probs
 
@@ -177,9 +174,7 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def detect_runs(
-    predictions: Sequence[int], debounce: int = 3, keep: int = LABEL_KEEP
-) -> list[int]:
+def detect_runs(predictions: Sequence[int], debounce: int = 3) -> list[int]:
     """Start indices of runs of >= debounce consecutive identical non-keep values.
 
     Shorter blips and anything predicting keep never count.
@@ -193,7 +188,7 @@ def detect_runs(
         j = i
         while j < n and predictions[j] == predictions[i]:
             j += 1
-        if predictions[i] != keep and j - i >= debounce:
+        if predictions[i] != LABEL_KEEP and j - i >= debounce:
             starts.append(i)
         i = j
     return starts
@@ -219,33 +214,31 @@ def timeline_predict(
     model: Model,
     traj: Trajectory,
     normalizer: NormStats,
-    config: WindowConfig = WindowConfig(),
-    debounce: int = 3,
+    window_rate_hz: float = 4.0,
 ) -> TimelineReport:
-    """Slide one window per downsampled step along a trajectory.
+    """Slide one window per downsampled step along a trajectory, as
+    build_windows cuts them at a stride of one downsampled step.
 
-    A detection is the start of a run of `debounce` or more consecutive
-    identical non-keep predictions.  A detection is counted false when no
-    ground-truth onset follows it within the 3-second intention horizon.
+    A detection is the start of a run of 3 or more consecutive identical
+    non-keep predictions.  A detection is counted false when no ground-truth
+    onset follows it within the 3-second intention horizon.
     """
-    factor = downsample_factor(traj.sample_rate_hz, config.window_rate_hz)
-    positions = _window_positions(len(traj), factor, factor, model.input_steps)
-    if len(positions) == 0:
+    factor = downsample_factor(traj.sample_rate_hz, window_rate_hz)
+    windows = build_windows([traj], WindowConfig(window_rate_hz, stride_frames=factor))
+    if len(windows) == 0:
         raise UsageError(
             f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
-            f"needs {(model.input_steps - 1) * factor + 1}"
+            f"needs {(WINDOW_STEPS - 1) * factor + 1}"
         )
-    log_probs, _ = score(model, normalizer.transform(traj.features[positions]))
+    log_probs, _ = score(model, normalizer.transform(windows.features))
     probs = np.exp(log_probs)
     predicted = np.argmax(probs, axis=1)
     entries = tuple(
         TimelineEntry(end_frame=int(frame), predicted=int(k), probs=p)
-        for frame, k, p in zip(traj.t_index[positions[:, -1]], predicted, probs)
+        for frame, k, p in zip(windows.end_frames, predicted, probs)
     )
 
-    detections = [
-        entries[i].end_frame for i in detect_runs(predicted, debounce)
-    ]
+    detections = [entries[i].end_frame for i in detect_runs(predicted)]
 
     horizon = int(round(INTENTION_HORIZON_S * traj.sample_rate_hz))
     onsets = tuple(e.onset_frame for e in traj.events)

@@ -14,23 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import (
-    DIRECTION_LEFT,
-    DIRECTION_RIGHT,
-    LaneChangeEvent,
-    Trajectory,
-)
+from .dataset import Trajectory, _events_from_lanes
 from .errors import UsageError
 
 LANE_WIDTH_M = 3.5
 TRANSITION_TAU_S = 1.0  # logistic time scale; 10-90% of the lane shift takes ~4.4 tau
+DURATION_S = (40.0, 42.0)  # each vehicle's record length is drawn from this range
 
 
 def synthesize_dataset(
     seed: int,
     n_trajectories: int,
     sample_rate_hz: float = 25.0,
-    duration_s: tuple[float, float] = (40.0, 42.0),
     maneuvers: tuple[int, int] = (5, 6),
 ) -> list[Trajectory]:
     """Generate seeded random trajectories.
@@ -48,16 +43,16 @@ def synthesize_dataset(
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     # np.gradient needs two frames in the shortest record; the longest must count finitely
-    shortest, longest = (np.rint(d * sample_rate_hz) for d in duration_s)
+    shortest, longest = (np.rint(d * sample_rate_hz) for d in DURATION_S)
     if not (sample_rate_hz > 0 and shortest >= 2 and longest < np.inf):
         raise UsageError(
             f"sample rate must give a finite count of >= 2 frames over "
-            f"{duration_s[0]:g}-{duration_s[1]:g} s, got {sample_rate_hz}"
+            f"{DURATION_S[0]:g}-{DURATION_S[1]:g} s, got {sample_rate_hz}"
         )
     streams = np.random.SeedSequence(seed).spawn(n_trajectories)
     return [
         _one_vehicle(f"veh{i:04d}", np.random.default_rng(streams[i]),
-                     sample_rate_hz, duration_s, maneuvers, first_left=(i % 2 == 0))
+                     sample_rate_hz, maneuvers, first_left=(i % 2 == 0))
         for i in range(n_trajectories)
     ]
 
@@ -75,12 +70,11 @@ def _one_vehicle(
     vehicle_id: str,
     rng: np.random.Generator,
     rate_hz: float,
-    duration_s: tuple[float, float],
     maneuvers: tuple[int, int],
     first_left: bool,
 ) -> Trajectory:
     dt = 1.0 / rate_hz
-    duration = rng.uniform(*duration_s)
+    duration = rng.uniform(*DURATION_S)
     n = int(round(duration * rate_hz))
     t = np.arange(n) * dt
 
@@ -121,16 +115,11 @@ def _one_vehicle(
     v_x = v0 + v_amp * np.sin(2.0 * np.pi * t / v_period + v_phase)
     a_x = np.gradient(v_x, dt)
 
-    events = []
-    for pos in np.nonzero(np.diff(lane_offset) != 0)[0] + 1:
-        direction = DIRECTION_LEFT if lane_offset[pos] > lane_offset[pos - 1] else DIRECTION_RIGHT
-        events.append(LaneChangeEvent(onset_frame=int(pos), direction=direction))
-
-    features = np.column_stack([delta_y, v_x, a_x, v_y, a_y])
+    t_index = np.arange(n, dtype=np.int64)
     return Trajectory(
         vehicle_id=vehicle_id,
         sample_rate_hz=rate_hz,
-        t_index=np.arange(n, dtype=np.int64),
-        features=features,
-        events=tuple(events),
+        t_index=t_index,
+        features=np.column_stack([delta_y, v_x, a_x, v_y, a_y]),
+        events=_events_from_lanes(t_index, delta_y, lane_offset),
     )

@@ -23,6 +23,7 @@ from .model import (
 )
 
 OPTIMIZERS = ("adam", "sgd")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,6 @@ def optimizer_step(
     grad: np.ndarray,
     state,
     config: TrainConfig,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> np.ndarray:
     """One update of a flat parameter vector; returns the new vector.
 
@@ -97,11 +95,11 @@ def optimizer_step(
     if not isinstance(state, AdamState):
         raise UsageError("adam step needs an AdamState")
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.step)
-    v_hat = state.v / (1.0 - beta2**state.step)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(

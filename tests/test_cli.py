@@ -263,6 +263,15 @@ class TestNoWindows:
         assert code == 1
         assert "need at least 2 vehicles" in capsys.readouterr().err
 
+    def test_train_rate_too_high_for_one_window(self, data_csv, tmp_path, capsys):
+        code = cli.main([
+            "train", "--data", str(data_csv), "--rate-hz", "1e12", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "window set is empty" in err and "need at least 2 vehicles" in err
+
     def test_eval_all_has_nothing_to_score(self, sparse_csv, trained_dir, tmp_path, capsys):
         code = cli.main([
             "eval", "--data", str(sparse_csv), "--split", "all",

@@ -315,6 +315,16 @@ class TestTimeline:
         with pytest.raises(sl.UsageError):
             sl.timeline_predict(sl.new_model(), traj, self._normalizer())
 
+    def test_end_frames_are_build_windows_at_one_step_stride(self):
+        traj = sl.synthesize_dataset(26, 1)[0]
+        report = sl.timeline_predict(
+            sl.new_model(seed=8), traj, self._normalizer(), window_rate_hz=2.0
+        )
+        factor = sl.downsample_factor(traj.sample_rate_hz, 2.0)
+        windows = sl.build_windows([traj], sl.WindowConfig(2.0, stride_frames=factor))
+        assert [e.end_frame for e in report.entries] == windows.end_frames.tolist()
+        assert report.entries[0].end_frame == 11 * factor
+
     def test_probabilities_normalized_per_entry(self):
         traj = sl.synthesize_dataset(22, 1)[0]
         report = sl.timeline_predict(sl.new_model(seed=9), traj, self._normalizer())

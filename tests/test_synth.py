@@ -121,6 +121,15 @@ class TestStructure:
         with pytest.raises(sl.UsageError):
             sl.synthesize_dataset(seed, 2, sample_rate_hz=rate)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 1.0, 2.5, 10.0, 25.0])
+    def test_csv_round_trip_keeps_events(self, rate, tmp_path):
+        # synth and the CSV parser derive events from lane changes by one rule
+        trajs = sl.synthesize_dataset(14, 8, sample_rate_hz=rate)
+        sl.write_trajectories_csv(trajs, tmp_path / "fleet.csv")
+        parsed = sl.parse_trajectories(tmp_path / "fleet.csv", rate)
+        assert [t.events for t in parsed] == [t.events for t in trajs]
+        assert sum(len(t.events) for t in trajs) > 0
+
     def test_onsets_match_half_crossing(self):
         traj = sl.synthesize_dataset(8, 1)[0]
         y = reconstruct_absolute_path(traj)
