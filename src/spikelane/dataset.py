@@ -88,10 +88,9 @@ class Trajectory:
         for e in events:
             if e.direction not in (DIRECTION_LEFT, DIRECTION_RIGHT):
                 raise UsageError(f"unknown event direction {e.direction!r}")
-            if t.size == 0 or not t[0] <= e.onset_frame <= t[-1]:
+            if e.onset_frame not in t:
                 raise UsageError(
-                    f"event onset {e.onset_frame} outside frame range for vehicle "
-                    f"{self.vehicle_id}"
+                    f"event onset {e.onset_frame} is not a frame of vehicle {self.vehicle_id}"
                 )
         object.__setattr__(self, "t_index", t)
         object.__setattr__(self, "features", f)
@@ -104,7 +103,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class WindowSample:
     """One (12, 5) feature window with its intention label and origin: a row
-    of a WindowSet, or a single window handed to `predict`."""
+    of a WindowSet."""
 
     features: np.ndarray
     label: int
@@ -365,9 +364,8 @@ def write_trajectories_csv(
         for traj in trajectories:
             lane = np.full(len(traj), base_lane, dtype=np.int64)
             for event in traj.events:
-                pos = _frame_position(traj, event.onset_frame)
                 step = 1 if event.direction == DIRECTION_LEFT else -1
-                lane[pos:] += step
+                lane[np.searchsorted(traj.t_index, event.onset_frame):] += step
             for i in range(len(traj)):
                 writer.writerow(
                     [traj.vehicle_id, int(traj.t_index[i])]
@@ -381,13 +379,6 @@ def write_trajectories_csv(
 # ---------------------------------------------------------------------------
 
 
-def _frame_position(traj: Trajectory, frame: int) -> int:
-    pos = int(np.searchsorted(traj.t_index, frame))
-    if pos >= len(traj) or traj.t_index[pos] != frame:
-        raise UsageError(f"frame {frame} not present in vehicle {traj.vehicle_id}")
-    return pos
-
-
 def label_frames(traj: Trajectory) -> np.ndarray:
     """Per-frame intention labels under the 3-second rule.
 
@@ -398,7 +389,7 @@ def label_frames(traj: Trajectory) -> np.ndarray:
     labels = np.full(len(traj), LABEL_KEEP, dtype=np.int64)
     horizon = int(round(INTENTION_HORIZON_S * traj.sample_rate_hz))
     for event in traj.events:
-        onset_pos = _frame_position(traj, event.onset_frame)
+        onset_pos = int(np.searchsorted(traj.t_index, event.onset_frame))
         start = max(0, onset_pos - horizon)
         value = LABEL_LEFT if event.direction == DIRECTION_LEFT else LABEL_RIGHT
         labels[start:onset_pos] = value

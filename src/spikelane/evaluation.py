@@ -17,32 +17,28 @@ from .dataset import (
     WINDOW_STEPS,
     Trajectory,
     WindowConfig,
-    WindowSample,
     WindowSet,
     build_windows,
     downsample_factor,
-    stack_windows,
 )
 from .errors import DegenerateLabelsError, ShapeError, UsageError
 from .model import Model, score
 
 
-def predict(model: Model, window) -> tuple[int, np.ndarray]:
-    """Class index and class probabilities for one window.
+def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
+    """Class index and class probabilities for one (input_steps, input_dim) window.
 
-    Accepts a WindowSample or a bare (input_steps, input_dim) array.  Ties
-    resolve to the lowest class index, i.e. toward lane-keeping.  The window
-    is scored as a batch of one, so the probabilities are bit for bit those
-    evaluate and timeline_predict give the same window.
+    Ties resolve to the lowest class index, i.e. toward lane-keeping.  The
+    window is scored as a batch of one, so the probabilities are bit for bit
+    those evaluate and timeline_predict give the same window.
     """
-    features = window.features if isinstance(window, WindowSample) else window
-    log_probs, _ = score(model, np.asarray(features)[None])
+    log_probs, _ = score(model, np.asarray(window)[None])
     probs = np.exp(log_probs[0])
     return int(np.argmax(probs)), probs
 
 
 def confusion_and_accuracy(
-    predictions: Sequence[int], labels: Sequence[int], n_classes: int = 3
+    predictions: Sequence[int], labels: Sequence[int], n_classes: int = len(LABEL_NAMES)
 ) -> tuple[np.ndarray, float]:
     """(n_classes, n_classes) count matrix indexed [true, predicted], plus accuracy."""
     predictions = np.asarray(predictions, dtype=np.intp)
@@ -135,8 +131,8 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     """
     if len(test_set) == 0:
         raise UsageError("test_set is empty")
-    windows, labels = stack_windows(test_set)
-    log_probs, spike_counts = score(model, windows)
+    labels = test_set.labels
+    log_probs, spike_counts = score(model, test_set.features)
     spikes_per_window = float(spike_counts.mean())
     probs = np.exp(log_probs)
     predictions = np.argmax(probs, axis=1)
@@ -174,13 +170,14 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def detect_runs(predictions: Sequence[int], debounce: int = 3) -> list[int]:
-    """Start indices of runs of >= debounce consecutive identical non-keep values.
+DEBOUNCE_STEPS = 3  # consecutive identical non-keep predictions that make a detection
+
+
+def detect_runs(predictions: Sequence[int]) -> list[int]:
+    """Start indices of runs of >= DEBOUNCE_STEPS consecutive identical non-keep values.
 
     Shorter blips and anything predicting keep never count.
     """
-    if debounce < 1:
-        raise UsageError(f"debounce must be >= 1, got {debounce}")
     starts = []
     i = 0
     n = len(predictions)
@@ -188,7 +185,7 @@ def detect_runs(predictions: Sequence[int], debounce: int = 3) -> list[int]:
         j = i
         while j < n and predictions[j] == predictions[i]:
             j += 1
-        if predictions[i] != LABEL_KEEP and j - i >= debounce:
+        if predictions[i] != LABEL_KEEP and j - i >= DEBOUNCE_STEPS:
             starts.append(i)
         i = j
     return starts
@@ -219,9 +216,9 @@ def timeline_predict(
     """Slide one window per downsampled step along a trajectory, as
     build_windows cuts them at a stride of one downsampled step.
 
-    A detection is the start of a run of 3 or more consecutive identical
-    non-keep predictions.  A detection is counted false when no ground-truth
-    onset follows it within the 3-second intention horizon.
+    A detection is the start of a run of DEBOUNCE_STEPS or more consecutive
+    identical non-keep predictions.  A detection is counted false when no
+    ground-truth onset follows it within the 3-second intention horizon.
     """
     factor = downsample_factor(traj.sample_rate_hz, window_rate_hz)
     windows = build_windows([traj], WindowConfig(window_rate_hz, stride_frames=factor))

@@ -26,17 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 RESET_TO_ZERO = "to_zero"
 RESET_SUBTRACT = "subtract"
 RESET_MODES = (RESET_TO_ZERO, RESET_SUBTRACT)
 
-# Architecture defaults: 12 time steps x 5 features in, 24 hidden neurons, 3 classes.
-DEFAULT_INPUT_STEPS = 12
-DEFAULT_INPUT_DIM = 5
+# Hidden LIF neurons; the dataset schema fixes the window shape and class count.
 DEFAULT_HIDDEN_DIM = 24
-DEFAULT_CLASSES = 3
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -108,7 +106,7 @@ class Model:
     feature_layer: LinearLayer
     classifier: LinearLayer
     lif: LifConfig = field(default_factory=LifConfig)
-    input_steps: int = DEFAULT_INPUT_STEPS
+    input_steps: int = WINDOW_STEPS
 
     def __post_init__(self):
         if self.input_steps < 1:
@@ -178,26 +176,16 @@ class Gradients:
 
 
 def new_model(
-    seed: int = 0,
-    input_steps: int = DEFAULT_INPUT_STEPS,
-    input_dim: int = DEFAULT_INPUT_DIM,
-    hidden_dim: int = DEFAULT_HIDDEN_DIM,
-    classes: int = DEFAULT_CLASSES,
-    lif: LifConfig | None = None,
+    seed: int = 0, hidden_dim: int = DEFAULT_HIDDEN_DIM, lif: LifConfig | None = None
 ) -> Model:
-    """Build a model with weights drawn uniformly from +-1/sqrt(fan_in).
+    """Build a model for the dataset's windows and classes, with weights drawn
+    uniformly from +-1/sqrt(fan_in).
 
     The bound keeps initial currents mostly sub-threshold so early spike
     activity is sparse.  The same seed always yields the same model.
     """
-    for name, value in (
-        ("input_steps", input_steps),
-        ("input_dim", input_dim),
-        ("hidden_dim", hidden_dim),
-        ("classes", classes),
-    ):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if hidden_dim < 1:
+        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -210,10 +198,9 @@ def new_model(
         )
 
     return Model(
-        feature_layer=init_layer(input_dim, hidden_dim),
-        classifier=init_layer(hidden_dim, classes),
+        feature_layer=init_layer(len(FEATURE_NAMES), hidden_dim),
+        classifier=init_layer(hidden_dim, len(LABEL_NAMES)),
         lif=lif if lif is not None else LifConfig(),
-        input_steps=input_steps,
     )
 
 

@@ -20,6 +20,9 @@ from .errors import UsageError
 LANE_WIDTH_M = 3.5
 TRANSITION_TAU_S = 1.0  # logistic time scale; 10-90% of the lane shift takes ~4.4 tau
 DURATION_S = (40.0, 42.0)  # each vehicle's record length is drawn from this range
+# Bound on vehicles x longest record, checked before anything is allocated:
+# about 9,500 vehicles at 25 Hz.
+MAX_FRAMES = 10_000_000
 
 
 def synthesize_dataset(
@@ -48,6 +51,11 @@ def synthesize_dataset(
         raise UsageError(
             f"sample rate must give a finite count of >= 2 frames over "
             f"{DURATION_S[0]:g}-{DURATION_S[1]:g} s, got {sample_rate_hz}"
+        )
+    if n_trajectories * longest > MAX_FRAMES:
+        raise UsageError(
+            f"{n_trajectories} vehicles x {longest:.0f} frames in the longest record "
+            f"exceeds the {MAX_FRAMES:,}-frame limit"
         )
     streams = np.random.SeedSequence(seed).spawn(n_trajectories)
     return [

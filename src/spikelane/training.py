@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import write_numeric_csv
-from .dataset import WindowSet, stack_windows
+from .dataset import WindowSet
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
@@ -117,7 +117,7 @@ def train(
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
-    windows, labels = stack_windows(train_set)
+    windows, labels = train_set.features, train_set.labels
     if windows.shape[1:] != (model.input_steps, model.feature_layer.in_dim):
         raise UsageError(
             f"window shape {windows.shape[1:]} does not match model input "

@@ -3,6 +3,7 @@
 import csv
 import errno
 
+import numpy as np
 import pytest
 
 import spikelane as sl
@@ -68,6 +69,20 @@ class TestSynth:
         out = tmp_path / "x.csv"
         assert cli.main(["synth", "--n", "2", *flags, "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "100000000000"], ["--n", "1", "--rate-hz", "1e8"]])
+    def test_fleet_past_frame_bound_is_usage_error(self, flags, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the per-vehicle streams were about to be spawned")
+
+        # without the bound, this fails here instead of allocating every vehicle
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
+        out = tmp_path / "x.csv"
+        assert cli.main(["synth", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "frame limit" in err
         assert not out.exists()
 
 

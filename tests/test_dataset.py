@@ -2,6 +2,7 @@
 
 import csv
 import io
+import random
 import warnings
 from dataclasses import replace
 
@@ -90,6 +91,13 @@ class TestParse:
         assert traj.t_index.tolist() == [lo, hi]
         with pytest.raises(sl.UsageError, match="strictly increasing"):
             sl.Trajectory("a", 25.0, np.array([hi, lo]), np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("onset", [101, -2, 400])
+    def test_onset_not_a_frame_rejected_at_construction(self, onset):
+        frames = np.arange(0, 400, 2)  # onset 101 falls between frames 100 and 102
+        with pytest.raises(sl.UsageError, match=f"onset {onset} is not a frame"):
+            sl.Trajectory("a", 25.0, frames, np.zeros((200, 5)),
+                          (sl.LaneChangeEvent(onset, "left"),))
 
     def test_unsorted_rows_are_ordered_by_frame(self):
         body = "\n".join([HEADER, keep_row("a", 2), keep_row("a", 0), keep_row("a", 1)])
@@ -234,6 +242,76 @@ class TestParseParity:
         path.write_bytes(_body(keep_row("a", 0)).encode("utf-8") + b"\xff\n")
         with pytest.raises(UnicodeDecodeError):
             sl.parse_trajectories(path, 25.0)
+
+
+DIFF_SEED = 20_261_018
+DIFF_CASES = 300
+
+
+def _unusual_number(cell, rng):
+    kind = rng.choice(("plus", "spaces", "quoted", "unicode_digits", "1e308", "4.9e-324"))
+    if kind == "plus":
+        return kind, "+" + cell.lstrip("-")
+    if kind == "spaces":
+        return kind, f" {cell} "
+    if kind == "quoted":
+        return kind, f'"{cell}"'
+    if kind == "unicode_digits":  # Arabic-Indic, Devanagari or fullwidth digits
+        zero = rng.choice((0x660, 0x966, 0xFF10))
+        return kind, cell.translate({ord("0") + d: zero + d for d in range(10)})
+    return kind, kind
+
+
+def _unusual_id(cell, rng):
+    kind = rng.choice(("quote", "comma", "pad", "pad", "pad"))
+    if kind == "quote":
+        return kind, f'"{cell}""q"'
+    if kind == "comma":
+        return kind, f'"{cell},c"'
+    pad = rng.choice(("\u3000", "\x1c", "\x85"))  # whitespace to str.strip, not to csv
+    return f"pad {pad!r}", f"{pad}{cell}{pad}"
+
+
+def _differential_case(rng):
+    """A valid body but for one unusual cell; returns (kind, CSV text)."""
+    rows = []
+    for v in range(rng.randint(1, 3)):
+        lane = 3
+        for frame in rng.sample(range(40), rng.randint(1, 8)):
+            lane += rng.choice((0, 0, 0, -1, 1))
+            rows.append([f"v{v}", str(frame), *(repr(rng.uniform(-3, 3)) for _ in range(5)),
+                         str(lane)])
+    rng.shuffle(rows)
+    row = rng.choice(rows)
+    column = rng.randrange(len(CSV_HEADER))
+    unusual = _unusual_id if column == 0 else _unusual_number
+    kind, row[column] = unusual(row[column], rng)
+    return f"{CSV_HEADER[column]}:{kind}", _body(*(",".join(r) for r in rows))
+
+
+class TestParseDifferential:
+    """Seeded bodies with one unusual cell each: the column path and the
+    public parser agree with the row parser, results and errors alike."""
+
+    def test_parsers_agree(self):
+        rng = random.Random(DIFF_SEED)
+        columnar = 0
+        for case in range(DIFF_CASES):
+            kind, text = _differential_case(rng)
+            want = _rows_only(text)
+            try:
+                got = sl.parse_trajectories(io.StringIO(text, newline=""), 25.0)
+            except sl.ParseError as error:
+                got = str(error)
+            direct = dataset._parse_columns(io.StringIO(text, newline="").readlines()[1:], 25.0)
+            try:
+                _assert_same_parse(got, want)
+                if direct is not None:
+                    columnar += 1
+                    _assert_same_parse(direct, want)
+            except AssertionError as error:
+                pytest.fail(f"case {case} ({kind}) of {text!r}: {error}")
+        assert columnar > 0  # the column path took part
 
 
 class TestLabelFrames:

@@ -1,0 +1,31 @@
+"""The package imports nothing outside the standard library but NumPy.
+
+pyproject.toml declares `dependencies = ["numpy>=2.0"]`; a stray import of
+anything else would break an install that follows that declaration.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spikelane as sl
+
+_PROBE = """
+import sys
+before = set(sys.modules)
+import spikelane, spikelane.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print("\\n".join(sorted(loaded)))
+"""
+
+
+def test_imports_only_stdlib_and_numpy():
+    # a fresh interpreter: this test process has pytest and its plugins loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert {"numpy", "spikelane"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "spikelane"}

@@ -36,12 +36,9 @@ class TestPredict:
 
     def test_accepts_window_sample_and_repeats(self):
         model = sl.new_model(seed=3)
-        sample = sl.WindowSample(
-            features=np.random.default_rng(0).normal(size=(12, 5)),
-            label=0, vehicle_id="v", end_frame=70,
-        )
-        a = sl.predict(model, sample)
-        b = sl.predict(model, sample)
+        window = np.random.default_rng(0).normal(size=(12, 5))
+        a = sl.predict(model, window)
+        b = sl.predict(model, window)
         assert a[0] == b[0]
         assert (a[1] == b[1]).all()
 
@@ -279,11 +276,6 @@ class TestDetectRuns:
 
     def test_run_must_be_constant(self):
         assert sl.detect_runs([1, 2, 1, 2, 1, 2]) == []
-
-    def test_custom_debounce(self):
-        assert sl.detect_runs([2, 2, 0], debounce=2) == [0]
-        with pytest.raises(sl.UsageError):
-            sl.detect_runs([0], debounce=0)
 
     def test_keep_runs_ignored_however_long(self):
         assert sl.detect_runs([0] * 50 + [1] * 3) == [50]

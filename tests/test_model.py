@@ -247,6 +247,12 @@ class TestParamsAndConfig:
     def test_default_model_has_219_parameters(self):
         assert sl.param_count(sl.new_model()) == 219
 
+    def test_dims_come_from_the_dataset_schema(self):
+        model = sl.new_model()
+        assert model.input_steps == sl.dataset.WINDOW_STEPS
+        assert model.input_dim == len(sl.FEATURE_NAMES)
+        assert model.classes == len(sl.LABEL_NAMES)
+
     def test_tiny_model_count_closed_form(self):
         model = sl.new_model(hidden_dim=1)
         assert sl.param_count(model) == 5 + 1 + 3 + 3

@@ -121,6 +121,24 @@ class TestStructure:
         with pytest.raises(sl.UsageError):
             sl.synthesize_dataset(seed, 2, sample_rate_hz=rate)
 
+    @pytest.mark.parametrize("n, rate, reached", [
+        (9_523, 25.0, True),  # 9,523 x 1,050 frames: within MAX_FRAMES
+        (9_524, 25.0, False),
+        (100_000_000_000, 25.0, False),
+        (1, 1e8, False),  # one record of 4.2e9 frames
+    ])
+    def test_frame_bound_checked_before_spawning_streams(self, n, rate, reached, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def spawn_guard(*args):
+            raise Reached
+
+        # a missing bound fails here instead of allocating every vehicle
+        monkeypatch.setattr(np.random, "SeedSequence", spawn_guard)
+        with pytest.raises(Reached if reached else sl.UsageError):
+            sl.synthesize_dataset(0, n, sample_rate_hz=rate)
+
     @pytest.mark.parametrize("rate", [0.1, 0.3, 1.0, 2.5, 10.0, 25.0])
     def test_csv_round_trip_keeps_events(self, rate, tmp_path):
         # synth and the CSV parser derive events from lane changes by one rule
