@@ -11,8 +11,10 @@ Layout, all little-endian:
                  (row-major in x hidden), feature bias, classifier weights
                  (row-major hidden x classes), classifier bias
 
-The format is fixed-size given the dims, so truncation and trailing garbage
-are both detectable.  Save/load round-trips are bit-exact.
+Every header dim but hidden_dim must equal the dataset schema: 12 steps,
+5 features, 3 classes; a checkpoint for another window shape or class count
+is rejected.  The format is fixed-size given hidden_dim, so truncation and
+trailing garbage are both detectable.  Save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_open
+from .dataset import FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS
 from .errors import CheckpointError, ShapeError
 from .model import (
     LifConfig, LinearLayer, Model, RESET_MODES, flatten_params, model_params, split_params
@@ -32,7 +35,7 @@ MAGIC = b"SPKL"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sB4IB3d")
-_MAX_DIM = 1_000_000
+_MAX_DIM = 1_000_000  # bound on hidden_dim
 
 
 def model_to_bytes(model: Model) -> bytes:
@@ -63,20 +66,20 @@ def model_from_bytes(blob: bytes) -> Model:
         raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    for name, dim in (
-        ("input_steps", steps),
-        ("input_dim", in_dim),
-        ("hidden_dim", hidden),
-        ("classes", classes),
-    ):
-        if not 1 <= dim <= _MAX_DIM:
-            raise CheckpointError(f"implausible {name}={dim} in checkpoint header")
+    schema = (WINDOW_STEPS, len(FEATURE_NAMES), len(LABEL_NAMES))
+    if (steps, in_dim, classes) != schema:
+        raise CheckpointError(
+            f"checkpoint (input_steps, input_dim, classes) = {(steps, in_dim, classes)}; "
+            f"the dataset schema needs {schema}"
+        )
+    if not 1 <= hidden <= _MAX_DIM:
+        raise CheckpointError(f"implausible hidden_dim={hidden} in checkpoint header")
     if reset >= len(RESET_MODES):
         raise CheckpointError(f"unknown reset mode byte {reset}")
 
     try:  # ValueError: the parameter bytes are not whole f64 values
         flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-        w1, b1, w2, b2 = split_params(flat, in_dim, hidden, classes)
+        w1, b1, w2, b2 = split_params(flat, hidden)
     except (ValueError, ShapeError) as exc:
         raise CheckpointError(f"{len(blob)} bytes do not fit the header dims: {exc}") from None
     if not np.isfinite(flat).all():
@@ -91,7 +94,6 @@ def model_from_bytes(blob: bytes) -> Model:
                 surrogate_slope=slope,
                 reset_mode=RESET_MODES[reset],
             ),
-            input_steps=steps,
         )
     except Exception as exc:
         raise CheckpointError(f"checkpoint header rejected: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,10 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for split, init, and shuffling (default 0)")
         p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None, help="learning rate")
+        p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+                       help="learning rate")
         p.add_argument("--max-epochs", type=int, default=None)
-        p.add_argument("--patience", type=int, default=None,
-                       help="epochs without improvement before stopping")
+        p.add_argument("--patience", dest="patience_epochs", metavar="PATIENCE", type=int,
+                       default=None, help="epochs without improvement before stopping")
         p.add_argument("--min-loss-delta", type=float, default=None)
         p.add_argument("--optimizer", choices=training.OPTIMIZERS, default=None)
         p.add_argument("--config", default=None,
@@ -117,27 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _train_config(args) -> training.TrainConfig:
-    flags = {
-        "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-        "max_epochs": args.max_epochs,
-        "patience_epochs": args.patience,
-        "min_loss_delta": args.min_loss_delta,
-        "seed": args.seed,
-        "optimizer": args.optimizer,
+    # each TrainConfig field has one flag of the same dest; None means not given
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(training.TrainConfig)
+        if getattr(args, f.name) is not None
     }
-    overrides = {k: v for k, v in flags.items() if v is not None}
     if args.config is not None:
         return training.load_train_config(args.config, **overrides)
     return training.TrainConfig(**overrides)
 
 
 def _load_windows(args) -> dataset.WindowSet:
-    trajectories = dataset.parse_trajectories(args.data, args.rate_hz)
     config = dataset.WindowConfig(
         window_rate_hz=args.window_rate_hz, stride_frames=args.stride
     )
-    return dataset.build_windows(trajectories, config)
+    return dataset.build_windows(dataset.parse_trajectories(args.data, args.rate_hz), config)
 
 
 def _normalized_split(args, seed: int):

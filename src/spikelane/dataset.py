@@ -119,7 +119,7 @@ class WindowSet:
     mask or index array gives a WindowSet.  Iteration yields WindowSamples.
     """
 
-    features: np.ndarray     # (N, steps, 5) float64, C-contiguous
+    features: np.ndarray     # (N, 12, 5) float64, C-contiguous
     labels: np.ndarray       # (N,) intp
     vehicle_ids: np.ndarray  # (N,) str
     end_frames: np.ndarray   # (N,) int64
@@ -132,8 +132,10 @@ class WindowSet:
             "end_frames": np.asarray(self.end_frames, dtype=np.int64),
         }
         shapes = [c.shape for c in columns.values()]
-        if len(shapes[0]) != 3 or any(shape != shapes[0][:1] for shape in shapes[1:]):
-            raise ShapeError(f"window set column shapes {shapes} do not match")
+        n = shapes[0][:1]
+        if shapes[0] != n + (WINDOW_STEPS, len(FEATURE_NAMES)) or any(s != n for s in shapes[1:]):
+            raise ShapeError(f"window set column shapes {shapes}, expected features "
+                             f"(N, {WINDOW_STEPS}, {len(FEATURE_NAMES)}) and (N,) for the rest")
         for name, column in columns.items():
             object.__setattr__(self, name, column)
 
@@ -176,6 +178,12 @@ class DatasetSplit:
 class WindowConfig:
     window_rate_hz: float = 4.0
     stride_frames: int = 1
+
+    def __post_init__(self):
+        if not self.window_rate_hz > 0:
+            raise ConfigError(f"window_rate_hz must be > 0, got {self.window_rate_hz}")
+        if self.stride_frames < 1:
+            raise ConfigError(f"stride_frames must be >= 1, got {self.stride_frames}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +439,6 @@ def build_windows(
     final raw frame.  Trajectories shorter than one window give no windows;
     two trajectories with one vehicle id raise UsageError.
     """
-    if config.stride_frames < 1:
-        raise ConfigError(f"stride_frames must be >= 1, got {config.stride_frames}")
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
     ids = [t.vehicle_id for t in ordered]
     if len(set(ids)) < len(ids):

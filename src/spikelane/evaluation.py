@@ -26,7 +26,7 @@ from .model import Model, score
 
 
 def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
-    """Class index and class probabilities for one (input_steps, input_dim) window.
+    """Class index and class probabilities for one (12, 5) window.
 
     Ties resolve to the lowest class index, i.e. toward lane-keeping.  The
     window is scored as a batch of one, so the probabilities are bit for bit
@@ -38,9 +38,10 @@ def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def confusion_and_accuracy(
-    predictions: Sequence[int], labels: Sequence[int], n_classes: int = len(LABEL_NAMES)
+    predictions: Sequence[int], labels: Sequence[int]
 ) -> tuple[np.ndarray, float]:
-    """(n_classes, n_classes) count matrix indexed [true, predicted], plus accuracy."""
+    """(3, 3) count matrix indexed [true, predicted], plus accuracy."""
+    n_classes = len(LABEL_NAMES)
     predictions = np.asarray(predictions, dtype=np.intp)
     labels = np.asarray(labels, dtype=np.intp)
     if predictions.shape != labels.shape or predictions.ndim != 1:
@@ -136,18 +137,15 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     spikes_per_window = float(spike_counts.mean())
     probs = np.exp(log_probs)
     predictions = np.argmax(probs, axis=1)
-    confusion, accuracy = confusion_and_accuracy(predictions, labels, model.classes)
+    confusion, accuracy = confusion_and_accuracy(predictions, labels)
 
     curves: list[RocCurve | None] = []
     warnings: list[str] = []
-    for k in range(model.classes):
+    for k, name in enumerate(LABEL_NAMES):
         binary = (labels == k).astype(np.int64)
         if binary.min() == binary.max():
             word = "absent from" if binary.max() == 0 else "the only class in"
-            warnings.append(
-                f"class {LABEL_NAMES[k] if k < len(LABEL_NAMES) else k} is {word} "
-                f"the test labels; ROC unavailable"
-            )
+            warnings.append(f"class {name} is {word} the test labels; ROC unavailable")
             curves.append(None)
             continue
         curves.append(roc_curve(probs[:, k], binary, class_id=k))

@@ -101,28 +101,30 @@ class LinearLayer:
 
 @dataclass(frozen=True)
 class Model:
-    """Full parameter set: feature layer, LIF settings, classifier layer."""
+    """Full parameter set: feature layer, LIF settings, classifier layer.  The
+    dataset schema fixes the window shape and class count; hidden_dim is free."""
 
     feature_layer: LinearLayer
     classifier: LinearLayer
     lif: LifConfig = field(default_factory=LifConfig)
-    input_steps: int = WINDOW_STEPS
 
     def __post_init__(self):
-        if self.input_steps < 1:
-            raise ConfigError(f"input_steps must be >= 1, got {self.input_steps}")
-        for name, value in (
-            ("input_dim", self.feature_layer.in_dim),
-            ("hidden_dim", self.feature_layer.out_dim),
-            ("classes", self.classifier.out_dim),
-        ):
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if (self.input_dim, self.classes) != (len(FEATURE_NAMES), len(LABEL_NAMES)):
+            raise ConfigError(
+                f"model maps {self.input_dim} features to {self.classes} classes; the "
+                f"dataset schema has {len(FEATURE_NAMES)} features and {len(LABEL_NAMES)} classes"
+            )
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.classifier.in_dim != self.feature_layer.out_dim:
             raise ConfigError(
                 f"classifier expects {self.classifier.in_dim} inputs but the "
                 f"feature layer produces {self.feature_layer.out_dim}"
             )
+
+    @property
+    def input_steps(self) -> int:
+        return WINDOW_STEPS
 
     @property
     def input_dim(self) -> int:
@@ -224,10 +226,10 @@ def flatten_params(params: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(p) for p in params])
 
 
-def split_params(
-    theta: np.ndarray, input_dim: int, hidden_dim: int, classes: int
-) -> list[np.ndarray]:
-    """Views of a flatten_params vector as the four model_params arrays of these dims."""
+def split_params(theta: np.ndarray, hidden_dim: int) -> list[np.ndarray]:
+    """Views of a flatten_params vector as the four model_params arrays of a
+    model with this hidden_dim."""
+    input_dim, classes = len(FEATURE_NAMES), len(LABEL_NAMES)
     shapes = [(input_dim, hidden_dim), (hidden_dim,), (hidden_dim, classes), (classes,)]
     ends = np.cumsum([np.prod(s) for s in shapes])
     if theta.shape != (ends[-1],):
@@ -242,7 +244,6 @@ def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
         feature_layer=LinearLayer(weights=w1, bias=b1),
         classifier=LinearLayer(weights=w2, bias=b2),
         lif=model.lif,
-        input_steps=model.input_steps,
     )
 
 
@@ -332,32 +333,29 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: Model, x: np.ndarray) -> ForwardCache:
-    """Full deterministic forward pass on one (input_steps, input_dim) window.
+    """Full deterministic forward pass on one (12, 5) window.
 
-    Runs the batched pass on a batch of one and drops the batch axis.
+    Runs forward_batch on a batch of one and drops the batch axis.
     """
-    x = _as_matrix(x, "input window")
-    expected = (model.input_steps, model.input_dim)
-    if x.shape != expected:
-        raise ShapeError(f"input window shape {x.shape}, expected {expected}")
-    if not np.isfinite(x).all():
-        raise NumericError("input window must be finite")
-    return _index_cache(_forward_stack(model, x[None]), 0)
+    return _index_cache(forward_batch(model, np.asarray(x)[None]), 0)
 
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
-    """Vectorized forward pass over a (N, input_steps, input_dim) stack."""
-    xs = _window_stack(model, windows)
+    """Vectorized forward pass over a (N, 12, 5) stack."""
+    xs = _window_stack(windows)
     if not np.isfinite(xs).all():
         raise NumericError("window stack must be finite")
     return _forward_stack(model, xs)
 
 
-def _window_stack(model: Model, windows) -> np.ndarray:
+def _window_stack(windows) -> np.ndarray:
+    """The one window-shape check behind forward, forward_batch, score and predict."""
     xs = np.asarray(windows, dtype=np.float64)
-    expected = (model.input_steps, model.input_dim)
+    expected = (WINDOW_STEPS, len(FEATURE_NAMES))
     if xs.ndim != 3 or xs.shape[1:] != expected:
-        raise ShapeError(f"window stack shape {xs.shape}, expected (N, {expected[0]}, {expected[1]})")
+        raise ShapeError(
+            f"window shape {xs.shape[1:]}, expected {expected} (stack shape {xs.shape})"
+        )
     return xs
 
 
@@ -367,7 +365,7 @@ SCORE_CHUNK = 4096
 
 
 def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference over a (N, input_steps, input_dim) stack, caching nothing.
+    """Inference over a (N, 12, 5) stack, caching nothing.
 
     Returns the (N, classes) log-probabilities and the (N,) int64 count of
     hidden-layer spikes per window.  The stack is scored SCORE_CHUNK windows
@@ -378,7 +376,7 @@ def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inside any batch, for any chunk size.  forward_batch stays the training
     path, whose cache the backward pass reads.
     """
-    xs = _window_stack(model, windows)
+    xs = _window_stack(windows)
     n = len(xs)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)

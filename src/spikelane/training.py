@@ -118,17 +118,11 @@ def train(
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
     windows, labels = train_set.features, train_set.labels
-    if windows.shape[1:] != (model.input_steps, model.feature_layer.in_dim):
-        raise UsageError(
-            f"window shape {windows.shape[1:]} does not match model input "
-            f"({model.input_steps}, {model.feature_layer.in_dim})"
-        )
     n = windows.shape[0]
     rng = np.random.default_rng(config.seed)
-    dims = (model.input_dim, model.hidden_dim, model.classes)
     theta = flatten_params(model_params(model))
     # the working model views theta, which each step updates in place
-    current = replace_params(model, split_params(theta, *dims))
+    current = replace_params(model, split_params(theta, model.hidden_dim))
     state = init_optimizer_state(theta, config)
 
     best_loss = np.inf
@@ -172,7 +166,7 @@ def train(
         if epochs_without_improvement >= config.patience_epochs:
             break
 
-    return replace_params(model, split_params(best_theta, *dims)), logs
+    return replace_params(model, split_params(best_theta, model.hidden_dim)), logs
 
 
 def write_training_log(logs: Sequence[EpochLog], destination: str | Path) -> None:

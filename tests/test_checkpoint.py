@@ -101,6 +101,14 @@ class TestCorruption:
         with pytest.raises(sl.CheckpointError):
             sl.model_from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("slot,value", [(0, 11), (4, 4), (12, 4)],
+                             ids=["input_steps=11", "input_dim=4", "classes=4"])
+    def test_dims_off_the_schema_rejected(self, slot, value):
+        blob = bytearray(sl.model_to_bytes(sl.new_model()))
+        struct.pack_into("<I", blob, 5 + slot, value)
+        with pytest.raises(sl.CheckpointError, match="schema"):
+            sl.model_from_bytes(bytes(blob))
+
     def test_unknown_reset_byte(self):
         blob = bytearray(sl.model_to_bytes(sl.new_model()))
         blob[21] = 7

@@ -1,7 +1,10 @@
 """End-to-end command-line runs, exercised in process via cli.main."""
 
+import argparse
 import csv
+import dataclasses
 import errno
+import struct
 
 import numpy as np
 import pytest
@@ -261,6 +264,50 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+class TestTrainConfigFlags:
+    NON_DEFAULT = {
+        "batch_size": 7, "learning_rate": 0.02, "max_epochs": 3, "patience_epochs": 4,
+        "min_loss_delta": 0.5, "seed": 9, "optimizer": "sgd",
+    }
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_every_field_has_one_flag_that_reaches_the_config(self, command):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = subparsers.choices[command]._actions
+        names = [f.name for f in dataclasses.fields(sl.TrainConfig)]
+        assert sorted(names) == sorted(self.NON_DEFAULT)
+        argv = [command, "--data", "d.csv", "--out", "o"]
+        for name in names:
+            flags = [a for a in actions if a.dest == name]
+            assert len(flags) == 1, name
+            argv += [flags[0].option_strings[0], str(self.NON_DEFAULT[name])]
+            assert self.NON_DEFAULT[name] != getattr(sl.TrainConfig(), name)
+        assert cli._train_config(parser.parse_args(argv)) == sl.TrainConfig(**self.NON_DEFAULT)
+
+
+class TestOffSchemaCheckpoint:
+    """A checkpoint for another window shape or class count is a bad input."""
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("slot,value", [(0, 11), (4, 4), (12, 4)],
+                             ids=["input_steps=11", "input_dim=4", "classes=4"])
+    def test_exit_2(self, command, slot, value, data_csv, trained_dir, tmp_path, capsys):
+        header = bytearray((trained_dir / "model.spkl").read_bytes()[:46])
+        struct.pack_into("<I", header, 5 + slot, value)
+        _, in_dim, hidden, classes = struct.unpack_from("<4I", header, 5)
+        params = in_dim * hidden + hidden + hidden * classes + classes
+        model = tmp_path / "model.spkl"
+        model.write_bytes(bytes(header) + bytes(8 * params))
+        argv = [command, "--data", str(data_csv), "--model", str(model),
+                "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out")]
+        argv += ["--split", "all"] if command == "eval" else ["--vehicle", "veh0000"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "schema" in err
+
+
 class TestNoWindows:
     """Inputs that give no window at all keep the exit codes of an empty set."""
 
@@ -286,6 +333,16 @@ class TestNoWindows:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "window set is empty" in err and "need at least 2 vehicles" in err
+
+    def test_bad_window_rate_named_before_any_window(self, sparse_csv, tmp_path, capsys):
+        code = cli.main([
+            "train", "--data", str(sparse_csv), "--window-rate-hz", "-1",
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "window_rate_hz" in err
 
     def test_eval_all_has_nothing_to_score(self, sparse_csv, trained_dir, tmp_path, capsys):
         code = cli.main([

@@ -261,6 +261,14 @@ class TestParamsAndConfig:
         with pytest.raises(sl.ConfigError):
             sl.new_model(hidden_dim=0)
 
+    @pytest.mark.parametrize("input_dim,classes", [(5, 4), (4, 3)])
+    def test_dims_off_the_schema_rejected(self, input_dim, classes):
+        with pytest.raises(sl.ConfigError, match="schema"):
+            sl.Model(
+                feature_layer=sl.LinearLayer(np.zeros((input_dim, 24)), np.zeros(24)),
+                classifier=sl.LinearLayer(np.zeros((24, classes)), np.zeros(classes)),
+            )
+
     def test_negative_seed_rejected(self):
         with pytest.raises(sl.ConfigError, match="seed"):
             sl.new_model(seed=-1)

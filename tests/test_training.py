@@ -194,10 +194,10 @@ class TestTrainLoop:
             sl.train(sl.new_model(), [], sl.TrainConfig())
 
     def test_shape_mismatch_rejected(self):
-        bad = sl.WindowSet(features=np.zeros((1, 10, 5)), labels=[0],
-                           vehicle_ids=["x"], end_frames=[0])
-        with pytest.raises(sl.UsageError):
-            sl.train(sl.new_model(), bad, sl.TrainConfig())
+        # a window set off the schema's (N, 12, 5) cannot be built, so never reaches train
+        with pytest.raises(sl.ShapeError):
+            sl.WindowSet(features=np.zeros((1, 10, 5)), labels=[0],
+                         vehicle_ids=["x"], end_frames=[0])
 
     def test_nonfinite_loss_raises_divergence(self, monkeypatch):
         # finite-parameter arithmetic cannot actually produce a non-finite
