@@ -136,6 +136,9 @@ class WindowSet:
         if shapes[0] != n + (WINDOW_STEPS, len(FEATURE_NAMES)) or any(s != n for s in shapes[1:]):
             raise ShapeError(f"window set column shapes {shapes}, expected features "
                              f"(N, {WINDOW_STEPS}, {len(FEATURE_NAMES)}) and (N,) for the rest")
+        bad = (columns["labels"] < 0) | (columns["labels"] >= len(LABEL_NAMES))
+        if bad.any():
+            raise UsageError(f"label {columns['labels'][bad][0]} outside [0, {len(LABEL_NAMES)})")
         for name, column in columns.items():
             object.__setattr__(self, name, column)
 
@@ -182,8 +185,8 @@ class WindowConfig:
     def __post_init__(self):
         if not self.window_rate_hz > 0:
             raise ConfigError(f"window_rate_hz must be > 0, got {self.window_rate_hz}")
-        if self.stride_frames < 1:
-            raise ConfigError(f"stride_frames must be >= 1, got {self.stride_frames}")
+        if not 1 <= self.stride_frames <= _INT64_MAX:  # np.arange takes an int64 step
+            raise ConfigError(f"stride_frames must lie in [1, 2**63 - 1], got {self.stride_frames}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +244,9 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
 
 
 # Every cell of a row, so that loadtxt rejects a row with more or fewer than
-# eight.  The id cell goes to a one-character placeholder: ids are read by a
-# separate call whose str dtype takes its width from the data.
+# eight.  Ids are read as Python strs, whose width the data sets.
 _CSV_COLUMNS = np.dtype([
-    ("vehicle_id", "U1"),
+    ("vehicle_id", object),
     ("frame", np.int64),
     ("features", np.float64, (len(FEATURE_NAMES),)),
     ("lane_id", np.int64),
@@ -256,30 +258,27 @@ def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] |
 
     Returns None whenever the row parser must decide instead: on any loadtxt
     error or warning (syntax the C reader rejects, such as `1_000`, which
-    int() accepts; blank lines; a wrong cell count; an integer outside int64)
-    and on any failed column check (non-finite feature, duplicate (vehicle,
-    frame)).  The row parser then gives the result or the line-numbered
-    ParseError.  NUL characters, which NumPy str arrays drop at the end of a
-    string, and lines past the csv module's field size limit go to the row
-    parser too.
+    int() accepts; a wrong cell count; an integer outside int64) and on any
+    failed column check (non-finite feature, duplicate (vehicle, frame)).
+    The row parser then gives the result or the line-numbered ParseError.
+    Lines past the csv module's field size limit go to the row parser too.
     """
-    limit = csv.field_size_limit()
-    if any("\0" in line or len(line) > limit for line in body):
+    if max(map(len, body), default=0) > csv.field_size_limit():
         return None
-    options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+    # one str per distinct id: a str per row fragmented the allocator and raised peak RSS
+    names: dict[str, str] = {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(body, dtype=_CSV_COLUMNS, **options)
-            ids = np.loadtxt(body, dtype=str, usecols=0, **options)
+            table = np.loadtxt(body, dtype=_CSV_COLUMNS, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1,
+                               converters={0: lambda cell: names.setdefault(cell, cell.strip())})
     except (ValueError, Warning):
         return None
     if not np.isfinite(table["features"]).all():
         return None
-    return _build_trajectories(
-        np.strings.strip(ids), table["frame"], table["features"], table["lane_id"],
-        sample_rate_hz,
-    )
+    return _build_trajectories(table["vehicle_id"], table["frame"], table["features"],
+                               table["lane_id"], sample_rate_hz)
 
 
 def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Trajectory]:
@@ -308,7 +307,6 @@ def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Traj
         seen.add(key)
         rows.append((vid, frame, values, lane))
     ids, frames, values, lanes = zip(*rows) if rows else ((), (), (), ())
-    # ids as objects: a NumPy str array drops trailing NULs
     return _build_trajectories(
         np.array(ids, dtype=object), np.array(frames, dtype=np.int64),
         np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
@@ -322,8 +320,10 @@ def _build_trajectories(
 ) -> list[Trajectory] | None:
     """One Trajectory per distinct id, in id order, its rows in frame order.
 
-    Returns None on a repeated (vehicle, frame) pair, which only the column
-    parser passes on: the row parser rejects it at its line.
+    Both parsers pass ids as an object array of strs stripped with str.strip,
+    not a NumPy str array, which drops trailing NULs.  Returns None on a
+    repeated (vehicle, frame) pair, which only the column parser passes on:
+    the row parser rejects it at its line.
     """
     vehicles, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
     order = np.lexsort((frames, inverse))

@@ -162,6 +162,28 @@ class TestTrain:
         assert_one_error_line(capsys.readouterr().err)
 
 
+class TestStrideBound:
+    """A stride past the int64 step np.arange takes is a usage error."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_exit_2(self, command, data_csv, trained_dir, tmp_path, capsys):
+        argv = [command, "--data", str(data_csv), "--stride", str(2**63),
+                "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--model", str(trained_dir / "model.spkl"),
+                     "--norm", str(trained_dir / "norm.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "stride_frames" in err
+
+    def test_largest_stride_runs(self, data_csv, tmp_path):
+        assert cli.main([
+            "train", "--data", str(data_csv), "--stride", str(2**63 - 1),
+            "--max-epochs", "1", "--out", str(tmp_path / "out"),
+        ]) == 0
+
+
 class TestUndecodableInput:
     """Text inputs that are not UTF-8 give exit 2 with an error line."""
 

@@ -165,10 +165,10 @@ PARITY_CASES = [
     ("quoted_comma_id", _body('"a,b",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), True),
     ("padded_id", _body(keep_row("  a  ", 1), keep_row("a", 0), keep_row("\ta", 2)), True),
     ("crlf", _body(keep_row("a", 0), keep_row("a", 1), newline="\r\n"), True),
-    ("blank_lines", _body(keep_row("a", 0), "", keep_row("a", 1), ""), False),
-    ("trailing_blank_line", _body(keep_row("a", 0), keep_row("a", 1), ""), False),
+    ("blank_lines", _body(keep_row("a", 0), "", keep_row("a", 1), ""), True),
+    ("trailing_blank_line", _body(keep_row("a", 0), keep_row("a", 1), ""), True),
     ("crlf_blank_lines",
-     _body("", keep_row("a", 0), "", "", keep_row("a", 1), newline="\r\n"), False),
+     _body("", keep_row("a", 0), "", "", keep_row("a", 1), newline="\r\n"), True),
     ("quoted_cell_spans_blank_line",
      _body('"a\n\nb",0,0.0,30.0,0.0,0.0,0.0,3', keep_row("a", 0)), True),
     ("whitespace_line", _body(keep_row("a", 0), "   ", keep_row("a", 1)), False),
@@ -177,11 +177,12 @@ PARITY_CASES = [
     ("signed_padded_frame", _body(keep_row("a", "+5"), keep_row("a", " 12 ")), True),
     ("interleaved", _body(*(keep_row(v, f) for f in (3, 1, 2, 0) for v in "cab")), True),
     ("duplicate", _body(keep_row("a", 0), keep_row("b", 0), keep_row(" a", 0)), False),
+    ("blank_line_then_duplicate", _body(keep_row("a", 0), "", keep_row("a", 0)), False),
     ("nan", _body(keep_row("a", 0), "a,1,nan,30.0,0.0,0.0,0.0,3"), False),
     ("infinity", _body(keep_row("a", 0), "a,1,0.0,infinity,0.0,0.0,0.0,3"), False),
     ("frame_2_63", _body(keep_row("a", 0), keep_row("a", 2**63)), False),
     ("extra_cell", _body(keep_row("a", 0), keep_row("a", 1) + ",9"), False),
-    ("nul_in_id", _body(keep_row("a\0", 0), keep_row("a", 1)), False),
+    ("nul_in_id", _body(keep_row("a\0", 0), keep_row("a", 1)), True),
     ("one_row", _body(keep_row("a", 7, lane=2, delta=-0.25)), True),
     ("header_only", _body(), False),
 ]
@@ -397,6 +398,15 @@ class TestMakeWindows:
         with pytest.raises(sl.ConfigError):
             sl.build_windows([traj], sl.WindowConfig(stride_frames=0))
 
+    def test_stride_bounded_by_int64(self):
+        with pytest.raises(sl.ConfigError, match="stride_frames"):
+            sl.WindowConfig(stride_frames=2**63)
+        windows = sl.build_windows(
+            [make_traj(n=100, vid="a"), make_traj(n=90, vid="b")],
+            sl.WindowConfig(stride_frames=2**63 - 1),
+        )
+        assert windows.vehicle_ids.tolist() == ["a", "b"]
+
 
 class TestWindowOracle:
     @pytest.mark.parametrize("stride", [1, 2, 5])
@@ -436,6 +446,12 @@ class TestWindowOracle:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(sl.ShapeError):
             sl.WindowSet(np.zeros((2, 12, 5)), [0], ["v", "v"], [0, 1])
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        with pytest.raises(sl.UsageError, match=rf"label {label} outside \[0, 3\)"):
+            sl.WindowSet(np.zeros((2, 12, 5)), [0, label], ["v", "v"], [0, 1])
+        assert len(sl.WindowSet(np.zeros((0, 12, 5)), [], [], [])) == 0
 
 
 class TestNormalizer:
