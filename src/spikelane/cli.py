@@ -130,11 +130,12 @@ def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(**overrides)
 
 
-def _load_windows(args) -> dataset.WindowSet:
+def _load_windows(args, stats: dataset.NormStats | None = None) -> dataset.WindowSet:
     config = dataset.WindowConfig(
         window_rate_hz=args.window_rate_hz, stride_frames=args.stride
     )
-    return dataset.build_windows(dataset.parse_trajectories(args.data, args.rate_hz), config)
+    trajectories = dataset.parse_trajectories(args.data, args.rate_hz)
+    return dataset.build_windows(trajectories, config, stats)
 
 
 def _normalized_split(args, seed: int):
@@ -184,13 +185,12 @@ def cmd_train(args) -> int:
 
 
 def _eval_windows(args, stats):
-    windows = _load_windows(args)
+    """The --split side of the windows, cut from normalized frames."""
+    windows = _load_windows(args, stats)
     if args.split == "all":
-        chosen = windows
-    else:
-        split = dataset.split_by_vehicle(windows, args.train_ratio, args.seed)
-        chosen = split.train if args.split == "train" else split.test
-    return dataset.apply_normalizer(stats, chosen)
+        return windows
+    split = dataset.split_by_vehicle(windows, args.train_ratio, args.seed)
+    return split.train if args.split == "train" else split.test
 
 
 def cmd_eval(args) -> int:

@@ -117,18 +117,20 @@ class WindowSet:
 
     An int index gives a WindowSample whose features are a view; a slice,
     mask or index array gives a WindowSet.  Iteration yields WindowSamples.
+    vehicle_ids is an object array of Python strs, not a NumPy str array,
+    which drops trailing NULs and so merges two ids that differ only in them.
     """
 
     features: np.ndarray     # (N, 12, 5) float64, C-contiguous
     labels: np.ndarray       # (N,) intp
-    vehicle_ids: np.ndarray  # (N,) str
+    vehicle_ids: np.ndarray  # (N,) object, each a str
     end_frames: np.ndarray   # (N,) int64
 
     def __post_init__(self):
         columns = {
             "features": np.ascontiguousarray(self.features, dtype=np.float64),
             "labels": np.asarray(self.labels, dtype=np.intp),
-            "vehicle_ids": np.asarray(self.vehicle_ids, dtype=str),
+            "vehicle_ids": np.asarray(self.vehicle_ids, dtype=object),
             "end_frames": np.asarray(self.end_frames, dtype=np.int64),
         }
         shapes = [c.shape for c in columns.values()]
@@ -325,7 +327,8 @@ def _build_trajectories(
     repeated (vehicle, frame) pair, which only the column parser passes on:
     the row parser rejects it at its line.
     """
-    vehicles, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    vehicles, inverse = _id_codes(ids)
+    counts = np.bincount(inverse, minlength=len(vehicles))
     order = np.lexsort((frames, inverse))
     frames, inverse = frames[order], inverse[order]
     if np.any((frames[1:] == frames[:-1]) & (inverse[1:] == inverse[:-1])):
@@ -340,12 +343,24 @@ def _build_trajectories(
             events=_events_from_lanes(t_index, values[:, 0], lane_ids),
         )
         for vid, t_index, values, lane_ids in zip(
-            vehicles.tolist(),
+            vehicles,
             np.split(frames, bounds),
             np.split(features[order], bounds),
             np.split(lanes[order], bounds),
         )
     ]
+
+
+def _id_codes(ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in str order, and each id's index among them.
+
+    A dict over the distinct ids, not np.unique, which sorts every element of
+    an object array with Python comparisons (about 7x slower on 61k ids).
+    """
+    vehicles = sorted(set(ids.tolist()))
+    index = {vid: i for i, vid in enumerate(vehicles)}
+    codes = np.fromiter(map(index.__getitem__, ids.tolist()), dtype=np.intp, count=len(ids))
+    return vehicles, codes
 
 
 def _events_from_lanes(
@@ -429,7 +444,8 @@ def _window_positions(n_frames: int, factor: int, stride: int) -> np.ndarray:
 
 
 def build_windows(
-    trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig()
+    trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig(),
+    stats: NormStats | None = None,
 ) -> WindowSet:
     """Label and window every trajectory; result ordered by (vehicle, end frame).
 
@@ -438,6 +454,13 @@ def build_windows(
     stride_frames raw frames, and is labeled by the per-frame label at its
     final raw frame.  Trajectories shorter than one window give no windows;
     two trajectories with one vehicle id raise UsageError.
+
+    With stats, each trajectory's (frames, 5) features are normalized before
+    its windows are cut.  NormStats.transform is elementwise per feature, so
+    the windows have the bits of apply_normalizer(stats, build_windows(...)),
+    with one transform per frame instead of one per window copy and no raw
+    window array.  Training still normalizes windows, since it fits its
+    stats on them.
     """
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
     ids = [t.vehicle_id for t in ordered]
@@ -458,10 +481,11 @@ def build_windows(
     labels = np.empty(sum(counts), dtype=np.intp)
     end_frames = np.empty(sum(counts), dtype=np.int64)
     for t, p, at in zip(ordered, positions, np.cumsum([0] + counts)):
-        features[at : at + len(p)] = t.features[p]
+        frames = t.features if stats is None else stats.transform(t.features)
+        features[at : at + len(p)] = frames[p]
         labels[at : at + len(p)] = label_frames(t)[p[:, -1]]
         end_frames[at : at + len(p)] = t.t_index[p[:, -1]]
-    return WindowSet(features, labels, np.repeat(ids, counts), end_frames)
+    return WindowSet(features, labels, np.repeat(np.array(ids, dtype=object), counts), end_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +558,17 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
         raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    vehicles = np.unique(samples.vehicle_ids)
+    vehicles, codes = _id_codes(samples.vehicle_ids)
     if len(vehicles) < 2:
         empty = "the window set is empty; " if len(samples) == 0 else ""
         raise SplitError(f"{empty}need at least 2 vehicles to split, got {len(vehicles)}")
     rng = np.random.default_rng(seed)
-    order = vehicles[rng.permutation(len(vehicles))]
+    order = rng.permutation(len(vehicles))
     n_train = int(round(ratio * len(vehicles)))
     n_train = min(max(n_train, 1), len(vehicles) - 1)
-    in_train = np.isin(samples.vehicle_ids, order[:n_train])
+    chosen = np.zeros(len(vehicles), dtype=bool)
+    chosen[order[:n_train]] = True
+    in_train = chosen[codes]
     return DatasetSplit(train=samples[in_train], test=samples[~in_train])
 
 

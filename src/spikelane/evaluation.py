@@ -212,20 +212,22 @@ def timeline_predict(
     window_rate_hz: float = 4.0,
 ) -> TimelineReport:
     """Slide one window per downsampled step along a trajectory, as
-    build_windows cuts them at a stride of one downsampled step.
+    build_windows cuts them from its normalized frames at a stride of one
+    downsampled step.
 
     A detection is the start of a run of DEBOUNCE_STEPS or more consecutive
     identical non-keep predictions.  A detection is counted false when no
     ground-truth onset follows it within the 3-second intention horizon.
     """
     factor = downsample_factor(traj.sample_rate_hz, window_rate_hz)
-    windows = build_windows([traj], WindowConfig(window_rate_hz, stride_frames=factor))
+    config = WindowConfig(window_rate_hz, stride_frames=factor)
+    windows = build_windows([traj], config, normalizer)
     if len(windows) == 0:
         raise UsageError(
             f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
             f"needs {(WINDOW_STEPS - 1) * factor + 1}"
         )
-    log_probs, _ = score(model, normalizer.transform(windows.features))
+    log_probs, _ = score(model, windows.features)
     probs = np.exp(log_probs)
     predicted = np.argmax(probs, axis=1)
     entries = tuple(

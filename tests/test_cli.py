@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import errno
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ class TestEval:
         self._run(data_csv, trained_dir, first)
         self._run(data_csv, trained_dir, second)
         assert (first / "eval_report.txt").read_bytes() == (second / "eval_report.txt").read_bytes()
+
+    def test_peak_memory_holds_one_window_array(self, trained_dir, tmp_path, capsys):
+        # windows cut from normalized frames: raw and normalized window arrays
+        # alive together would take the peak past 2x the window bytes
+        data = tmp_path / "fleet.csv"
+        assert cli.main(["synth", "--n", "40", "--seed", "5", "--out", str(data)]) == 0
+        window_bytes = sl.build_windows(sl.parse_trajectories(data, 25.0)).features.nbytes
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "eval", "--data", str(data), "--stride", "1", "--split", "all",
+                "--model", str(trained_dir / "model.spkl"),
+                "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.6 * window_bytes
 
     def test_split_sizes_add_up(self, data_csv, trained_dir, tmp_path, capsys):
         counts = {}

@@ -4,6 +4,7 @@ import csv
 import io
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -487,6 +488,20 @@ class TestNormalizer:
         normalized = sl.apply_normalizer(stats, windows)
         np.testing.assert_allclose(normalized[0].features.mean(axis=0), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("window_rate", [4.0, 5.0])
+    @pytest.mark.parametrize("stride", [1, 2, 7])
+    def test_windows_of_normalized_frames_match_normalized_windows(self, stride, window_rate):
+        trajs = sl.synthesize_dataset(8, 3)
+        config = sl.WindowConfig(window_rate, stride)
+        raw = sl.build_windows(trajs, config)
+        stats = sl.fit_normalizer(raw)
+        want = sl.apply_normalizer(stats, raw)
+        got = sl.build_windows(trajs, config, stats)
+        assert np.array_equal(got.features, want.features)
+        assert got.features.tobytes() == want.features.tobytes()  # the same bits, signs of 0 too
+        for column in ("labels", "vehicle_ids", "end_frames"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
+
     def test_save_load_round_trip(self, tmp_path):
         trajs = [make_traj(n=100, rng_seed=4)]
         stats = sl.fit_normalizer(sl.build_windows(trajs))
@@ -533,6 +548,18 @@ class TestSplit:
             assert train_v and test_v
             assert not (train_v & test_v)
             assert len(split.train) + len(split.test) == len(windows)
+
+    def test_ids_differing_by_a_trailing_nul_stay_apart(self):
+        rows = [HEADER] + [keep_row(vid, f) for vid in ("a\0", "a", "b") for f in range(100)]
+        trajs = sl.parse_trajectories(io.StringIO("\n".join(rows) + "\n"), 25.0)
+        assert [t.vehicle_id for t in trajs] == ["a", "a\0", "b"]
+        windows = sl.build_windows(trajs)
+        assert Counter(windows.vehicle_ids.tolist()) == {"a": 34, "a\0": 34, "b": 34}
+        split = sl.split_by_vehicle(windows, 0.5, seed=0)
+        train_v = {s.vehicle_id for s in split.train}
+        test_v = {s.vehicle_id for s in split.test}
+        assert len(train_v) == 2 and len(test_v) == 1
+        assert train_v | test_v == {"a", "a\0", "b"}
 
     def test_single_vehicle_rejected(self):
         with pytest.raises(sl.SplitError):

@@ -225,13 +225,16 @@ class TestScoringPath:
             assert np.array_equal(np.array([e.probs for e in timeline.entries]), probs[mine])
             assert [e.predicted for e in timeline.entries] == classes[mine].tolist()
 
-    @pytest.mark.parametrize("chunk", [1, 7, "N"])
+    @pytest.mark.parametrize("chunk", [1, 7, "N", "SCORE_CHUNK"])
     def test_report_independent_of_chunk_size(self, chunk, monkeypatch):
-        _, _, windows = fleet_windows()
+        _, _, windows = fleet_windows(vehicles=8)
+        # more windows than the module's own chunk, so it scores several chunks
+        assert len(windows) > model_module.SCORE_CHUNK
+        size = {"N": len(windows), "SCORE_CHUNK": model_module.SCORE_CHUNK}.get(chunk, chunk)
         model = sl.new_model(seed=5)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", 100_000)
         want = sl.evaluate(model, windows)
-        monkeypatch.setattr(model_module, "SCORE_CHUNK", len(windows) if chunk == "N" else chunk)
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", size)
         assert_same_report(sl.evaluate(model, windows), want)
 
     def test_spike_telemetry_counts_hidden_spikes(self):
