@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -210,7 +211,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _timeline_name(vehicle_id: str) -> str:
+    """The timeline file name of a vehicle, for an id that names one file in --out."""
+    if vehicle_id in (".", "..") or any(
+        sep and sep in vehicle_id for sep in (os.sep, os.altsep, "\0")
+    ):
+        raise UsageError(
+            f"vehicle id {vehicle_id!r} cannot name a timeline file in --out: it is . or .. "
+            f"or holds a path separator or NUL"
+        )
+    return f"timeline_{vehicle_id}.csv"
+
+
 def cmd_predict(args) -> int:
+    name = _timeline_name(args.vehicle)
     model = load_model(args.model)
     stats = dataset.load_norm_stats(args.norm)
     trajectories = dataset.parse_trajectories(args.data, args.rate_hz)
@@ -222,7 +236,7 @@ def cmd_predict(args) -> int:
     report = evaluation.timeline_predict(model, by_id[args.vehicle], stats, args.window_rate_hz)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"timeline_{report.vehicle_id}.csv"
+    path = out / name
     evaluation.write_timeline_csv(report, path)
     print(f"vehicle {report.vehicle_id}: {len(report.detections)} detections, "
           f"{len(report.onsets)} onsets, {len(report.false_detections)} false detections")

@@ -9,16 +9,17 @@ frames are lane-keeping.
 
 Windows are built by downsampling the frame stream toward a target rate and
 taking 12 consecutive downsampled steps; the window's label is the per-frame
-label at its final frame.  A window set is a `WindowSet`: four parallel arrays
-(features, labels, vehicle ids, end frames), not one object per window;
-indexing it with an int gives one `WindowSample`.
+label at its final frame.  A window set is a `WindowSet`: one table of frames,
+each stored once however many windows use it, and four parallel per-window
+arrays (the 12 table rows of each window, labels, vehicle ids, end frames),
+not one object per window; indexing it with an int gives one `WindowSample`.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -111,53 +112,100 @@ class WindowSample:
     end_frame: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WindowSet:
-    """N windows as four parallel arrays.
+    """N windows over one frame table: window i is frames[rows[i]].
 
-    An int index gives a WindowSample whose features are a view; a slice,
-    mask or index array gives a WindowSet.  Iteration yields WindowSamples.
-    vehicle_ids is an object array of Python strs, not a NumPy str array,
-    which drops trailing NULs and so merges two ids that differ only in them.
+    Each frame is stored once, however many windows use it; slices, masks
+    and both split_by_vehicle sides share one frames array.
+    WindowSet(features, labels, vehicle_ids, end_frames) takes an (N, 12, 5)
+    stack as its own table, with identity rows; with rows=, features is the
+    (F, 5) table those rows index (see window_table).  The features property
+    gathers the (N, 12, 5) stack, a copy.
+
+    An int index gives a WindowSample; a slice, mask or index array gives a
+    WindowSet.  Iteration yields WindowSamples.  vehicle_ids is an object
+    array of Python strs, not a NumPy str array, which drops trailing NULs
+    and so merges two ids that differ only in them.
     """
 
-    features: np.ndarray     # (N, 12, 5) float64, C-contiguous
+    frames: np.ndarray       # (F, 5) float64, C-contiguous
+    rows: np.ndarray         # (N, 12) intp, each in [0, F)
     labels: np.ndarray       # (N,) intp
     vehicle_ids: np.ndarray  # (N,) object, each a str
     end_frames: np.ndarray   # (N,) int64
 
-    def __post_init__(self):
+    def __init__(self, features, labels, vehicle_ids, end_frames, rows=None):
+        frames, rows = window_table(features, rows)
         columns = {
-            "features": np.ascontiguousarray(self.features, dtype=np.float64),
-            "labels": np.asarray(self.labels, dtype=np.intp),
-            "vehicle_ids": np.asarray(self.vehicle_ids, dtype=object),
-            "end_frames": np.asarray(self.end_frames, dtype=np.int64),
+            "labels": np.asarray(labels, dtype=np.intp),
+            "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
+            "end_frames": np.asarray(end_frames, dtype=np.int64),
         }
         shapes = [c.shape for c in columns.values()]
-        n = shapes[0][:1]
-        if shapes[0] != n + (WINDOW_STEPS, len(FEATURE_NAMES)) or any(s != n for s in shapes[1:]):
-            raise ShapeError(f"window set column shapes {shapes}, expected features "
-                             f"(N, {WINDOW_STEPS}, {len(FEATURE_NAMES)}) and (N,) for the rest")
+        if any(s != rows.shape[:1] for s in shapes):
+            raise ShapeError(f"window set column shapes {shapes}, expected ({len(rows)},) "
+                             f"for {len(rows)} windows")
         bad = (columns["labels"] < 0) | (columns["labels"] >= len(LABEL_NAMES))
         if bad.any():
             raise UsageError(f"label {columns['labels'][bad][0]} outside [0, {len(LABEL_NAMES)})")
-        for name, column in columns.items():
+        for name, column in {"frames": frames, "rows": rows, **columns}.items():
             object.__setattr__(self, name, column)
 
+    @property
+    def features(self) -> np.ndarray:
+        """The (N, 12, 5) window stack, gathered from the frame table: a copy."""
+        return np.take(self.frames, self.rows, axis=0)
+
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     def __getitem__(self, index):
-        features, label, vehicle_id, end_frame = (
-            self.features[index], self.labels[index],
+        rows, label, vehicle_id, end_frame = (
+            self.rows[index], self.labels[index],
             self.vehicle_ids[index], self.end_frames[index],
         )
         if isinstance(index, (int, np.integer)):
-            return WindowSample(features, int(label), str(vehicle_id), int(end_frame))
-        return WindowSet(features, label, vehicle_id, end_frame)
+            return WindowSample(np.take(self.frames, rows, axis=0), int(label),
+                                str(vehicle_id), int(end_frame))
+        return WindowSet(self.frames, label, vehicle_id, end_frame, rows=rows)
 
     def __iter__(self) -> Iterator[WindowSample]:
         return map(self.__getitem__, range(len(self)))
+
+
+def window_stack(windows) -> np.ndarray:
+    """The one window-shape check: windows as a float64 (N, 12, 5) stack."""
+    xs = np.asarray(windows, dtype=np.float64)
+    expected = (WINDOW_STEPS, len(FEATURE_NAMES))
+    if xs.ndim != 3 or xs.shape[1:] != expected:
+        raise ShapeError(
+            f"window shape {xs.shape[1:]}, expected {expected} (stack shape {xs.shape})"
+        )
+    return xs
+
+
+def window_table(windows, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """The C-contiguous float64 (F, 5) frame table and (N, 12) intp rows of
+    some windows, window i being table[rows[i]].
+
+    Without rows, windows is an (N, 12, 5) stack, which becomes its own
+    (N * 12, 5) table (a view when it is already C-contiguous float64) with
+    identity rows.  With rows, windows is the table, and every row must
+    index it.
+    """
+    if rows is None:
+        xs = np.ascontiguousarray(window_stack(windows))
+        rows = np.arange(xs.shape[0] * WINDOW_STEPS, dtype=np.intp).reshape(-1, WINDOW_STEPS)
+        return xs.reshape(-1, len(FEATURE_NAMES)), rows
+    frames = np.ascontiguousarray(windows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
+    if frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or rows.shape[1:] != (WINDOW_STEPS,):
+        raise ShapeError(f"frame table shape {frames.shape} and rows shape {rows.shape}, "
+                         f"expected (F, {len(FEATURE_NAMES)}) and (N, {WINDOW_STEPS})")
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(frames):
+        raise ShapeError(f"window rows outside the {len(frames)} frames of the table")
+    return frames, rows
 
 
 @dataclass(frozen=True)
@@ -309,8 +357,13 @@ def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Traj
         seen.add(key)
         rows.append((vid, frame, values, lane))
     ids, frames, values, lanes = zip(*rows) if rows else ((), (), (), ())
+    # One fresh str per distinct id, made after every per-row object: a
+    # per-row str kept as a vehicle id pins the allocator arenas of the freed
+    # rows.  "".join copies a str of two or more characters; shorter ones are
+    # cached singletons.
+    fresh = {vid: "".join(vid) for vid in set(ids)}
     return _build_trajectories(
-        np.array(ids, dtype=object), np.array(frames, dtype=np.int64),
+        np.array([fresh[vid] for vid in ids], dtype=object), np.array(frames, dtype=np.int64),
         np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
         np.array(lanes, dtype=np.int64), sample_rate_hz,
     )
@@ -435,12 +488,11 @@ def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
     return factor
 
 
-def _window_positions(n_frames: int, factor: int, stride: int) -> np.ndarray:
-    """(windows, WINDOW_STEPS) frame positions: frames `factor` apart, one
-    window starting every `stride` frames while the window still fits."""
+def _window_starts(n_frames: int, factor: int, stride: int) -> np.ndarray:
+    """First frame position of each window of WINDOW_STEPS frames `factor`
+    apart: one every `stride` frames while the window still fits."""
     # stop clamped at 0: np.arange rejects one below the int64 range, as a huge factor gives
-    starts = np.arange(0, max(n_frames - (WINDOW_STEPS - 1) * factor, 0), stride)
-    return starts[:, None] + factor * np.arange(WINDOW_STEPS)
+    return np.arange(0, max(n_frames - (WINDOW_STEPS - 1) * factor, 0), stride)
 
 
 def build_windows(
@@ -455,37 +507,44 @@ def build_windows(
     final raw frame.  Trajectories shorter than one window give no windows;
     two trajectories with one vehicle id raise UsageError.
 
-    With stats, each trajectory's (frames, 5) features are normalized before
-    its windows are cut.  NormStats.transform is elementwise per feature, so
-    the windows have the bits of apply_normalizer(stats, build_windows(...)),
-    with one transform per frame instead of one per window copy and no raw
-    window array.  Training still normalizes windows, since it fits its
-    stats on them.
+    The frame table holds the frames of every trajectory that gives a
+    window, each once, and is normalized with stats when they are given.
+    NormStats.transform is elementwise per feature, so every window has the
+    bits of apply_normalizer(stats, build_windows(...)), and the raw table is
+    only transient.  Training still normalizes after the split, since it
+    fits its stats on the training windows.
     """
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
     ids = [t.vehicle_id for t in ordered]
     if len(set(ids)) < len(ids):
         raise UsageError("trajectories share a vehicle id")
-    positions = [
-        _window_positions(
-            len(t), downsample_factor(t.sample_rate_hz, config.window_rate_hz),
-            config.stride_frames,
-        )
-        for t in ordered
-    ]
-    counts = [len(p) for p in positions]
-    # Each column is allocated once and filled trajectory by trajectory; a
-    # concatenated frame copy and (N, steps) index left heap behind that
-    # raised the peak RSS of ingest.
-    features = np.empty((sum(counts), WINDOW_STEPS, len(FEATURE_NAMES)))
+    windowed = []
+    for t in ordered:
+        factor = downsample_factor(t.sample_rate_hz, config.window_rate_hz)
+        starts = _window_starts(len(t), factor, config.stride_frames)
+        if len(starts):
+            windowed.append((t, factor, starts))
+    counts = [len(starts) for _, _, starts in windowed]
+    # Each column is allocated once and filled trajectory by trajectory:
+    # concatenated per-trajectory pieces left heap behind that raised the
+    # peak RSS of ingest.
+    frames = np.empty((sum(len(t) for t, _, _ in windowed), len(FEATURE_NAMES)))
+    rows = np.empty((sum(counts), WINDOW_STEPS), dtype=np.intp)
     labels = np.empty(sum(counts), dtype=np.intp)
     end_frames = np.empty(sum(counts), dtype=np.int64)
-    for t, p, at in zip(ordered, positions, np.cumsum([0] + counts)):
-        frames = t.features if stats is None else stats.transform(t.features)
-        features[at : at + len(p)] = frames[p]
-        labels[at : at + len(p)] = label_frames(t)[p[:, -1]]
-        end_frames[at : at + len(p)] = t.t_index[p[:, -1]]
-    return WindowSet(features, labels, np.repeat(np.array(ids, dtype=object), counts), end_frames)
+    at = offset = 0
+    for t, factor, starts in windowed:
+        steps = factor * np.arange(WINDOW_STEPS)
+        ends = starts + steps[-1]
+        frames[offset : offset + len(t)] = t.features
+        np.add.outer(starts + offset, steps, out=rows[at : at + len(starts)])
+        labels[at : at + len(starts)] = label_frames(t)[ends]
+        end_frames[at : at + len(starts)] = t.t_index[ends]
+        at, offset = at + len(starts), offset + len(t)
+    if stats is not None:
+        frames = stats.transform(frames)
+    vehicle_ids = np.repeat(np.array([t.vehicle_id for t, _, _ in windowed], dtype=object), counts)
+    return WindowSet(frames, labels, vehicle_ids, end_frames, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +556,9 @@ def fit_normalizer(train: WindowSet) -> NormStats:
     """Per-feature mean/std over all rows of the training windows."""
     if len(train) == 0:
         raise UsageError("fit_normalizer needs at least one window")
-    rows = train.features.reshape(-1, train.features.shape[-1])
+    # the gathered window rows, not the table: the mean and std keep the bits
+    # of a sum over every window copy of each frame, in window order
+    rows = train.features.reshape(-1, len(FEATURE_NAMES))
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     degenerate = std <= 1e-12 * (1.0 + np.abs(mean))
@@ -508,7 +569,11 @@ def fit_normalizer(train: WindowSet) -> NormStats:
 
 
 def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
-    return replace(samples, features=stats.transform(samples.features))
+    """The same windows over a normalized copy of the frame table.  The
+    transform is elementwise, so each window gets the bits of transforming
+    its own (12, 5) features."""
+    return WindowSet(stats.transform(samples.frames), samples.labels, samples.vehicle_ids,
+                     samples.end_frames, rows=samples.rows)
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:
@@ -578,7 +643,8 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
 
 
 def stack_windows(samples: WindowSet) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, 12, 5) features and (N,) labels of a window set, not copied."""
+    """The (N, 12, 5) features, gathered from the frame table (a copy), and
+    the (N,) labels of a window set."""
     if len(samples) == 0:
         raise UsageError("no windows to stack")
     return samples.features, samples.labels

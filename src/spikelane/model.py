@@ -13,10 +13,12 @@ backward_batch and serves training; score is the inference path, which keeps
 none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
-same layout.  ForwardCache keeps its batch-major (N, T, hidden) shapes as
-transposed views of those stacks, which are therefore not C-contiguous.  All
-of these are pure functions of their arguments; models are plain frozen-array
-containers, so sharing a model across threads for inference is safe.
+same layout.  score reads windows as a frame table and (N, 12) rows into it,
+as a WindowSet stores them, and gathers each chunk time-major in one take.
+ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
+of those stacks, which are therefore not C-contiguous.  All of these are pure
+functions of their arguments; models are plain frozen-array containers, so
+sharing a model across threads for inference is safe.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS
+from .dataset import FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, window_stack, window_table
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 RESET_TO_ZERO = "to_zero"
@@ -253,16 +255,15 @@ def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
 
 
 def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
-    """Time-major (T, N, hidden) input currents of an (N, T, in) window stack.
+    """Time-major (T, N, hidden) input currents of a C-contiguous time-major
+    (T, N, in) window stack.
 
-    One GEMM over a contiguous time-major copy of the stack.  With only in_dim
-    terms per sum, BLAS adds them in one order whatever the number or order
-    of rows, so every current has the bits of x[n, t] @ W + b.  For a batch
-    of one the time-major stack is the same memory, and nothing is copied.
+    One GEMM over the stack's (T * N, in) rows, read in place.  With only
+    in_dim terms per sum, BLAS adds them in one order whatever the number or
+    order of rows, so every current has the bits of x[n, t] @ W + b.
     """
-    n, steps, in_dim = xs.shape
-    rows = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * n, in_dim)
-    currents = rows @ layer.weights
+    steps, n, in_dim = xs.shape
+    currents = xs.reshape(steps * n, in_dim) @ layer.weights
     currents += layer.bias
     return currents.reshape(steps, n, layer.out_dim)
 
@@ -342,70 +343,65 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
     """Vectorized forward pass over a (N, 12, 5) stack."""
-    xs = _window_stack(windows)
+    xs = window_stack(windows)
     if not np.isfinite(xs).all():
         raise NumericError("window stack must be finite")
     return _forward_stack(model, xs)
 
 
-def _window_stack(windows) -> np.ndarray:
-    """The one window-shape check behind forward, forward_batch, score and predict."""
-    xs = np.asarray(windows, dtype=np.float64)
-    expected = (WINDOW_STEPS, len(FEATURE_NAMES))
-    if xs.ndim != 3 or xs.shape[1:] != expected:
-        raise ShapeError(
-            f"window shape {xs.shape[1:]}, expected {expected} (stack shape {xs.shape})"
-        )
-    return xs
-
-
 # Windows per score() chunk.  It bounds the working memory of scoring: one
 # chunk's (T, chunk, hidden) currents are the largest array score() holds
-# (2.4 MB at 1,024 windows, 9.4 MB at 4,096).  It is sized for the cache: each
+# (2.4 MB at 1,024 windows, 9.4 MB at 4,096), beside its gathered
+# (T, chunk, in) input (0.5 MB at 1,024).  It is sized for the cache: each
 # LIF step works on about five (chunk, hidden) float64 arrays (the step's
 # currents, the membrane, the next state, a temporary and the spike count),
 # about 1 MB at 1,024 windows, which fits a 2-MiB L2, against 4 MB at 4,096.
-# score() on 57,464 windows (2-CPU Xeon, one BLAS thread, best of 8 rounds of
-# 5) took 0.108 s at 1,024, 0.111-0.122 s at 512-2,048 and 0.143 s at 4,096.
-# Every chunk size gives the same bits.
+# score() on 57,450 windows (2-CPU Xeon, one BLAS thread, best of 12 rounds of
+# 3, two runs) took 0.099-0.104 s at 512 and 1,024, 0.106-0.107 s at 2,048
+# and 0.108-0.112 s at 4,096.  Every chunk size gives the same bits.
 SCORE_CHUNK = 1024
 
 
-def score(model: Model, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference over a (N, 12, 5) stack, caching nothing.
+def score(model: Model, windows: np.ndarray, rows: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Inference over N windows, caching nothing.
 
-    Returns the (N, classes) log-probabilities and the (N,) int64 count of
-    hidden-layer spikes per window.  The stack is scored SCORE_CHUNK windows
-    at a time: the time-major feature currents, the LIF recurrence keeping
-    only the running state and a per-neuron spike count, then the readout.
-    The readout is an einsum rather than a BLAS matmul, so every row depends
-    only on its own window: a batch of one gives the same bits as that window
-    inside any batch, for any chunk size.  forward_batch stays the training
-    path, whose cache the backward pass reads.
+    windows and rows are as window_table takes them: an (N, 12, 5) stack, or
+    an (F, 5) frame table with the (N, 12) rows of each window in it, as a
+    WindowSet holds them.  Returns the (N, classes) log-probabilities and the
+    (N,) int64 count of hidden-layer spikes per window.  The windows are
+    scored SCORE_CHUNK at a time: one gather of the chunk's time-major
+    (T, chunk, in) input from the table, the feature currents, the LIF
+    recurrence keeping only the running state and a per-neuron spike count,
+    then the readout.  The readout is an einsum rather than a BLAS matmul,
+    so every row depends only on its own window: a batch of one gives the
+    same bits as that window inside any batch, for any chunk size.
+    forward_batch stays the training path, whose cache the backward pass
+    reads.
     """
-    xs = _window_stack(windows)
-    n = len(xs)
+    frames, rows = window_table(windows, rows)
+    n = len(rows)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
     for start in range(0, n, SCORE_CHUNK):
-        chunk = xs[start : start + SCORE_CHUNK]
-        if not np.isfinite(chunk).all():
+        xs = np.take(frames, rows[start : start + SCORE_CHUNK].T, axis=0)
+        if not np.isfinite(xs).all():
             raise NumericError("window stack must be finite")
-        currents = _feature_currents(chunk, model.feature_layer)
-        counts = np.zeros((len(chunk), model.hidden_dim))
+        currents = _feature_currents(xs, model.feature_layer)
+        counts = np.zeros((xs.shape[1], model.hidden_dim))
         # training's recurrence, over the same (T, chunk, hidden) layout
         for _, _, fired in _lif_steps(currents, model.lif):
             counts += fired
         pooled = counts / model.input_steps  # the bits of _forward_stack's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
-        log_probs[start : start + len(chunk)] = _log_softmax(logits)
-        spike_counts[start : start + len(chunk)] = counts.sum(axis=1)
+        log_probs[start : start + len(counts)] = _log_softmax(logits)
+        spike_counts[start : start + len(counts)] = counts.sum(axis=1)
     return log_probs, spike_counts
 
 
 def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
-    currents = _feature_currents(xs, model.feature_layer)
+    currents = _feature_currents(np.ascontiguousarray(xs.transpose(1, 0, 2)), model.feature_layer)
     spikes, membrane = _lif_core(currents, model.lif)
     pooled = spikes.mean(axis=0)
     logits = pooled @ model.classifier.weights + model.classifier.bias

@@ -117,8 +117,8 @@ def train(
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
-    windows, labels = train_set.features, train_set.labels
-    n = windows.shape[0]
+    frames, rows, labels = train_set.frames, train_set.rows, train_set.labels
+    n = len(rows)
     rng = np.random.default_rng(config.seed)
     theta = flatten_params(model_params(model))
     # the working model views theta, which each step updates in place
@@ -137,7 +137,8 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            cache = forward_batch(current, windows[idx])
+            # the batch's (B, 12, 5) windows, gathered from the frame table
+            cache = forward_batch(current, np.take(frames, rows[idx], axis=0))
             batch_labels = labels[idx]
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())

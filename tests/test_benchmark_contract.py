@@ -52,7 +52,10 @@ def fleet():
 def test_stack_windows_returns_the_window_set_arrays(fleet):
     _, windows, _ = fleet
     features, labels = sl.dataset.stack_windows(windows)
-    assert features is windows.features and labels is windows.labels
+    # the windows gathered from the frame table, beside the labels themselves
+    assert features.shape == (len(windows), 12, 5) and features.flags.c_contiguous
+    assert np.array_equal(features, windows.frames[windows.rows])
+    assert labels is windows.labels
 
 
 def test_window_set_iterates_window_samples(fleet):

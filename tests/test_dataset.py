@@ -430,19 +430,51 @@ class TestWindowOracle:
 
     def test_window_set_rows_and_subsets(self):
         windows = sl.build_windows([make_traj(n=80, vid="a"), make_traj(n=70, vid="b")])
-        assert windows.features.flags.c_contiguous
+        # each frame once in one table; each window its 12 rows in it
+        assert windows.frames.flags.c_contiguous and windows.frames.shape == (150, 5)
+        assert windows.rows.shape == (len(windows), 12)
         assert windows.features.shape == (len(windows), 12, 5)
         row = windows[-1]
         assert isinstance(row, sl.WindowSample)
         assert (row.vehicle_id, row.end_frame, row.label) == ("b", 69, 0)
-        assert np.shares_memory(row.features, windows.features)
+        assert np.array_equal(row.features, windows.frames[windows.rows[-1]])
         head = windows[:3]
         assert isinstance(head, sl.WindowSet) and len(head) == 3
         assert [w.end_frame for w in head] == [66, 67, 68]
         only_b = windows[windows.vehicle_ids == "b"]
         assert only_b.end_frames.tolist() == [66, 67, 68, 69]
+        assert head.frames is windows.frames and only_b.frames is windows.frames
         xs, ys = sl.stack_windows(windows)
-        assert xs is windows.features and ys is windows.labels
+        assert np.array_equal(xs, windows.features) and ys is windows.labels
+
+    @pytest.mark.parametrize("stride", [1, 2, 7])
+    @pytest.mark.parametrize("window_rate", [4.0, 5.0])
+    def test_frame_table_matches_oracle(self, stride, window_rate):
+        trajs = [
+            make_traj(n=200, rate=25.0, vid="a", rng_seed=1),
+            make_traj(n=150, rate=12.0, vid="b", rng_seed=2),
+            make_traj(n=40, rate=25.0, vid="c", rng_seed=3),  # shorter than one window
+        ]
+        windows = sl.build_windows(trajs, sl.WindowConfig(window_rate, stride))
+        want, ends = [], []
+        for traj in trajs:
+            factor = round(traj.sample_rate_hz / window_rate)
+            for start in range(0, len(traj) - 11 * factor, stride):
+                want.append(traj.features[start + factor * np.arange(12)])
+                ends.append(traj.t_index[start + 11 * factor])
+        assert windows.frames[windows.rows].tobytes() == np.array(want).tobytes()
+        assert windows.end_frames.tolist() == ends
+        assert set(windows.vehicle_ids) == {"a", "b"}
+        split = sl.split_by_vehicle(windows, 0.5, seed=0)
+        assert split.train.frames is split.test.frames is windows.frames
+
+    def test_rows_must_index_the_table(self):
+        table = np.zeros((12, 5))
+        with pytest.raises(sl.ShapeError, match="outside the 12 frames"):
+            sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(1, 13)])
+        with pytest.raises(sl.ShapeError, match=r"rows shape \(1, 11\)"):
+            sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(11)])
+        assert len(sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(12)])) == 1
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(sl.ShapeError):

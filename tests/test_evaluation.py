@@ -230,12 +230,17 @@ class TestScoringPath:
         _, _, windows = fleet_windows(vehicles=8)
         # more windows than the module's own chunk, so it scores several chunks
         assert len(windows) > model_module.SCORE_CHUNK
+        # the same windows as their own (N * 12, 5) table with identity rows
+        stacked = sl.WindowSet(windows.features, windows.labels, windows.vehicle_ids,
+                               windows.end_frames)
+        assert len(windows.frames) < len(stacked.frames) == 12 * len(windows)
         size = {"N": len(windows), "SCORE_CHUNK": model_module.SCORE_CHUNK}.get(chunk, chunk)
         model = sl.new_model(seed=5)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", 100_000)
         want = sl.evaluate(model, windows)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", size)
         assert_same_report(sl.evaluate(model, windows), want)
+        assert_same_report(sl.evaluate(model, stacked), want)
 
     def test_spike_telemetry_counts_hidden_spikes(self):
         _, _, windows = fleet_windows()
