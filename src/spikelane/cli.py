@@ -140,12 +140,16 @@ def _load_windows(args, stats: dataset.NormStats | None = None) -> dataset.Windo
 
 
 def _normalized_split(args, seed: int):
-    """Windows -> split -> normalize.  Returns the stats and both normalized
-    sides; the raw windows and split die with this call."""
-    split = dataset.split_by_vehicle(_load_windows(args), args.train_ratio, seed)
-    stats = dataset.fit_normalizer(split.train)
-    train_set = dataset.apply_normalizer(stats, split.train)
-    return stats, train_set, dataset.apply_normalizer(stats, split.test)
+    """Windows -> split -> fit on the train side -> normalize -> split again.
+    Returns the stats and both normalized sides, which share one normalized
+    frame table; the raw windows die with this call.  The split depends only
+    on the vehicle ids and the seed, so both splits put every window on the
+    same side."""
+    windows = _load_windows(args)
+    stats = dataset.fit_normalizer(dataset.split_by_vehicle(windows, args.train_ratio, seed).train)
+    normalized = dataset.apply_normalizer(stats, windows)
+    split = dataset.split_by_vehicle(normalized, args.train_ratio, seed)
+    return stats, split.train, split.test
 
 
 def _fit_and_train(args):

@@ -10,9 +10,10 @@ frames are lane-keeping.
 Windows are built by downsampling the frame stream toward a target rate and
 taking 12 consecutive downsampled steps; the window's label is the per-frame
 label at its final frame.  A window set is a `WindowSet`: one table of frames,
-each stored once however many windows use it, and four parallel per-window
-arrays (the 12 table rows of each window, labels, vehicle ids, end frames),
-not one object per window; indexing it with an int gives one `WindowSample`.
+each stored once however many windows use it, and five parallel per-window
+arrays (each window's first table row and the step between its rows, labels,
+vehicle ids, end frames), not one object per window; indexing it with an int
+gives one `WindowSample`.
 """
 
 from __future__ import annotations
@@ -114,14 +115,16 @@ class WindowSample:
 
 @dataclass(frozen=True, init=False)
 class WindowSet:
-    """N windows over one frame table: window i is frames[rows[i]].
+    """N windows over one frame table: window i is
+    frames[starts[i] + steps[i] * arange(12)].
 
     Each frame is stored once, however many windows use it; slices, masks
     and both split_by_vehicle sides share one frames array.
     WindowSet(features, labels, vehicle_ids, end_frames) takes an (N, 12, 5)
-    stack as its own table, with identity rows; with rows=, features is the
-    (F, 5) table those rows index (see window_table).  The features property
-    gathers the (N, 12, 5) stack, a copy.
+    stack as its own table, window i starting at row 12 * i with step 1;
+    with starts= and steps=, features is the (F, 5) table they index (see
+    window_table).  The features property gathers the (N, 12, 5) stack, a
+    copy.
 
     An int index gives a WindowSample; a slice, mask or index array gives a
     WindowSet.  Iteration yields WindowSamples.  vehicle_ids is an object
@@ -130,45 +133,47 @@ class WindowSet:
     """
 
     frames: np.ndarray       # (F, 5) float64, C-contiguous
-    rows: np.ndarray         # (N, 12) intp, each in [0, F)
+    starts: np.ndarray       # (N,) intp, each window's first row in frames
+    steps: np.ndarray        # (N,) intp >= 1, the rows between its frames
     labels: np.ndarray       # (N,) intp
     vehicle_ids: np.ndarray  # (N,) object, each a str
     end_frames: np.ndarray   # (N,) int64
 
-    def __init__(self, features, labels, vehicle_ids, end_frames, rows=None):
-        frames, rows = window_table(features, rows)
+    def __init__(self, features, labels, vehicle_ids, end_frames, starts=None, steps=None):
+        frames, starts, steps = window_table(features, starts, steps)
         columns = {
             "labels": np.asarray(labels, dtype=np.intp),
             "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
             "end_frames": np.asarray(end_frames, dtype=np.int64),
         }
         shapes = [c.shape for c in columns.values()]
-        if any(s != rows.shape[:1] for s in shapes):
-            raise ShapeError(f"window set column shapes {shapes}, expected ({len(rows)},) "
-                             f"for {len(rows)} windows")
+        if any(s != starts.shape for s in shapes):
+            raise ShapeError(f"window set column shapes {shapes}, expected ({len(starts)},) "
+                             f"for {len(starts)} windows")
         bad = (columns["labels"] < 0) | (columns["labels"] >= len(LABEL_NAMES))
         if bad.any():
             raise UsageError(f"label {columns['labels'][bad][0]} outside [0, {len(LABEL_NAMES)})")
-        for name, column in {"frames": frames, "rows": rows, **columns}.items():
+        for name, column in {"frames": frames, "starts": starts, "steps": steps,
+                             **columns}.items():
             object.__setattr__(self, name, column)
 
     @property
     def features(self) -> np.ndarray:
         """The (N, 12, 5) window stack, gathered from the frame table: a copy."""
-        return np.take(self.frames, self.rows, axis=0)
+        return np.take(self.frames, window_rows(self.starts, self.steps), axis=0)
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.starts.shape[0]
 
     def __getitem__(self, index):
-        rows, label, vehicle_id, end_frame = (
-            self.rows[index], self.labels[index],
+        starts, steps, label, vehicle_id, end_frame = (
+            self.starts[index], self.steps[index], self.labels[index],
             self.vehicle_ids[index], self.end_frames[index],
         )
         if isinstance(index, (int, np.integer)):
-            return WindowSample(np.take(self.frames, rows, axis=0), int(label),
-                                str(vehicle_id), int(end_frame))
-        return WindowSet(self.frames, label, vehicle_id, end_frame, rows=rows)
+            return WindowSample(np.take(self.frames, window_rows(starts, steps), axis=0),
+                                int(label), str(vehicle_id), int(end_frame))
+        return WindowSet(self.frames, label, vehicle_id, end_frame, starts=starts, steps=steps)
 
     def __iter__(self) -> Iterator[WindowSample]:
         return map(self.__getitem__, range(len(self)))
@@ -185,27 +190,47 @@ def window_stack(windows) -> np.ndarray:
     return xs
 
 
-def window_table(windows, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """The C-contiguous float64 (F, 5) frame table and (N, 12) intp rows of
-    some windows, window i being table[rows[i]].
+_STEP_OFFSETS = np.arange(WINDOW_STEPS)
 
-    Without rows, windows is an (N, 12, 5) stack, which becomes its own
-    (N * 12, 5) table (a view when it is already C-contiguous float64) with
-    identity rows.  With rows, windows is the table, and every row must
-    index it.
+
+def window_rows(starts, steps) -> np.ndarray:
+    """The table rows of windows with these starts and steps: (..., 12),
+    a window's rows along the last axis."""
+    return np.multiply.outer(steps, _STEP_OFFSETS) + starts[..., None]
+
+
+def window_table(windows, starts=None, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The C-contiguous float64 (F, 5) frame table and the (N,) intp starts
+    and steps of some windows, window i being
+    table[starts[i] + steps[i] * arange(12)].
+
+    Without starts and steps, windows is an (N, 12, 5) stack, which becomes
+    its own (N * 12, 5) table (a view when it is already C-contiguous
+    float64), window i starting at row 12 * i with step 1.  With them,
+    windows is the table, every start must be >= 0, every step >= 1, and
+    every window's last row inside the table.
     """
-    if rows is None:
+    if starts is None and steps is None:
         xs = np.ascontiguousarray(window_stack(windows))
-        rows = np.arange(xs.shape[0] * WINDOW_STEPS, dtype=np.intp).reshape(-1, WINDOW_STEPS)
-        return xs.reshape(-1, len(FEATURE_NAMES)), rows
+        starts = np.arange(0, xs.shape[0] * WINDOW_STEPS, WINDOW_STEPS, dtype=np.intp)
+        return xs.reshape(-1, len(FEATURE_NAMES)), starts, np.ones_like(starts)
+    if starts is None or steps is None:
+        raise ShapeError("window starts and steps must be given together")
     frames = np.ascontiguousarray(windows, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.intp)
-    if frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or rows.shape[1:] != (WINDOW_STEPS,):
-        raise ShapeError(f"frame table shape {frames.shape} and rows shape {rows.shape}, "
-                         f"expected (F, {len(FEATURE_NAMES)}) and (N, {WINDOW_STEPS})")
-    if rows.size and not 0 <= rows.min() <= rows.max() < len(frames):
-        raise ShapeError(f"window rows outside the {len(frames)} frames of the table")
-    return frames, rows
+    starts = np.asarray(starts, dtype=np.intp)
+    steps = np.asarray(steps, dtype=np.intp)
+    if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
+            or steps.shape != starts.shape):
+        raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} and "
+                         f"steps shape {steps.shape}, expected (F, {len(FEATURE_NAMES)}), "
+                         f"(N,) and (N,)")
+    # the last row bound as a quotient, so that no step * 11 can wrap around int64
+    bad = (starts < 0) | (steps < 1) | (steps > (len(frames) - 1 - starts) // (WINDOW_STEPS - 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
+                         f"the {len(frames)} frames of the table")
+    return frames, starts, steps
 
 
 @dataclass(frozen=True)
@@ -529,22 +554,23 @@ def build_windows(
     # concatenated per-trajectory pieces left heap behind that raised the
     # peak RSS of ingest.
     frames = np.empty((sum(len(t) for t, _, _ in windowed), len(FEATURE_NAMES)))
-    rows = np.empty((sum(counts), WINDOW_STEPS), dtype=np.intp)
+    table_starts = np.empty(sum(counts), dtype=np.intp)
+    steps = np.empty(sum(counts), dtype=np.intp)
     labels = np.empty(sum(counts), dtype=np.intp)
     end_frames = np.empty(sum(counts), dtype=np.int64)
     at = offset = 0
     for t, factor, starts in windowed:
-        steps = factor * np.arange(WINDOW_STEPS)
-        ends = starts + steps[-1]
+        ends = starts + (WINDOW_STEPS - 1) * factor
         frames[offset : offset + len(t)] = t.features
-        np.add.outer(starts + offset, steps, out=rows[at : at + len(starts)])
+        np.add(starts, offset, out=table_starts[at : at + len(starts)])
+        steps[at : at + len(starts)] = factor
         labels[at : at + len(starts)] = label_frames(t)[ends]
         end_frames[at : at + len(starts)] = t.t_index[ends]
         at, offset = at + len(starts), offset + len(t)
     if stats is not None:
         frames = stats.transform(frames)
     vehicle_ids = np.repeat(np.array([t.vehicle_id for t, _, _ in windowed], dtype=object), counts)
-    return WindowSet(frames, labels, vehicle_ids, end_frames, rows=rows)
+    return WindowSet(frames, labels, vehicle_ids, end_frames, starts=table_starts, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +578,28 @@ def build_windows(
 # ---------------------------------------------------------------------------
 
 
+# Windows gathered per fit_normalizer chunk, about 0.5 MB of rows.  On a
+# 15,340-window training set the fit peaked at 1.0 MB under tracemalloc, where
+# gathering the whole (N, 12, 5) stack and its squared deviations took
+# 14.1 MB.  Every chunk size gives the same bits.
+_FIT_CHUNK = 1024
+
+
 def fit_normalizer(train: WindowSet) -> NormStats:
-    """Per-feature mean/std over all rows of the training windows."""
+    """Per-feature mean/std over all rows of the training windows.
+
+    The window rows are gathered _FIT_CHUNK windows at a time, never as one
+    (N, 12, 5) stack.  NumPy sums a C-contiguous (M, 5) array along axis 0
+    one row after another, so each chunk's sum starts from the running total
+    (stacked on top as its first row), and the mean and std keep the bits
+    of train.features.reshape(-1, 5).mean(axis=0) and .std(axis=0): a sum
+    over every window copy of each frame, in window order.
+    """
     if len(train) == 0:
         raise UsageError("fit_normalizer needs at least one window")
-    # the gathered window rows, not the table: the mean and std keep the bits
-    # of a sum over every window copy of each frame, in window order
-    rows = train.features.reshape(-1, len(FEATURE_NAMES))
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    count = len(train) * WINDOW_STEPS
+    mean = _column_sum(_row_chunks(train)) / count
+    std = np.sqrt(_column_sum(np.square(rows - mean) for rows in _row_chunks(train)) / count)
     degenerate = std <= 1e-12 * (1.0 + np.abs(mean))
     if degenerate.any():
         name = FEATURE_NAMES[int(np.argmax(degenerate))]
@@ -568,12 +607,30 @@ def fit_normalizer(train: WindowSet) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
+def _row_chunks(windows: WindowSet) -> Iterator[np.ndarray]:
+    """The rows of every window, in window order, as (12 * chunk, 5) arrays
+    of _FIT_CHUNK windows each."""
+    for start in range(0, len(windows), _FIT_CHUNK):
+        chunk = slice(start, start + _FIT_CHUNK)
+        rows = window_rows(windows.starts[chunk], windows.steps[chunk])
+        yield np.take(windows.frames, rows, axis=0).reshape(-1, len(FEATURE_NAMES))
+
+
+def _column_sum(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """Column sums of the blocks stacked in order, with the bits of one
+    np.add.reduce over the whole stack along axis 0."""
+    total = np.zeros(len(FEATURE_NAMES))
+    for block in blocks:
+        total = np.add.reduce(np.vstack([total[None], block]), axis=0)
+    return total
+
+
 def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
     """The same windows over a normalized copy of the frame table.  The
     transform is elementwise, so each window gets the bits of transforming
     its own (12, 5) features."""
     return WindowSet(stats.transform(samples.frames), samples.labels, samples.vehicle_ids,
-                     samples.end_frames, rows=samples.rows)
+                     samples.end_frames, starts=samples.starts, steps=samples.steps)
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:

@@ -29,9 +29,8 @@ def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
     """Class index and class probabilities for one (12, 5) window.
 
     Ties resolve to the lowest class index, i.e. toward lane-keeping.  The
-    window is scored as a batch of one, its own 12-row frame table, so the
-    probabilities are bit for bit those evaluate and timeline_predict give
-    the same window.
+    window is scored as a stack of one, so the probabilities are bit for bit
+    those evaluate and timeline_predict give the same window.
     """
     log_probs, _ = score(model, np.asarray(window)[None])
     probs = np.exp(log_probs[0])
@@ -134,7 +133,7 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     if len(test_set) == 0:
         raise UsageError("test_set is empty")
     labels = test_set.labels
-    log_probs, spike_counts = score(model, test_set.frames, test_set.rows)
+    log_probs, spike_counts = score(model, test_set.frames, test_set.starts, test_set.steps)
     spikes_per_window = float(spike_counts.mean())
     probs = np.exp(log_probs)
     predictions = np.argmax(probs, axis=1)
@@ -228,7 +227,7 @@ def timeline_predict(
             f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
             f"needs {(WINDOW_STEPS - 1) * factor + 1}"
         )
-    log_probs, _ = score(model, windows.frames, windows.rows)
+    log_probs, _ = score(model, windows.frames, windows.starts, windows.steps)
     probs = np.exp(log_probs)
     predicted = np.argmax(probs, axis=1)
     entries = tuple(

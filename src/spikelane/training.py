@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import write_numeric_csv
-from .dataset import WindowSet
+from .dataset import WindowSet, window_rows
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
@@ -117,8 +117,9 @@ def train(
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
-    frames, rows, labels = train_set.frames, train_set.rows, train_set.labels
-    n = len(rows)
+    frames, starts, steps = train_set.frames, train_set.starts, train_set.steps
+    labels = train_set.labels
+    n = len(labels)
     rng = np.random.default_rng(config.seed)
     theta = flatten_params(model_params(model))
     # the working model views theta, which each step updates in place
@@ -138,7 +139,8 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             # the batch's (B, 12, 5) windows, gathered from the frame table
-            cache = forward_batch(current, np.take(frames, rows[idx], axis=0))
+            rows = window_rows(starts[idx], steps[idx])
+            cache = forward_batch(current, np.take(frames, rows, axis=0))
             batch_labels = labels[idx]
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())

@@ -54,7 +54,8 @@ def test_stack_windows_returns_the_window_set_arrays(fleet):
     features, labels = sl.dataset.stack_windows(windows)
     # the windows gathered from the frame table, beside the labels themselves
     assert features.shape == (len(windows), 12, 5) and features.flags.c_contiguous
-    assert np.array_equal(features, windows.frames[windows.rows])
+    rows = windows.starts[:, None] + windows.steps[:, None] * np.arange(12)
+    assert np.array_equal(features, windows.frames[rows])
     assert labels is windows.labels
 
 

@@ -4,8 +4,13 @@ import argparse
 import csv
 import dataclasses
 import errno
+import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,30 @@ def trained_dir(tmp_path_factory, data_csv):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fleet_csv(tmp_path_factory):
+    """A 40-vehicle fleet (41,022 frames) for the memory guards."""
+    path = tmp_path_factory.mktemp("fleet") / "fleet.csv"
+    assert cli.main(["synth", "--n", "40", "--seed", "5", "--out", str(path)]) == 0
+    return path
+
+
+def window_bytes(data, stride):
+    """The bytes of the (N, 12, 5) window array of every window of a fleet."""
+    config = sl.WindowConfig(stride_frames=stride)
+    windows = sl.build_windows(sl.parse_trajectories(data, 25.0), config)
+    return len(windows) * 12 * 5 * 8
+
+
+def traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_one_error_line(err):
@@ -162,6 +191,35 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    def test_peak_memory_holds_no_window_array(self, fleet_csv, tmp_path, capsys):
+        # fit_normalizer gathers the training windows a chunk at a time, so
+        # train never holds an (N, 12, 5) window array.  The peak of a 1-epoch
+        # train at stride 2 (19,200 windows, 15,340 of them training) measured
+        # 1.43x the bytes of all windows, set by the CSV parse; 1.6x leaves a
+        # margin of about 12%.  A fit that gathers the whole training stack
+        # and its squared deviations measured 1.94x.
+        peak = traced_peak([
+            "train", "--data", str(fleet_csv), "--stride", "2", "--max-epochs", "1",
+            "--seed", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert peak < 1.6 * window_bytes(fleet_csv, 2)
+
+    def test_split_sides_share_one_normalized_table(self, data_csv):
+        args = argparse.Namespace(data=str(data_csv), rate_hz=25.0, window_rate_hz=4.0,
+                                  stride=4, train_ratio=0.8)
+        stats, train_set, test_set = cli._normalized_split(args, 1)
+        assert train_set.frames is test_set.frames
+        # the windows of normalizing each split side on its own
+        raw = sl.split_by_vehicle(cli._load_windows(args), 0.8, 1)
+        fitted = sl.fit_normalizer(raw.train)
+        assert (stats.mean.tobytes(), stats.std.tobytes()) == (fitted.mean.tobytes(),
+                                                               fitted.std.tobytes())
+        for got, side in ((train_set, raw.train), (test_set, raw.test)):
+            want = sl.apply_normalizer(stats, side)
+            assert got.features.tobytes() == want.features.tobytes()
+            for column in ("labels", "vehicle_ids", "end_frames"):
+                assert np.array_equal(getattr(got, column), getattr(want, column))
+
 
 class TestStrideBound:
     """A stride past the int64 step np.arange takes is a usage error."""
@@ -205,6 +263,34 @@ class TestUndecodableInput:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestThreadCount:
+    # perfbench pins one BLAS thread, tier-1 runs with whatever the
+    # environment gives: the artifacts must not depend on the count
+    SCRIPT = """
+import sys
+from spikelane import cli
+data, out = sys.argv[1:]
+assert cli.main(["train", "--data", data, "--stride", "4", "--max-epochs", "3", "--seed", "2",
+                 "--out", out]) == 0
+assert cli.main(["eval", "--data", data, "--stride", "4", "--seed", "2", "--model",
+                 out + "/model.spkl", "--norm", out + "/norm.csv", "--out", out]) == 0
+"""
+    ARTIFACTS = ("model.spkl", "norm.csv", "eval_report.txt",
+                 "roc_class0.csv", "roc_class1.csv", "roc_class2.csv")
+
+    def test_artifacts_identical_at_one_and_two_threads(self, data_csv, tmp_path):
+        digests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", self.SCRIPT, str(data_csv), str(out)],
+                           env=env, capture_output=True, check=True)
+            digests[threads] = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                for name in self.ARTIFACTS]
+        assert digests["1"] == digests["2"]
+
+
 class TestEval:
     def _run(self, data_csv, trained_dir, out, split="test"):
         return cli.main([
@@ -241,26 +327,17 @@ class TestEval:
         self._run(data_csv, trained_dir, second)
         assert (first / "eval_report.txt").read_bytes() == (second / "eval_report.txt").read_bytes()
 
-    def test_peak_memory_holds_one_window_array(self, trained_dir, tmp_path, capsys):
+    def test_peak_memory_holds_one_window_array(self, fleet_csv, trained_dir, tmp_path, capsys):
         # a window set stores each frame once, so eval never holds one
-        # (N, 12, 5) window array.  The peak measured 0.73x its bytes (the
-        # CSV parse); 0.85x leaves a margin of about 16%, and a returning
+        # (N, 12, 5) window array.  The peak measured 0.71x its bytes (the
+        # CSV parse); 0.85x leaves a margin of about 20%, and a returning
         # window array takes it past 1x.
-        data = tmp_path / "fleet.csv"
-        assert cli.main(["synth", "--n", "40", "--seed", "5", "--out", str(data)]) == 0
-        window_bytes = sl.build_windows(sl.parse_trajectories(data, 25.0)).features.nbytes
-        tracemalloc.start()
-        try:
-            code = cli.main([
-                "eval", "--data", str(data), "--stride", "1", "--split", "all",
-                "--model", str(trained_dir / "model.spkl"),
-                "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out"),
-            ])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 0.85 * window_bytes
+        peak = traced_peak([
+            "eval", "--data", str(fleet_csv), "--stride", "1", "--split", "all",
+            "--model", str(trained_dir / "model.spkl"),
+            "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out"),
+        ])
+        assert peak < 0.85 * window_bytes(fleet_csv, 1)
 
     def test_split_sizes_add_up(self, data_csv, trained_dir, tmp_path, capsys):
         counts = {}

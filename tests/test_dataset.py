@@ -430,19 +430,23 @@ class TestWindowOracle:
 
     def test_window_set_rows_and_subsets(self):
         windows = sl.build_windows([make_traj(n=80, vid="a"), make_traj(n=70, vid="b")])
-        # each frame once in one table; each window its 12 rows in it
+        # each frame once in one table; each window its first row and step in it
         assert windows.frames.flags.c_contiguous and windows.frames.shape == (150, 5)
-        assert windows.rows.shape == (len(windows), 12)
+        assert windows.starts.shape == windows.steps.shape == (len(windows),)
+        assert windows.starts.dtype == windows.steps.dtype == np.intp
+        assert windows.starts.tolist() == list(range(14)) + list(range(80, 84))
+        assert windows.steps.tolist() == [6] * len(windows)  # 25 Hz down to 4 Hz
         assert windows.features.shape == (len(windows), 12, 5)
         row = windows[-1]
         assert isinstance(row, sl.WindowSample)
         assert (row.vehicle_id, row.end_frame, row.label) == ("b", 69, 0)
-        assert np.array_equal(row.features, windows.frames[windows.rows[-1]])
+        assert np.array_equal(row.features, windows.frames[83 + 6 * np.arange(12)])
         head = windows[:3]
         assert isinstance(head, sl.WindowSet) and len(head) == 3
         assert [w.end_frame for w in head] == [66, 67, 68]
         only_b = windows[windows.vehicle_ids == "b"]
         assert only_b.end_frames.tolist() == [66, 67, 68, 69]
+        assert only_b.starts.tolist() == [80, 81, 82, 83] and only_b.steps.tolist() == [6] * 4
         assert head.frames is windows.frames and only_b.frames is windows.frames
         xs, ys = sl.stack_windows(windows)
         assert np.array_equal(xs, windows.features) and ys is windows.labels
@@ -462,19 +466,38 @@ class TestWindowOracle:
             for start in range(0, len(traj) - 11 * factor, stride):
                 want.append(traj.features[start + factor * np.arange(12)])
                 ends.append(traj.t_index[start + 11 * factor])
-        assert windows.frames[windows.rows].tobytes() == np.array(want).tobytes()
+        rows = windows.starts[:, None] + windows.steps[:, None] * np.arange(12)
+        assert windows.frames[rows].tobytes() == np.array(want).tobytes()
         assert windows.end_frames.tolist() == ends
+        factors = {"a": round(25.0 / window_rate), "b": round(12.0 / window_rate)}
+        assert windows.steps.tolist() == [factors[v] for v in windows.vehicle_ids]
         assert set(windows.vehicle_ids) == {"a", "b"}
         split = sl.split_by_vehicle(windows, 0.5, seed=0)
         assert split.train.frames is split.test.frames is windows.frames
 
     def test_rows_must_index_the_table(self):
-        table = np.zeros((12, 5))
-        with pytest.raises(sl.ShapeError, match="outside the 12 frames"):
-            sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(1, 13)])
-        with pytest.raises(sl.ShapeError, match=r"rows shape \(1, 11\)"):
-            sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(11)])
-        assert len(sl.WindowSet(table, [0], ["v"], [0], rows=[np.arange(12)])) == 1
+        table = np.zeros((23, 5))  # room for one window of step 2
+        for start, step in [
+            (-1, 1),          # a negative start
+            (0, 0),           # a step of 0
+            (0, -1),
+            (12, 1),          # the last frame one past the table
+            (0, 3),
+            (0, 2**62),       # 11 * step wraps around int64
+            (2**62, 2**62),
+        ]:
+            with pytest.raises(sl.ShapeError, match="outside the 23 frames"):
+                sl.WindowSet(table, [0], ["v"], [0], starts=[start], steps=[step])
+            with pytest.raises(sl.ShapeError, match=r"window 1 \(start"):
+                sl.WindowSet(table, [0, 0], ["v", "v"], [0, 1], starts=[0, start],
+                             steps=[2, step])
+        with pytest.raises(sl.ShapeError, match=r"steps shape \(2,\)"):
+            sl.WindowSet(table, [0], ["v"], [0], starts=[0], steps=[1, 1])
+        with pytest.raises(sl.ShapeError, match="together"):
+            sl.WindowSet(table, [0], ["v"], [0], starts=[0])
+        edge = sl.WindowSet(table, [0, 0], ["v", "v"], [0, 1], starts=[0, 11], steps=[2, 1])
+        assert np.array_equal(edge.features[0], table[0:23:2])
+        assert np.array_equal(edge.features[1], table[11:23])
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(sl.ShapeError):
@@ -497,13 +520,23 @@ class TestNormalizer:
         np.testing.assert_allclose(rows.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(rows.std(axis=0), 1.0, atol=1e-12)
 
-    def test_stats_match_direct_recomputation(self):
-        trajs = [make_traj(n=140, vid="v", rng_seed=9)]
-        windows = sl.build_windows(trajs)
-        stats = sl.fit_normalizer(windows)
-        rows = np.concatenate([w.features for w in windows])
-        np.testing.assert_allclose(stats.mean, rows.mean(axis=0), atol=0)
-        np.testing.assert_allclose(stats.std, rows.std(axis=0), atol=0)
+    def test_stats_match_direct_recomputation(self, monkeypatch):
+        # the bits of NumPy's own mean and std over the whole window stack,
+        # whatever the chunks the fit gathers: a NumPy release that reorders
+        # the reduction fails here rather than changing norm.csv unseen
+        trajs = [make_traj(n=140, vid="v", rng_seed=9), make_traj(n=112, vid="w", rng_seed=3)]
+        windows = sl.build_windows(trajs, sl.WindowConfig(4.0, 2))
+        n = len(windows)
+        assert n == 60
+        rows = windows.features.reshape(-1, 5)
+        for chunk in (1, 7, 12, n, n + 5):  # 12 divides n, 7 does not
+            monkeypatch.setattr(dataset, "_FIT_CHUNK", chunk)
+            stats = sl.fit_normalizer(windows)
+            assert np.array_equal(stats.mean, rows.mean(axis=0)), chunk
+            assert np.array_equal(stats.std, rows.std(axis=0)), chunk
+            # the sign of a zero too
+            assert stats.mean.tobytes() == rows.mean(axis=0).tobytes(), chunk
+            assert stats.std.tobytes() == rows.std(axis=0).tobytes(), chunk
 
     def test_constant_feature_named_in_error(self):
         traj = make_traj(n=100)

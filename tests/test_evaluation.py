@@ -230,7 +230,7 @@ class TestScoringPath:
         _, _, windows = fleet_windows(vehicles=8)
         # more windows than the module's own chunk, so it scores several chunks
         assert len(windows) > model_module.SCORE_CHUNK
-        # the same windows as their own (N * 12, 5) table with identity rows
+        # the same windows as their own (N * 12, 5) table, window i at row 12 * i
         stacked = sl.WindowSet(windows.features, windows.labels, windows.vehicle_ids,
                                windows.end_frames)
         assert len(windows.frames) < len(stacked.frames) == 12 * len(windows)
