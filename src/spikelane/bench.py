@@ -19,7 +19,7 @@ _BYTES_PER_PARAM = 8
 class BenchReport:
     param_count: int
     checkpoint_bytes: int
-    train_memory_bytes: int   # parameters plus optimizer accumulators
+    param_memory_bytes: int   # parameters plus optimizer accumulators, not a measured peak
     epochs_run: int
     mean_epoch_time_s: float
     min_epoch_time_s: float
@@ -39,7 +39,7 @@ def make_bench_report(
     return BenchReport(
         param_count=param_count(model),
         checkpoint_bytes=len(model_to_bytes(model)),
-        train_memory_bytes=param_count(model) * _BYTES_PER_PARAM * (3 if optimizer == "adam" else 1),
+        param_memory_bytes=param_count(model) * _BYTES_PER_PARAM * (3 if optimizer == "adam" else 1),
         epochs_run=len(logs),
         mean_epoch_time_s=sum(times) / len(times) if times else 0.0,
         min_epoch_time_s=min(times) if times else 0.0,

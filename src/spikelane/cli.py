@@ -131,12 +131,12 @@ def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(**overrides)
 
 
-def _load_windows(args, stats: dataset.NormStats | None = None) -> dataset.WindowSet:
+def _load_windows(args) -> dataset.WindowSet:
     config = dataset.WindowConfig(
         window_rate_hz=args.window_rate_hz, stride_frames=args.stride
     )
     trajectories = dataset.parse_trajectories(args.data, args.rate_hz)
-    return dataset.build_windows(trajectories, config, stats)
+    return dataset.build_windows(trajectories, config)
 
 
 def _normalized_split(args, seed: int):
@@ -190,8 +190,8 @@ def cmd_train(args) -> int:
 
 
 def _eval_windows(args, stats):
-    """The --split side of the windows, cut from normalized frames."""
-    windows = _load_windows(args, stats)
+    """The --split side of the windows, normalized before the split."""
+    windows = dataset.apply_normalizer(stats, _load_windows(args))
     if args.split == "all":
         return windows
     split = dataset.split_by_vehicle(windows, args.train_ratio, args.seed)

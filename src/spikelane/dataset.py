@@ -121,9 +121,12 @@ class WindowSet:
     Each frame is stored once, however many windows use it; slices, masks
     and both split_by_vehicle sides share one frames array.
     WindowSet(features, labels, vehicle_ids, end_frames) takes an (N, 12, 5)
-    stack as its own table, window i starting at row 12 * i with step 1;
-    with starts= and steps=, features is the (F, 5) table they index (see
-    window_table).  The features property gathers the (N, 12, 5) stack, a
+    stack as its own (N * 12, 5) table (a view when it is already
+    C-contiguous float64), window i starting at row 12 * i with step 1.
+    With starts= and steps=, features is the (F, 5) table they index: every
+    start must be >= 0, every step >= 1, and every window's last row inside
+    the table.  The starts, steps, labels and end_frames must be integers
+    within int64.  The features property gathers the (N, 12, 5) stack, a
     copy.
 
     An int index gives a WindowSample; a slice, mask or index array gives a
@@ -140,11 +143,32 @@ class WindowSet:
     end_frames: np.ndarray   # (N,) int64
 
     def __init__(self, features, labels, vehicle_ids, end_frames, starts=None, steps=None):
-        frames, starts, steps = window_table(features, starts, steps)
+        if starts is None and steps is None:
+            frames = np.ascontiguousarray(window_stack(features)).reshape(-1, len(FEATURE_NAMES))
+            starts = np.arange(0, len(frames), WINDOW_STEPS, dtype=np.intp)
+            steps = np.ones_like(starts)
+        elif starts is None or steps is None:
+            raise ShapeError("window starts and steps must be given together")
+        else:
+            frames = np.ascontiguousarray(features, dtype=np.float64)
+            starts = _integer_column("starts", starts, np.intp, ShapeError)
+            steps = _integer_column("steps", steps, np.intp, ShapeError)
+            if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
+                    or steps.shape != starts.shape):
+                raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} "
+                                 f"and steps shape {steps.shape}, expected "
+                                 f"(F, {len(FEATURE_NAMES)}), (N,) and (N,)")
+            # the last row bound as a quotient, so that no step * 11 can wrap around int64
+            last = (len(frames) - 1 - starts) // (WINDOW_STEPS - 1)
+            bad = (starts < 0) | (steps < 1) | (steps > last)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
+                                 f"the {len(frames)} frames of the table")
         columns = {
-            "labels": np.asarray(labels, dtype=np.intp),
+            "labels": _integer_column("labels", labels, np.intp, UsageError),
             "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
-            "end_frames": np.asarray(end_frames, dtype=np.int64),
+            "end_frames": _integer_column("end_frames", end_frames, np.int64, UsageError),
         }
         shapes = [c.shape for c in columns.values()]
         if any(s != starts.shape for s in shapes):
@@ -199,38 +223,15 @@ def window_rows(starts, steps) -> np.ndarray:
     return np.multiply.outer(steps, _STEP_OFFSETS) + starts[..., None]
 
 
-def window_table(windows, starts=None, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The C-contiguous float64 (F, 5) frame table and the (N,) intp starts
-    and steps of some windows, window i being
-    table[starts[i] + steps[i] * arange(12)].
-
-    Without starts and steps, windows is an (N, 12, 5) stack, which becomes
-    its own (N * 12, 5) table (a view when it is already C-contiguous
-    float64), window i starting at row 12 * i with step 1.  With them,
-    windows is the table, every start must be >= 0, every step >= 1, and
-    every window's last row inside the table.
-    """
-    if starts is None and steps is None:
-        xs = np.ascontiguousarray(window_stack(windows))
-        starts = np.arange(0, xs.shape[0] * WINDOW_STEPS, WINDOW_STEPS, dtype=np.intp)
-        return xs.reshape(-1, len(FEATURE_NAMES)), starts, np.ones_like(starts)
-    if starts is None or steps is None:
-        raise ShapeError("window starts and steps must be given together")
-    frames = np.ascontiguousarray(windows, dtype=np.float64)
-    starts = np.asarray(starts, dtype=np.intp)
-    steps = np.asarray(steps, dtype=np.intp)
-    if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
-            or steps.shape != starts.shape):
-        raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} and "
-                         f"steps shape {steps.shape}, expected (F, {len(FEATURE_NAMES)}), "
-                         f"(N,) and (N,)")
-    # the last row bound as a quotient, so that no step * 11 can wrap around int64
-    bad = (starts < 0) | (steps < 1) | (steps > (len(frames) - 1 - starts) // (WINDOW_STEPS - 1))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
-                         f"the {len(frames)} frames of the table")
-    return frames, starts, steps
+def _integer_column(name: str, values, dtype, error: type[Exception]) -> np.ndarray:
+    """values as a column of this integer dtype, which casting alone would
+    truncate (floats) or overflow (a Python int past int64: an object or
+    uint64 column).  An empty column, of any dtype, stays empty."""
+    column = np.asarray(values)
+    if column.size and (not np.issubdtype(column.dtype, np.integer)
+                        or column.dtype == np.uint64 and column.max() > _INT64_MAX):
+        raise error(f"window {name} must be integers within int64, got dtype {column.dtype}")
+    return column.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -521,8 +522,7 @@ def _window_starts(n_frames: int, factor: int, stride: int) -> np.ndarray:
 
 
 def build_windows(
-    trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig(),
-    stats: NormStats | None = None,
+    trajectories: Sequence[Trajectory], config: WindowConfig = WindowConfig()
 ) -> WindowSet:
     """Label and window every trajectory; result ordered by (vehicle, end frame).
 
@@ -532,12 +532,8 @@ def build_windows(
     final raw frame.  Trajectories shorter than one window give no windows;
     two trajectories with one vehicle id raise UsageError.
 
-    The frame table holds the frames of every trajectory that gives a
-    window, each once, and is normalized with stats when they are given.
-    NormStats.transform is elementwise per feature, so every window has the
-    bits of apply_normalizer(stats, build_windows(...)), and the raw table is
-    only transient.  Training still normalizes after the split, since it
-    fits its stats on the training windows.
+    The frame table holds the raw frames of every trajectory that gives a
+    window, each once; apply_normalizer normalizes it.
     """
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
     ids = [t.vehicle_id for t in ordered]
@@ -567,8 +563,6 @@ def build_windows(
         labels[at : at + len(starts)] = label_frames(t)[ends]
         end_frames[at : at + len(starts)] = t.t_index[ends]
         at, offset = at + len(starts), offset + len(t)
-    if stats is not None:
-        frames = stats.transform(frames)
     vehicle_ids = np.repeat(np.array([t.vehicle_id for t, _, _ in windowed], dtype=object), counts)
     return WindowSet(frames, labels, vehicle_ids, end_frames, starts=table_starts, steps=steps)
 
@@ -628,9 +622,12 @@ def _column_sum(blocks: Iterator[np.ndarray]) -> np.ndarray:
 def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
     """The same windows over a normalized copy of the frame table.  The
     transform is elementwise, so each window gets the bits of transforming
-    its own (12, 5) features."""
-    return WindowSet(stats.transform(samples.frames), samples.labels, samples.vehicle_ids,
-                     samples.end_frames, starts=samples.starts, steps=samples.steps)
+    its own (12, 5) features.  A frame that a loaded std near 0 overflows
+    to inf gives no warning here; score rejects every window that uses it."""
+    with np.errstate(over="ignore"):
+        frames = stats.transform(samples.frames)
+    return WindowSet(frames, samples.labels, samples.vehicle_ids, samples.end_frames,
+                     starts=samples.starts, steps=samples.steps)
 
 
 def save_norm_stats(stats: NormStats, destination: str | Path) -> None:

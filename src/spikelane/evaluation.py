@@ -18,6 +18,7 @@ from .dataset import (
     Trajectory,
     WindowConfig,
     WindowSet,
+    apply_normalizer,
     build_windows,
     downsample_factor,
 )
@@ -133,7 +134,7 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     if len(test_set) == 0:
         raise UsageError("test_set is empty")
     labels = test_set.labels
-    log_probs, spike_counts = score(model, test_set.frames, test_set.starts, test_set.steps)
+    log_probs, spike_counts = score(model, test_set)
     spikes_per_window = float(spike_counts.mean())
     probs = np.exp(log_probs)
     predictions = np.argmax(probs, axis=1)
@@ -211,9 +212,9 @@ def timeline_predict(
     normalizer: NormStats,
     window_rate_hz: float = 4.0,
 ) -> TimelineReport:
-    """Slide one window per downsampled step along a trajectory, as
-    build_windows cuts them from its normalized frames at a stride of one
-    downsampled step.
+    """Slide one window per downsampled step along a trajectory: the windows
+    build_windows cuts at a stride of one downsampled step, normalized by
+    apply_normalizer.
 
     A detection is the start of a run of DEBOUNCE_STEPS or more consecutive
     identical non-keep predictions.  A detection is counted false when no
@@ -221,13 +222,13 @@ def timeline_predict(
     """
     factor = downsample_factor(traj.sample_rate_hz, window_rate_hz)
     config = WindowConfig(window_rate_hz, stride_frames=factor)
-    windows = build_windows([traj], config, normalizer)
+    windows = apply_normalizer(normalizer, build_windows([traj], config))
     if len(windows) == 0:
         raise UsageError(
             f"trajectory {traj.vehicle_id} has {len(traj)} frames, "
             f"needs {(WINDOW_STEPS - 1) * factor + 1}"
         )
-    log_probs, _ = score(model, windows.frames, windows.starts, windows.steps)
+    log_probs, _ = score(model, windows)
     probs = np.exp(log_probs)
     predicted = np.argmax(probs, axis=1)
     entries = tuple(

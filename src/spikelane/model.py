@@ -13,9 +13,8 @@ backward_batch and serves training; score is the inference path, which keeps
 none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
-same layout.  score reads windows as a frame table with each window's first
-row and step in it, as a WindowSet stores them, and gathers each chunk
-time-major in one take; a bare (N, 12, 5) stack it reads directly.
+same layout.  score reads a WindowSet's frame table, gathering each chunk
+time-major in one take, or a bare (N, 12, 5) stack directly.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -30,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, window_rows, window_stack, window_table,
+    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, window_rows, window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -365,37 +364,34 @@ def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
 SCORE_CHUNK = 1024
 
 
-def score(model: Model, windows: np.ndarray, starts: np.ndarray | None = None,
-          steps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference over N windows, caching nothing.
 
-    windows is an (N, 12, 5) stack, or, with starts and steps, an (F, 5)
-    frame table in which window i is windows[starts[i] + steps[i] * arange(12)],
-    as a WindowSet holds them (see window_table).  Returns the
-    (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
-    spikes per window.  The windows are scored SCORE_CHUNK at a time: the
-    chunk's time-major (T, chunk, in) input (one gather from a table, one
-    transposed copy of a stack), the feature currents, the LIF recurrence
-    keeping only the running state and a per-neuron spike count, then the
-    readout.  The readout is an einsum rather than a BLAS matmul, so every
-    row depends only on its own window: a batch of one gives the same bits
-    as that window inside any batch, for any chunk size.  forward_batch
-    stays the training path, whose cache the backward pass reads.
+    windows is a WindowSet, read as its frames, starts and steps, or a bare
+    (N, 12, 5) stack.  Returns the (N, classes) log-probabilities and the
+    (N,) int64 count of hidden-layer spikes per window.  The windows are
+    scored SCORE_CHUNK at a time: the chunk's time-major (T, chunk, in)
+    input (one gather from the set's table, one transposed copy of a
+    stack), the feature currents, the LIF recurrence keeping only the
+    running state and a per-neuron spike count, then the readout.  The
+    readout is an einsum rather than a BLAS matmul, so every row depends
+    only on its own window: a batch of one gives the same bits as that
+    window inside any batch, for any chunk size.  forward_batch stays the
+    training path, whose cache the backward pass reads.
     """
-    if starts is None and steps is None:
-        stack = window_stack(windows)
-        n = len(stack)
-    else:
-        frames, starts, steps = window_table(windows, starts, steps)
-        n = len(starts)
+    table = isinstance(windows, WindowSet)
+    if not table:
+        windows = window_stack(windows)
+    n = len(windows)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
-        if starts is None:
-            xs = np.ascontiguousarray(stack[chunk].transpose(1, 0, 2))
+        if table:
+            rows = window_rows(windows.starts[chunk], windows.steps[chunk])
+            xs = np.take(windows.frames, rows.T, axis=0)
         else:
-            xs = np.take(frames, window_rows(starts[chunk], steps[chunk]).T, axis=0)
+            xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
         if not np.isfinite(xs).all():
             raise NumericError("window stack must be finite")
         currents = _feature_currents(xs, model.feature_layer)

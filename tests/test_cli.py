@@ -64,7 +64,7 @@ def traced_peak(argv):
 
 
 def assert_one_error_line(err):
-    """A usage failure prints one `error:` line and no traceback."""
+    """A failure prints one `error:` line and no traceback."""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert "Traceback" not in err
@@ -531,7 +531,44 @@ class TestPredict:
         assert not out.exists()
 
 
+class TestOverflowingNormalizer:
+    """A std that load_norm_stats accepts (finite, > 0) but that overflows the
+    transform ends in one error line and exit 1, not a NumPy warning, which
+    `python -W error` and pytest's filterwarnings = error would raise."""
+
+    @pytest.mark.parametrize("command", [["eval", "--stride", "4"],
+                                         ["predict", "--vehicle", "veh0000"]])
+    def test_exit_1(self, command, data_csv, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "norm.csv").read_text().splitlines()
+        norm = tmp_path / "norm.csv"
+        norm.write_text("\n".join(
+            "delta_y,0,1e-320" if l.startswith("delta_y,") else l for l in lines) + "\n")
+        code = cli.main([
+            *command, "--data", str(data_csv), "--model", str(trained_dir / "model.spkl"),
+            "--norm", str(norm), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "must be finite" in err
+
+
 class TestBench:
+    @pytest.mark.parametrize("optimizer, copies", [("adam", 3), ("sgd", 1)])
+    def test_param_memory_counts_parameters_and_optimizer_state(
+        self, optimizer, copies, tmp_path
+    ):
+        report = sl.make_bench_report(sl.new_model(), [], final_accuracy=0.5, macro_auc=0.5,
+                                      optimizer=optimizer)
+        assert report.param_memory_bytes == 219 * 8 * copies
+        sl.write_bench_report(report, tmp_path)
+        text = (tmp_path / "bench_report.txt").read_text()
+        assert f"param_memory_bytes: {219 * 8 * copies}\n" in text
+        assert "final_accuracy: 0.500000\n" in text and "train_memory" not in text
+        with open(tmp_path / "bench_report.csv") as handle:
+            row = next(csv.DictReader(handle))
+        assert int(row["param_memory_bytes"]) == 219 * 8 * copies
+
     def test_report_and_stdout(self, data_csv, tmp_path, capsys):
         out = tmp_path / "bench"
         code = cli.main([

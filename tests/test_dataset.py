@@ -499,6 +499,32 @@ class TestWindowOracle:
         assert np.array_equal(edge.features[0], table[0:23:2])
         assert np.array_equal(edge.features[1], table[11:23])
 
+    def test_non_integer_columns_rejected(self):
+        table = np.zeros((23, 5))
+        for error, column, columns in [
+            (sl.ShapeError, "starts", {"starts": [0.7], "steps": [1.9]}),
+            (sl.ShapeError, "starts", {"starts": [2**64]}),
+            (sl.ShapeError, "starts", {"starts": [2**63]}),  # a uint64 column
+            (sl.ShapeError, "steps", {"steps": [1.0]}),
+            (sl.ShapeError, "steps", {"steps": [-2**63 - 1]}),
+            (sl.UsageError, "labels", {"labels": [1.9], "end_frames": [3.5]}),
+            (sl.UsageError, "end_frames", {"end_frames": [3.5]}),
+            (sl.UsageError, "end_frames", {"end_frames": [2**64]}),
+            (sl.UsageError, "end_frames", {"end_frames": np.array([2**63], dtype=np.uint64)}),
+        ]:
+            args = {"labels": [1], "vehicle_ids": ["v"], "end_frames": [3],
+                    "starts": [0], "steps": [1], **columns}
+            with pytest.raises(error, match=rf"window {column} must be integers within int64"):
+                sl.WindowSet(table, **args)
+        edge = sl.WindowSet(table, np.array([2], dtype=np.uint8), ["v"],
+                            np.array([2**63 - 1], dtype=np.uint64), starts=np.array([11], np.int32),
+                            steps=[1])
+        assert (edge.starts.dtype, edge.labels.dtype, edge.end_frames.dtype) == (
+            np.intp, np.intp, np.int64)
+        assert (edge.starts[0], edge.labels[0], edge.end_frames[0]) == (11, 2, 2**63 - 1)
+        empty = sl.WindowSet(table, [], [], [], starts=[], steps=[])
+        assert len(empty) == 0 and empty.starts.dtype == np.intp
+
     def test_mismatched_columns_rejected(self):
         with pytest.raises(sl.ShapeError):
             sl.WindowSet(np.zeros((2, 12, 5)), [0], ["v", "v"], [0, 1])
@@ -560,12 +586,12 @@ class TestNormalizer:
         config = sl.WindowConfig(window_rate, stride)
         raw = sl.build_windows(trajs, config)
         stats = sl.fit_normalizer(raw)
-        want = sl.apply_normalizer(stats, raw)
-        got = sl.build_windows(trajs, config, stats)
-        assert np.array_equal(got.features, want.features)
-        assert got.features.tobytes() == want.features.tobytes()  # the same bits, signs of 0 too
+        got = sl.apply_normalizer(stats, raw)
+        want = stats.transform(raw.features)  # each window's own (12, 5) frames
+        assert np.array_equal(got.features, want)
+        assert got.features.tobytes() == want.tobytes()  # the same bits, signs of 0 too
         for column in ("labels", "vehicle_ids", "end_frames"):
-            assert np.array_equal(getattr(got, column), getattr(want, column))
+            assert np.array_equal(getattr(got, column), getattr(raw, column))
 
     def test_save_load_round_trip(self, tmp_path):
         trajs = [make_traj(n=100, rng_seed=4)]

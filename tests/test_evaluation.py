@@ -242,6 +242,17 @@ class TestScoringPath:
         assert_same_report(sl.evaluate(model, windows), want)
         assert_same_report(sl.evaluate(model, stacked), want)
 
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    def test_bare_stack_scores_like_its_window_set(self, reset_mode):
+        _, _, windows = fleet_windows(vehicles=8)
+        assert len(windows) > model_module.SCORE_CHUNK  # several chunks of each path
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        log_probs, spike_counts = sl.score(model, windows)
+        stack_log_probs, stack_spike_counts = sl.score(model, windows.features)
+        assert spike_counts.sum() > 0
+        assert np.array_equal(stack_log_probs, log_probs)
+        assert np.array_equal(stack_spike_counts, spike_counts)
+
     def test_spike_telemetry_counts_hidden_spikes(self):
         _, _, windows = fleet_windows()
         model = sl.new_model(seed=5)
