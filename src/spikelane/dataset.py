@@ -19,6 +19,7 @@ gives one `WindowSample`.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,7 @@ DIRECTION_LEFT, DIRECTION_RIGHT = "left", "right"
 
 INTENTION_HORIZON_S = 3.0  # intention labels span this long before each event
 WINDOW_STEPS = 12  # downsampled steps per window
+_STEP_OFFSETS = np.arange(WINDOW_STEPS)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # frame and lane_id are stored as int64
 
 
@@ -53,6 +55,9 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # frame and lane_id are stored as 
 class LaneChangeEvent:
     onset_frame: int
     direction: str  # "left" or "right"
+
+    def __post_init__(self):
+        _integer_value("onset_frame", self.onset_frame, UsageError)
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,11 @@ class Trajectory:
                 f"sample_rate_hz must be > 0 and give a finite frame count over "
                 f"{INTENTION_HORIZON_S:g} s, got {self.sample_rate_hz}"
             )
-        t = np.asarray(self.t_index, dtype=np.int64)
+        t = _integer_column("t_index", self.t_index, np.int64, UsageError)
         f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 2 or f.shape[1] != len(FEATURE_NAMES) or f.shape[0] != t.shape[0]:
-            raise ShapeError(
-                f"features shape {f.shape} does not match {t.shape[0]} frames x "
-                f"{len(FEATURE_NAMES)} features"
-            )
+        if t.ndim != 1 or f.shape != (len(t), len(FEATURE_NAMES)):
+            raise ShapeError(f"t_index shape {t.shape} and features shape {f.shape}, expected "
+                             f"(n,) and (n, {len(FEATURE_NAMES)})")
         if np.any(t[1:] <= t[:-1]):  # not np.diff, which overflows int64
             raise UsageError(f"t_index not strictly increasing for vehicle {self.vehicle_id}")
         if not np.isfinite(f).all():
@@ -126,8 +129,11 @@ class WindowSet:
     With starts= and steps=, features is the (F, 5) table they index: every
     start must be >= 0, every step >= 1, and every window's last row inside
     the table.  The starts, steps, labels and end_frames must be integers
-    within int64.  The features property gathers the (N, 12, 5) stack, a
-    copy.
+    within int64.
+
+    take(index, time_major=False) is the one reader of this layout: it
+    gathers the windows at index from the table, batch-major or time-major.
+    The features property is take() of every window.
 
     An int index gives a WindowSample; a slice, mask or index array gives a
     WindowSet.  Iteration yields WindowSamples.  vehicle_ids is an object
@@ -151,8 +157,8 @@ class WindowSet:
             raise ShapeError("window starts and steps must be given together")
         else:
             frames = np.ascontiguousarray(features, dtype=np.float64)
-            starts = _integer_column("starts", starts, np.intp, ShapeError)
-            steps = _integer_column("steps", steps, np.intp, ShapeError)
+            starts = _integer_column("window starts", starts, np.intp, ShapeError)
+            steps = _integer_column("window steps", steps, np.intp, ShapeError)
             if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
                     or steps.shape != starts.shape):
                 raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} "
@@ -166,9 +172,9 @@ class WindowSet:
                 raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
                                  f"the {len(frames)} frames of the table")
         columns = {
-            "labels": _integer_column("labels", labels, np.intp, UsageError),
+            "labels": _integer_column("window labels", labels, np.intp, UsageError),
             "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
-            "end_frames": _integer_column("end_frames", end_frames, np.int64, UsageError),
+            "end_frames": _integer_column("window end_frames", end_frames, np.int64, UsageError),
         }
         shapes = [c.shape for c in columns.values()]
         if any(s != starts.shape for s in shapes):
@@ -181,23 +187,27 @@ class WindowSet:
                              **columns}.items():
             object.__setattr__(self, name, column)
 
+    def take(self, index=slice(None), time_major: bool = False) -> np.ndarray:
+        """The features of the windows at index, gathered from the frame
+        table into a new C-contiguous array: (12, 5) for an int, (k, 12, 5)
+        for a slice, mask or index array, and (12, k, 5) with time_major."""
+        rows = np.multiply.outer(self.steps[index], _STEP_OFFSETS) + self.starts[index][..., None]
+        return np.take(self.frames, rows.T if time_major else rows, axis=0)
+
     @property
     def features(self) -> np.ndarray:
         """The (N, 12, 5) window stack, gathered from the frame table: a copy."""
-        return np.take(self.frames, window_rows(self.starts, self.steps), axis=0)
+        return self.take()
 
     def __len__(self) -> int:
         return self.starts.shape[0]
 
     def __getitem__(self, index):
-        starts, steps, label, vehicle_id, end_frame = (
-            self.starts[index], self.steps[index], self.labels[index],
-            self.vehicle_ids[index], self.end_frames[index],
-        )
         if isinstance(index, (int, np.integer)):
-            return WindowSample(np.take(self.frames, window_rows(starts, steps), axis=0),
-                                int(label), str(vehicle_id), int(end_frame))
-        return WindowSet(self.frames, label, vehicle_id, end_frame, starts=starts, steps=steps)
+            return WindowSample(self.take(index), int(self.labels[index]),
+                                str(self.vehicle_ids[index]), int(self.end_frames[index]))
+        return WindowSet(self.frames, self.labels[index], self.vehicle_ids[index],
+                         self.end_frames[index], starts=self.starts[index], steps=self.steps[index])
 
     def __iter__(self) -> Iterator[WindowSample]:
         return map(self.__getitem__, range(len(self)))
@@ -214,24 +224,25 @@ def window_stack(windows) -> np.ndarray:
     return xs
 
 
-_STEP_OFFSETS = np.arange(WINDOW_STEPS)
-
-
-def window_rows(starts, steps) -> np.ndarray:
-    """The table rows of windows with these starts and steps: (..., 12),
-    a window's rows along the last axis."""
-    return np.multiply.outer(steps, _STEP_OFFSETS) + starts[..., None]
-
-
-def _integer_column(name: str, values, dtype, error: type[Exception]) -> np.ndarray:
+def _integer_column(label: str, values, dtype, error: type[Exception]) -> np.ndarray:
     """values as a column of this integer dtype, which casting alone would
     truncate (floats) or overflow (a Python int past int64: an object or
-    uint64 column).  An empty column, of any dtype, stays empty."""
+    uint64 column); error names the column by label.  An empty column, of
+    any dtype, stays empty."""
     column = np.asarray(values)
     if column.size and (not np.issubdtype(column.dtype, np.integer)
                         or column.dtype == np.uint64 and column.max() > _INT64_MAX):
-        raise error(f"window {name} must be integers within int64, got dtype {column.dtype}")
+        raise error(f"{label} must be integers within int64, got dtype {column.dtype}")
     return column.astype(dtype, copy=False)
+
+
+def _integer_value(name: str, value, error: type[Exception] = ConfigError) -> None:
+    """Reject a value that is not an integer, such as a float (even 2.0),
+    which a count, step or seed would otherwise carry into NumPy or range()."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -261,6 +272,7 @@ class WindowConfig:
     def __post_init__(self):
         if not self.window_rate_hz > 0:
             raise ConfigError(f"window_rate_hz must be > 0, got {self.window_rate_hz}")
+        _integer_value("stride_frames", self.stride_frames)
         if not 1 <= self.stride_frames <= _INT64_MAX:  # np.arange takes an int64 step
             raise ConfigError(f"stride_frames must lie in [1, 2**63 - 1], got {self.stride_frames}")
 
@@ -605,9 +617,7 @@ def _row_chunks(windows: WindowSet) -> Iterator[np.ndarray]:
     """The rows of every window, in window order, as (12 * chunk, 5) arrays
     of _FIT_CHUNK windows each."""
     for start in range(0, len(windows), _FIT_CHUNK):
-        chunk = slice(start, start + _FIT_CHUNK)
-        rows = window_rows(windows.starts[chunk], windows.steps[chunk])
-        yield np.take(windows.frames, rows, axis=0).reshape(-1, len(FEATURE_NAMES))
+        yield windows.take(slice(start, start + _FIT_CHUNK)).reshape(-1, len(FEATURE_NAMES))
 
 
 def _column_sum(blocks: Iterator[np.ndarray]) -> np.ndarray:
@@ -675,6 +685,7 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
     keep the input order."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
+    _integer_value("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     vehicles, codes = _id_codes(samples.vehicle_ids)

@@ -18,6 +18,7 @@ from .dataset import (
     Trajectory,
     WindowConfig,
     WindowSet,
+    _integer_column,
     apply_normalizer,
     build_windows,
     downsample_factor,
@@ -43,8 +44,8 @@ def confusion_and_accuracy(
 ) -> tuple[np.ndarray, float]:
     """(3, 3) count matrix indexed [true, predicted], plus accuracy."""
     n_classes = len(LABEL_NAMES)
-    predictions = np.asarray(predictions, dtype=np.intp)
-    labels = np.asarray(labels, dtype=np.intp)
+    predictions = _integer_column("predictions", predictions, np.intp, UsageError)
+    labels = _integer_column("labels", labels, np.intp, UsageError)
     if predictions.shape != labels.shape or predictions.ndim != 1:
         raise UsageError(
             f"predictions shape {predictions.shape} vs labels shape {labels.shape}"

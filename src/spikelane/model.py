@@ -13,8 +13,8 @@ backward_batch and serves training; score is the inference path, which keeps
 none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
-same layout.  score reads a WindowSet's frame table, gathering each chunk
-time-major in one take, or a bare (N, 12, 5) stack directly.
+same layout.  score gathers each chunk of a WindowSet time-major with
+WindowSet.take, or reads a bare (N, 12, 5) stack directly.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, window_rows, window_stack,
+    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _integer_value, window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -190,6 +190,8 @@ def new_model(
     The bound keeps initial currents mostly sub-threshold so early spike
     activity is sparse.  The same seed always yields the same model.
     """
+    _integer_value("hidden_dim", hidden_dim)
+    _integer_value("seed", seed)
     if hidden_dim < 1:
         raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
     if seed < 0:
@@ -367,13 +369,13 @@ SCORE_CHUNK = 1024
 def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference over N windows, caching nothing.
 
-    windows is a WindowSet, read as its frames, starts and steps, or a bare
-    (N, 12, 5) stack.  Returns the (N, classes) log-probabilities and the
-    (N,) int64 count of hidden-layer spikes per window.  The windows are
-    scored SCORE_CHUNK at a time: the chunk's time-major (T, chunk, in)
-    input (one gather from the set's table, one transposed copy of a
-    stack), the feature currents, the LIF recurrence keeping only the
-    running state and a per-neuron spike count, then the readout.  The
+    windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
+    (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
+    spikes per window.  The windows are scored SCORE_CHUNK at a time: the
+    chunk's time-major (T, chunk, in) input (the set's take(chunk,
+    time_major=True), one transposed copy of a stack), the feature
+    currents, the LIF recurrence keeping only the running state and a
+    per-neuron spike count, then the readout.  The
     readout is an einsum rather than a BLAS matmul, so every row depends
     only on its own window: a batch of one gives the same bits as that
     window inside any batch, for any chunk size.  forward_batch stays the
@@ -388,8 +390,7 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
         if table:
-            rows = window_rows(windows.starts[chunk], windows.steps[chunk])
-            xs = np.take(windows.frames, rows.T, axis=0)
+            xs = windows.take(chunk, time_major=True)
         else:
             xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
         if not np.isfinite(xs).all():

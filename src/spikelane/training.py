@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import write_numeric_csv
-from .dataset import WindowSet, window_rows
+from .dataset import WindowSet, _integer_value
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
@@ -37,6 +37,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience_epochs", "seed"):
+            _integer_value(name, getattr(self, name))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < np.inf:
@@ -117,7 +119,6 @@ def train(
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
-    frames, starts, steps = train_set.frames, train_set.starts, train_set.steps
     labels = train_set.labels
     n = len(labels)
     rng = np.random.default_rng(config.seed)
@@ -138,9 +139,7 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            # the batch's (B, 12, 5) windows, gathered from the frame table
-            rows = window_rows(starts[idx], steps[idx])
-            cache = forward_batch(current, np.take(frames, rows, axis=0))
+            cache = forward_batch(current, train_set.take(idx))
             batch_labels = labels[idx]
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())

@@ -93,6 +93,25 @@ class TestParse:
         with pytest.raises(sl.UsageError, match="strictly increasing"):
             sl.Trajectory("a", 25.0, np.array([hi, lo]), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("t_index", [[0.5, 1.7], [0.0, 1.0], [0, 2**64], [0, 2**63]])
+    def test_non_integer_t_index_rejected(self, t_index):
+        with pytest.raises(sl.UsageError, match="t_index must be integers within int64"):
+            sl.Trajectory("v", 25.0, t_index, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("t_index,features", [
+        (5, np.zeros((1, 5))), ([[0, 1], [2, 3]], np.zeros((2, 5))),
+        ([0, 1], np.zeros((3, 5))), ([0, 1], np.zeros((2, 4))), ([0, 1], np.zeros(10)),
+    ])
+    def test_shapes_checked(self, t_index, features):
+        with pytest.raises(sl.ShapeError, match="t_index shape"):
+            sl.Trajectory("v", 25.0, t_index, features)
+
+    @pytest.mark.parametrize("onset", [1.0, 1.5, "1", None])
+    def test_non_integer_onset_rejected(self, onset):
+        with pytest.raises(sl.UsageError, match="onset_frame must be an integer"):
+            sl.LaneChangeEvent(onset_frame=onset, direction="left")
+        assert sl.LaneChangeEvent(np.int64(1), "left").onset_frame == 1
+
     @pytest.mark.parametrize("onset", [101, -2, 400])
     def test_onset_not_a_frame_rejected_at_construction(self, onset):
         frames = np.arange(0, 400, 2)  # onset 101 falls between frames 100 and 102
@@ -399,6 +418,11 @@ class TestMakeWindows:
         with pytest.raises(sl.ConfigError):
             sl.build_windows([traj], sl.WindowConfig(stride_frames=0))
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, "2", None])
+    def test_non_integer_stride_rejected(self, stride):
+        with pytest.raises(sl.ConfigError, match="stride_frames must be an integer"):
+            sl.WindowConfig(stride_frames=stride)
+
     def test_stride_bounded_by_int64(self):
         with pytest.raises(sl.ConfigError, match="stride_frames"):
             sl.WindowConfig(stride_frames=2**63)
@@ -474,6 +498,40 @@ class TestWindowOracle:
         assert set(windows.vehicle_ids) == {"a", "b"}
         split = sl.split_by_vehicle(windows, 0.5, seed=0)
         assert split.train.frames is split.test.frames is windows.frames
+
+    def _two_rate_windows(self):
+        """24 Hz and 20 Hz trajectories windowed at 4 Hz: steps 6 and 5."""
+        trajs = [make_traj(n=90, rate=24.0, vid="a", rng_seed=1),
+                 make_traj(n=70, rate=20.0, vid="b", rng_seed=2)]
+        windows = sl.build_windows(trajs)
+        assert sorted(set(windows.steps.tolist())) == [5, 6]
+        return windows
+
+    def test_take_int_gives_one_window(self):
+        windows = self._two_rate_windows()
+        features = windows.features
+        for i in (0, 5, len(windows) - 1, -1, np.int64(20)):
+            assert windows.take(i).shape == (12, 5)
+            assert np.array_equal(windows.take(i), features[i])
+
+    def test_take_batch_and_time_major(self):
+        windows = self._two_rate_windows()
+        features = windows.features
+        assert np.array_equal(windows.take(), features)
+        for index in [slice(3, 30, 4), slice(None, None, -1), windows.vehicle_ids == "b",
+                      np.array([7, 0, 7, len(windows) - 1]), np.arange(len(windows))[::-3]]:
+            want = features[index]
+            got = windows.take(index)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            time_major = windows.take(index, time_major=True)
+            assert time_major.flags.c_contiguous
+            assert time_major.shape == (12, len(want), 5)
+            assert np.array_equal(time_major, want.transpose(1, 0, 2))
+
+    def test_take_empty(self):
+        windows = self._two_rate_windows()
+        assert windows.take(slice(0, 0)).shape == (0, 12, 5)
+        assert windows.take(slice(0, 0), time_major=True).shape == (12, 0, 5)
 
     def test_rows_must_index_the_table(self):
         table = np.zeros((23, 5))  # room for one window of step 2
@@ -661,6 +719,8 @@ class TestSplit:
             sl.split_by_vehicle(self._windows(4), 1.0, seed=0)
         with pytest.raises(sl.ConfigError):
             sl.split_by_vehicle(self._windows(4), 0.8, seed=-1)
+        with pytest.raises(sl.ConfigError, match="seed must be an integer"):
+            sl.split_by_vehicle(self._windows(4), 0.5, 1.5)
 
 
 class TestExportAndWrite:

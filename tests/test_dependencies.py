@@ -1,9 +1,11 @@
-"""The package imports nothing outside the standard library but NumPy.
+"""The package imports nothing outside the standard library but NumPy, and
+only `dataset` knows the WindowSet frame-table layout.
 
 pyproject.toml declares `dependencies = ["numpy>=2.0"]`; a stray import of
 anything else would break an install that follows that declaration.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,18 @@ def test_imports_only_stdlib_and_numpy():
     loaded = set(result.stdout.split())
     assert {"numpy", "spikelane"} <= loaded
     assert loaded - set(sys.stdlib_module_names) <= {"numpy", "spikelane"}
+
+
+_LAYOUT = {"frames", "starts", "steps"}
+
+
+def test_only_dataset_reads_the_frame_table_layout():
+    # other modules gather windows through WindowSet.take, so the layout can change in one place
+    readers = []
+    for path in sorted(Path(sl.__file__).parent.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _LAYOUT:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []

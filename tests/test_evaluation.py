@@ -83,6 +83,16 @@ class TestConfusion:
         with pytest.raises(sl.UsageError):
             sl.confusion_and_accuracy([0, 3], [0, 1])
 
+    @pytest.mark.parametrize("predictions,labels,name", [
+        ([0.7, 2.9], [0, 2], "predictions"),
+        ([0, 2], [0.0, 2.0], "labels"),
+        ([0, 2], [0, 2**64], "labels"),
+        ([0, 2], np.array([0, 2**63], dtype=np.uint64), "labels"),
+    ])
+    def test_rejects_non_integers(self, predictions, labels, name):
+        with pytest.raises(sl.UsageError, match=f"{name} must be integers within int64"):
+            sl.confusion_and_accuracy(predictions, labels)
+
 
 class TestRocCurve:
     def test_perfect_ranking(self):

@@ -273,6 +273,12 @@ class TestParamsAndConfig:
         with pytest.raises(sl.ConfigError, match="seed"):
             sl.new_model(seed=-1)
 
+    @pytest.mark.parametrize("name", ["seed", "hidden_dim"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_non_integer_arguments_rejected(self, name, value):
+        with pytest.raises(sl.ConfigError, match=f"{name} must be an integer"):
+            sl.new_model(**{name: value})
+
     def test_lif_config_validation(self):
         with pytest.raises(sl.ConfigError):
             sl.LifConfig(beta=1.0)

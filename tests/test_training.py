@@ -107,6 +107,12 @@ class TestTrainConfig:
         with pytest.raises(sl.ConfigError, match="seed"):
             sl.TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience_epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(sl.ConfigError, match=f"{name} must be an integer"):
+            sl.TrainConfig(**{name: value})
+
     def test_config_file_naming_every_field_loads(self, tmp_path):
         values = dict(batch_size=16, learning_rate=0.5, max_epochs=7, patience_epochs=3,
                       min_loss_delta=0.25, seed=9, optimizer="sgd")
