@@ -36,7 +36,7 @@ def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
     """
     log_probs, _ = score(model, np.asarray(window)[None])
     probs = np.exp(log_probs[0])
-    return int(np.argmax(probs)), probs
+    return int(probs.argmax()), probs
 
 
 def confusion_and_accuracy(

@@ -14,7 +14,8 @@ none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
 same layout.  score gathers each chunk of a WindowSet time-major with
-WindowSet.take, or reads a bare (N, 12, 5) stack directly.
+WindowSet.take, or reads a bare (N, 12, 5) stack directly, and keeps each
+step's spikes in one bool stack, counted with a single reduction.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -29,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _integer_value, window_stack,
+    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _integer_column, _integer_value,
+    window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -356,13 +358,15 @@ def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
 # Windows per score() chunk.  It bounds the working memory of scoring: one
 # chunk's (T, chunk, hidden) currents are the largest array score() holds
 # (2.4 MB at 1,024 windows, 9.4 MB at 4,096), beside its gathered
-# (T, chunk, in) input (0.5 MB at 1,024).  It is sized for the cache: each
-# LIF step works on about five (chunk, hidden) float64 arrays (the step's
-# currents, the membrane, the next state, a temporary and the spike count),
-# about 1 MB at 1,024 windows, which fits a 2-MiB L2, against 4 MB at 4,096.
-# score() on 57,450 windows (2-CPU Xeon, one BLAS thread, best of 12 rounds of
-# 3, two runs) took 0.099-0.104 s at 512 and 1,024, 0.106-0.107 s at 2,048
-# and 0.108-0.112 s at 4,096.  Every chunk size gives the same bits.
+# (T, chunk, in) input (0.5 MB at 1,024) and its (T, chunk, hidden) bool
+# spikes (0.3 MB).  It is sized for the cache: each LIF step works on four
+# (chunk, hidden) float64 arrays (the step's currents, the membrane, the
+# next state and a temporary) and a bool mask, about 0.8 MB at 1,024
+# windows, which fits a 2-MiB L2, against 3.3 MB at 4,096.
+# score() on 57,450 windows at stride 1 (2-CPU Xeon, one BLAS thread, 12
+# rounds of best-of-3 on a shared host) took 0.104 s at best and 0.113 s in
+# the median at 1,024, 0.099/0.114 s at 512, 0.101/0.109 s at 2,048 and
+# 0.111/0.146 s at 4,096.  Every chunk size gives the same bits.
 SCORE_CHUNK = 1024
 
 
@@ -374,12 +378,13 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     spikes per window.  The windows are scored SCORE_CHUNK at a time: the
     chunk's time-major (T, chunk, in) input (the set's take(chunk,
     time_major=True), one transposed copy of a stack), the feature
-    currents, the LIF recurrence keeping only the running state and a
-    per-neuron spike count, then the readout.  The
-    readout is an einsum rather than a BLAS matmul, so every row depends
-    only on its own window: a batch of one gives the same bits as that
-    window inside any batch, for any chunk size.  forward_batch stays the
-    training path, whose cache the backward pass reads.
+    currents, the LIF recurrence keeping only the running state and each
+    step's spikes in a (T, chunk, hidden) bool stack, counted in one
+    reduction, then the readout.  The readout is an einsum rather than a
+    BLAS matmul, so every row depends only on its own window: a batch of
+    one gives the same bits as that window inside any batch, for any chunk
+    size.  forward_batch stays the training path, whose cache the backward
+    pass reads.
     """
     table = isinstance(windows, WindowSet)
     if not table:
@@ -396,10 +401,11 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
         if not np.isfinite(xs).all():
             raise NumericError("window stack must be finite")
         currents = _feature_currents(xs, model.feature_layer)
-        counts = np.zeros((xs.shape[1], model.hidden_dim))
         # training's recurrence, over the same (T, chunk, hidden) layout
-        for _, _, fired in _lif_steps(currents, model.lif):
-            counts += fired
+        spikes = np.empty(currents.shape, dtype=bool)
+        for t, _, fired in _lif_steps(currents, model.lif):
+            spikes[t] = fired
+        counts = spikes.sum(axis=0, dtype=np.uint8)  # at most WINDOW_STEPS = 12 per neuron
         pooled = counts / model.input_steps  # the bits of _forward_stack's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
@@ -433,14 +439,14 @@ def nll_loss(log_probs_batch: Sequence[np.ndarray], labels: Sequence[int]) -> fl
     """Mean negative log-likelihood of the true classes over a batch."""
     if len(log_probs_batch) == 0:
         raise UsageError("nll_loss needs a non-empty batch")
-    if len(log_probs_batch) != len(labels):
+    labels = _integer_column("labels", labels, np.intp, UsageError)
+    if labels.shape != (len(log_probs_batch),):
         raise UsageError(
-            f"{len(log_probs_batch)} log-prob vectors but {len(labels)} labels"
+            f"{len(log_probs_batch)} log-prob vectors but labels shape {labels.shape}"
         )
     total = 0.0
     for lp, label in zip(log_probs_batch, labels):
         lp = np.asarray(lp, dtype=np.float64)
-        label = int(label)
         if not 0 <= label < lp.shape[0]:
             raise UsageError(f"label {label} outside [0, {lp.shape[0]})")
         total -= lp[label]
@@ -488,7 +494,7 @@ def backward_batch(
             f"cache shapes {cache.input.shape}/{cache.spikes.shape} do not "
             f"match model dims (N, {steps}, {model.input_dim}, {hidden})"
         )
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = _integer_column("labels", labels, np.intp, UsageError)
     if labels.shape != (n,):
         raise UsageError(f"{n} windows but labels shape {labels.shape}")
     bad = (labels < 0) | (labels >= model.classes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Trajectory, _events_from_lanes
+from .dataset import Trajectory, _events_from_lanes, _integer_value
 from .errors import UsageError
 
 LANE_WIDTH_M = 3.5
@@ -39,6 +39,8 @@ def synthesize_dataset(
     Each vehicle draws from an independent child stream of the seed, so the
     output is reproducible and order-independent.
     """
+    _integer_value("seed", seed, UsageError)
+    _integer_value("n_trajectories", n_trajectories, UsageError)
     if n_trajectories < 1:
         raise UsageError(f"n_trajectories must be >= 1, got {n_trajectories}")
     if maneuvers[0] < 0 or maneuvers[1] < maneuvers[0]:

@@ -274,6 +274,45 @@ class TestScoringPath:
             spikes.mean() * model.classes, rel=1e-12
         )
 
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    def test_spike_counts_are_exact(self, reset_mode):
+        _, _, windows = fleet_windows()
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        _, spike_counts = sl.score(model, windows)
+        want = sl.forward_batch(model, windows.features).spikes.sum(axis=(1, 2))
+        assert want.sum() > 0
+        assert np.array_equal(spike_counts, want)
+
+    @staticmethod
+    def _with_frame(windows, row, value):
+        frames = np.array(windows.frames)
+        frames[row] = value
+        return sl.WindowSet(frames, windows.labels, windows.vehicle_ids, windows.end_frames,
+                            starts=windows.starts, steps=windows.steps)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_unused_frame_is_never_read(self, reset_mode, value):
+        # at one window per downsampled step, five of every six frames
+        # between a vehicle's first and last window belong to no window
+        _, _, windows = fleet_windows()
+        rows = windows.starts[:, None] + windows.steps[:, None] * np.arange(12)
+        unused = np.setdiff1d(np.arange(rows.min(), rows.max()), rows)
+        assert len(unused)
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        got = sl.score(model, self._with_frame(windows, unused[0], value))
+        want = sl.score(model, windows)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    def test_used_non_finite_frame_is_rejected(self, reset_mode):
+        _, _, windows = fleet_windows()
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        used = windows.starts[-1] + 3 * windows.steps[-1]  # the last window's fourth frame
+        with pytest.raises(sl.NumericError):
+            sl.score(model, self._with_frame(windows, used, np.nan))
+
     def test_evaluate_memory_is_bounded(self):
         # a whole-set activation cache would hold three (N, 12, 24) float64
         # arrays: about 200 MB for these 30,000 windows

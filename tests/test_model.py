@@ -242,6 +242,13 @@ class TestNllLoss:
         with pytest.raises(sl.UsageError):
             sl.nll_loss([lp], [3])
 
+    @pytest.mark.parametrize("labels", [[1.5], [1.0], np.array([True]), [[1]]])
+    def test_non_integer_labels_rejected(self, labels):
+        # casting would truncate 1.5 to class 1
+        lp = np.log(np.full(3, 1 / 3))
+        with pytest.raises(sl.UsageError):
+            sl.nll_loss([lp], labels)
+
 
 class TestParamsAndConfig:
     def test_default_model_has_219_parameters(self):
@@ -336,6 +343,15 @@ class TestBatchedTwins:
         batch = sl.forward_batch(model, np.zeros((4, 12, 5)))
         with pytest.raises(sl.UsageError):
             sl.backward_batch(model, batch, np.zeros(3, dtype=int))
+
+    def test_float_labels_rejected(self):
+        # casting would truncate 1.5 to class 1
+        model = sl.new_model()
+        batch = sl.forward_batch(model, np.zeros((2, 12, 5)))
+        with pytest.raises(sl.UsageError, match="labels must be integers"):
+            sl.backward_batch(model, batch, np.array([0.0, 1.5]))
+        with pytest.raises(sl.UsageError, match="labels must be integers"):
+            sl.backward(model, sl.forward(model, np.zeros((12, 5))), 1.5)
 
 
 class TestTimeMajorStepMatchesBatchMajor:

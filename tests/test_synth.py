@@ -115,6 +115,12 @@ class TestStructure:
         with pytest.raises(sl.UsageError):
             sl.synthesize_dataset(0, 2, maneuvers=(3, 1))
 
+    @pytest.mark.parametrize("seed, n", [(1.5, 2), (0, 2.5), (1.0, 2), (0, 2.0), ("1", 2)])
+    def test_non_integer_seed_or_count(self, seed, n):
+        # floats would reach np.random.SeedSequence and spawn as a bare TypeError
+        with pytest.raises(sl.UsageError, match="must be an integer"):
+            sl.synthesize_dataset(seed, n)
+
     @pytest.mark.parametrize("seed, rate", [(-1, 25.0), (0, 0.0), (0, np.nan), (0, -5.0),
                                             (0, 1e-9), (0, np.inf), (0, 1e308)])
     def test_bad_seed_or_rate(self, seed, rate):
