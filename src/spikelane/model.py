@@ -13,9 +13,11 @@ backward_batch and serves training; score is the inference path, which keeps
 none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
-same layout.  score gathers each chunk of a WindowSet time-major with
-WindowSet.take, or reads a bare (N, 12, 5) stack directly, and keeps each
-step's spikes in one bool stack, counted with a single reduction.
+same layout.  _lif_steps updates one state array in place and writes each
+step's threshold compare straight into a bool spike stack (out=), which score
+counts with a single reduction and forward_batch casts to float64 once.
+score gathers each chunk of a WindowSet time-major with WindowSet.take, or
+reads a bare (N, 12, 5) stack directly.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -69,10 +71,15 @@ class LifConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.v_threshold > 0.0:
-            raise ConfigError(f"v_threshold must be > 0, got {self.v_threshold}")
-        if not self.surrogate_slope > 0.0:
-            raise ConfigError(f"surrogate_slope must be > 0, got {self.surrogate_slope}")
+        # Both must be finite: an infinite slope makes every surrogate gradient
+        # inf / inf = nan, and an infinite threshold makes the subtract reset's
+        # v_threshold * False nan.
+        if not 0.0 < self.v_threshold < np.inf:
+            raise ConfigError(f"v_threshold must be finite and > 0, got {self.v_threshold}")
+        if not 0.0 < self.surrogate_slope < np.inf:
+            raise ConfigError(
+                f"surrogate_slope must be finite and > 0, got {self.surrogate_slope}"
+            )
         if self.reset_mode not in RESET_MODES:
             raise ConfigError(f"reset_mode must be one of {RESET_MODES}, got {self.reset_mode!r}")
 
@@ -152,7 +159,8 @@ class ForwardCache:
     forward_batch fills every field with a leading batch axis N; forward
     returns the same fields for one window, without that axis.  currents,
     membrane and spikes are transposed views of the time-major (T, N, hidden)
-    arrays the LIF recurrence fills, so for N > 1 they are not C-contiguous.
+    arrays the LIF recurrence reads and fills, so for N > 1 they are not
+    C-contiguous.
     backward_batch also takes caches whose fields are plain C-contiguous arrays.
     """
 
@@ -295,33 +303,42 @@ def lif_forward(
     return _lif_core(currents, cfg)
 
 
-def _lif_steps(currents: np.ndarray, cfg: LifConfig):
-    """The LIF recurrence: yields (t, pre-reset potential, fired mask) per step.
+def _lif_steps(
+    currents: np.ndarray, cfg: LifConfig, membrane: np.ndarray | None = None
+) -> np.ndarray:
+    """The LIF recurrence: returns the bool spike stack, shaped like currents.
 
     Time runs along axis 0, so the same loop serves (T, H) and the
     time-major (T, N, H) stacks of training and scoring, and each step reads
-    one contiguous block.  Only the running state is kept; callers record
-    what they need of each step.
+    one contiguous block.  One state array is updated in place, each step's
+    threshold compare is written straight into its row of the spike stack,
+    and, when a membrane stack is passed, the pre-reset potential into its
+    row.  The bits are those of u = beta * u_post + currents[t] with
+    u_post = where(fired, 0.0, u) or where(fired, u - v_threshold, u): the
+    multiply commutes, putmask writes +0.0, and u - v_threshold * False is
+    u - 0.0, which is u (-0.0 included) because the threshold is finite.
     """
-    u_post = np.zeros(currents.shape[1:])
+    u = np.zeros(currents.shape[1:])
+    spikes = np.empty(currents.shape, dtype=bool)
     for t in range(len(currents)):
-        u = cfg.beta * u_post + currents[t]
-        fired = u >= cfg.v_threshold
-        yield t, u, fired
+        u *= cfg.beta
+        u += currents[t]
+        if membrane is not None:
+            membrane[t] = u
+        fired = np.greater_equal(u, cfg.v_threshold, out=spikes[t])
         if cfg.reset_mode == RESET_TO_ZERO:
-            u_post = np.where(fired, 0.0, u)
+            np.putmask(u, fired, 0.0)
         else:
-            u_post = np.where(fired, u - cfg.v_threshold, u)
+            u -= cfg.v_threshold * fired
+    return spikes
 
 
 def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
-    # Time-major like _lif_steps: spikes and membrane come back shaped like currents.
-    spikes = np.empty_like(currents)
-    membrane = np.empty_like(currents)
-    for t, u, fired in _lif_steps(currents, cfg):
-        membrane[t] = u
-        spikes[t] = fired
-    return spikes, membrane
+    # Time-major like _lif_steps: float64 spikes and the pre-reset membrane,
+    # both shaped like currents.
+    membrane = np.empty(currents.shape)
+    spikes = _lif_steps(currents, cfg, membrane)
+    return spikes.astype(np.float64), membrane
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -359,14 +376,15 @@ def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
 # chunk's (T, chunk, hidden) currents are the largest array score() holds
 # (2.4 MB at 1,024 windows, 9.4 MB at 4,096), beside its gathered
 # (T, chunk, in) input (0.5 MB at 1,024) and its (T, chunk, hidden) bool
-# spikes (0.3 MB).  It is sized for the cache: each LIF step works on four
-# (chunk, hidden) float64 arrays (the step's currents, the membrane, the
-# next state and a temporary) and a bool mask, about 0.8 MB at 1,024
-# windows, which fits a 2-MiB L2, against 3.3 MB at 4,096.
-# score() on 57,450 windows at stride 1 (2-CPU Xeon, one BLAS thread, 12
-# rounds of best-of-3 on a shared host) took 0.104 s at best and 0.113 s in
-# the median at 1,024, 0.099/0.114 s at 512, 0.101/0.109 s at 2,048 and
-# 0.111/0.146 s at 4,096.  Every chunk size gives the same bits.
+# spikes (0.3 MB).  It is sized for the cache: each LIF step works on the
+# (chunk, hidden) float64 state, the step's currents and one bool spike
+# row (in subtract mode also one temporary the size of the state), about
+# 0.4 MB at 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.
+# score() on 57,574 windows at stride 1 (2-CPU Xeon, one BLAS thread, 6
+# processes of 12 rounds, chunk sizes in rotating order, on a shared host)
+# took 0.085 s at best and 0.094 s in the median at 1,024, 0.081/0.088 s at
+# 512, 0.086/0.094 s at 2,048 and 0.089/0.100 s at 4,096.  Every chunk
+# size gives the same bits.
 SCORE_CHUNK = 1024
 
 
@@ -378,8 +396,8 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     spikes per window.  The windows are scored SCORE_CHUNK at a time: the
     chunk's time-major (T, chunk, in) input (the set's take(chunk,
     time_major=True), one transposed copy of a stack), the feature
-    currents, the LIF recurrence keeping only the running state and each
-    step's spikes in a (T, chunk, hidden) bool stack, counted in one
+    currents, _lif_steps keeping only the running state and filling a
+    (T, chunk, hidden) bool spike stack through out=, counted in one
     reduction, then the readout.  The readout is an einsum rather than a
     BLAS matmul, so every row depends only on its own window: a batch of
     one gives the same bits as that window inside any batch, for any chunk
@@ -402,9 +420,7 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
             raise NumericError("window stack must be finite")
         currents = _feature_currents(xs, model.feature_layer)
         # training's recurrence, over the same (T, chunk, hidden) layout
-        spikes = np.empty(currents.shape, dtype=bool)
-        for t, _, fired in _lif_steps(currents, model.lif):
-            spikes[t] = fired
+        spikes = _lif_steps(currents, model.lif)
         counts = spikes.sum(axis=0, dtype=np.uint8)  # at most WINDOW_STEPS = 12 per neuron
         pooled = counts / model.input_steps  # the bits of _forward_stack's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)

@@ -115,6 +115,14 @@ class TestCorruption:
         with pytest.raises(sl.CheckpointError):
             sl.model_from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("offset,name", [(30, "v_threshold"), (38, "surrogate_slope")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_lif_setting(self, offset, name, value):
+        blob = bytearray(sl.model_to_bytes(sl.new_model()))
+        struct.pack_into("<d", blob, offset, value)
+        with pytest.raises(sl.CheckpointError, match=f"{name} must be finite"):
+            sl.model_from_bytes(bytes(blob))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             sl.load_model(tmp_path / "absent.spkl")

@@ -429,6 +429,24 @@ class TestOffSchemaCheckpoint:
         assert "schema" in err
 
 
+class TestNonFiniteLifCheckpoint:
+    """A checkpoint whose threshold or surrogate slope is infinite is a bad input."""
+
+    @pytest.mark.parametrize("offset", [30, 38], ids=["v_threshold", "surrogate_slope"])
+    def test_exit_2(self, offset, data_csv, trained_dir, tmp_path, capsys):
+        blob = bytearray((trained_dir / "model.spkl").read_bytes())
+        struct.pack_into("<d", blob, offset, float("inf"))
+        model = tmp_path / "model.spkl"
+        model.write_bytes(bytes(blob))
+        assert cli.main([
+            "eval", "--data", str(data_csv), "--model", str(model),
+            "--norm", str(trained_dir / "norm.csv"), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "must be finite" in err
+
+
 class TestNoWindows:
     """Inputs that give no window at all keep the exit codes of an empty set."""
 

@@ -110,6 +110,73 @@ class TestLifForward:
             sl.lif_forward(currents, sl.LifConfig())
 
 
+def dyadic(rng, shape):
+    """Values whose LIF sums at beta 0.5 are exact, so potentials land exactly
+    on a threshold of 1.0, and signed zeros, with the smallest subnormal,
+    whose product with beta is -0.0."""
+    return rng.choice([-1.0, -0.5, -5e-324, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=shape)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+class TestLifContract:
+    """Every caller of the LIF recurrence against naive_lif, bit for bit, where
+    a potential lands exactly on v_threshold, on +0.0 and on -0.0."""
+
+    CFG = dict(beta=0.5, v_threshold=1.0)
+
+    def check_step_outputs(self, currents, spikes, membrane, cfg):
+        assert spikes.dtype == np.float64 and membrane.dtype == np.float64
+        assert np.isin(spikes, [0.0, 1.0]).all()
+        assert not np.shares_memory(spikes, membrane)
+        assert not np.shares_memory(membrane, currents)
+        want_s, want_m = naive_lif(currents, cfg.beta, cfg.v_threshold, cfg.reset_mode)
+        assert same_bits(spikes, want_s)
+        assert same_bits(membrane, want_m)  # a row aliased to the running state would differ
+        return want_m
+
+    def test_lif_forward(self, reset_mode):
+        cfg = sl.LifConfig(reset_mode=reset_mode, **self.CFG)
+        currents = dyadic(np.random.default_rng(21), (12, 40))
+        currents[:4, 0] = [1.0, 0.5, 0.75, -0.0]    # fires on the threshold at steps 0 and 2
+        currents[:4, 1] = [-5e-324, -0.0, -0.0, 1.5]  # -0.0 potential at steps 1 and 2
+        currents[:, 2] = 0.0
+        spikes, membrane = sl.lif_forward(currents, cfg)
+        want_m = self.check_step_outputs(currents, spikes, membrane, cfg)
+        assert (want_m == 1.0).sum() >= 2
+        assert (np.signbit(want_m) & (want_m == 0)).sum() >= 2
+        assert (~np.signbit(want_m) & (want_m == 0)).sum() >= 12
+
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_forward_batch_and_score(self, reset_mode, n):
+        # identity feature layer: each window's currents are its features, but
+        # for the sign of a zero, which the GEMM may drop; so naive_lif reads
+        # the currents the cache holds
+        model = sl.Model(
+            feature_layer=sl.LinearLayer(np.eye(5), np.zeros(5)),
+            classifier=sl.LinearLayer(np.zeros((5, 3)), np.zeros(3)),
+            lif=sl.LifConfig(reset_mode=reset_mode, **self.CFG),
+        )
+        windows = dyadic(np.random.default_rng(22 + n), (n, 12, 5))
+        windows[0, :4, 0] = [1.0, 0.5, 0.75, 0.0]
+        windows[0, :, 1] = 0.0
+        cache = sl.forward_batch(model, windows)
+        _, counts = sl.score(model, windows)
+        hits = 0
+        for i in range(n):
+            want_m = self.check_step_outputs(
+                cache.currents[i], cache.spikes[i], cache.membrane[i], model.lif
+            )
+            assert counts[i] == cache.spikes[i].sum()
+            hits += (want_m == 1.0).sum()
+        assert hits >= 2
+
+
 class TestPoolingAndSoftmax:
     def test_all_ones_pool_to_one(self):
         # a bias at twice the threshold fires every neuron on every step
@@ -293,6 +360,12 @@ class TestParamsAndConfig:
             sl.LifConfig(v_threshold=0.0)
         with pytest.raises(sl.ConfigError):
             sl.LifConfig(reset_mode="clamp")
+
+    @pytest.mark.parametrize("field", ["v_threshold", "surrogate_slope"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_lif_config_values_must_be_finite(self, field, value):
+        with pytest.raises(sl.ConfigError, match=f"{field} must be finite"):
+            sl.LifConfig(**{field: value})
 
     def test_new_model_seeded_and_bounded(self):
         a, b = sl.new_model(seed=42), sl.new_model(seed=42)
