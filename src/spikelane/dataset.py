@@ -209,9 +209,6 @@ class WindowSet:
         return WindowSet(self.frames, self.labels[index], self.vehicle_ids[index],
                          self.end_frames[index], starts=self.starts[index], steps=self.steps[index])
 
-    def __iter__(self) -> Iterator[WindowSample]:
-        return map(self.__getitem__, range(len(self)))
-
 
 def window_stack(windows) -> np.ndarray:
     """The one window-shape check: windows as a float64 (N, 12, 5) stack."""
@@ -236,21 +233,41 @@ def _integer_column(label: str, values, dtype, error: type[Exception]) -> np.nda
     return column.astype(dtype, copy=False)
 
 
-def _integer_value(name: str, value, error: type[Exception] = ConfigError) -> None:
+def _integer_value(
+    name: str, value, error: type[Exception] = ConfigError, minimum: int | None = None
+) -> None:
     """Reject a value that is not an integer, such as a float (even 2.0),
-    which a count, step or seed would otherwise carry into NumPy or range()."""
+    which a count, step or seed would otherwise carry into NumPy or range(),
+    and one below minimum."""
     try:
         operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-feature z-score statistics, fitted on training windows only."""
+    """Per-feature z-score statistics, fitted on training windows only: a
+    finite (5,) float64 mean and a finite (5,) float64 std > 0."""
 
     mean: np.ndarray  # (5,)
     std: np.ndarray   # (5,)
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=np.float64)
+        std = np.asarray(self.std, dtype=np.float64)
+        expected = (len(FEATURE_NAMES),)
+        if mean.shape != expected or std.shape != expected:
+            raise ShapeError(f"normalizer mean shape {mean.shape} and std shape {std.shape}, "
+                             f"expected {expected}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError("normalizer mean and std must be finite")
+        if not (std > 0).all():
+            raise ConfigError(f"normalizer std must be > 0, got {std.tolist()}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         out = features - self.mean
@@ -634,6 +651,8 @@ def apply_normalizer(stats: NormStats, samples: WindowSet) -> WindowSet:
     transform is elementwise, so each window gets the bits of transforming
     its own (12, 5) features.  A frame that a loaded std near 0 overflows
     to inf gives no warning here; score rejects every window that uses it."""
+    if not isinstance(stats, NormStats):
+        raise UsageError(f"normalizer must be a NormStats, got {type(stats).__name__}")
     with np.errstate(over="ignore"):
         frames = stats.transform(samples.frames)
     return WindowSet(frames, samples.labels, samples.vehicle_ids, samples.end_frames,
@@ -685,9 +704,7 @@ def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSpli
     keep the input order."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
-    _integer_value("seed", seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _integer_value("seed", seed, minimum=0)
     vehicles, codes = _id_codes(samples.vehicle_ids)
     if len(vehicles) < 2:
         empty = "the window set is empty; " if len(samples) == 0 else ""

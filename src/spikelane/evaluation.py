@@ -23,7 +23,7 @@ from .dataset import (
     build_windows,
     downsample_factor,
 )
-from .errors import DegenerateLabelsError, ShapeError, UsageError
+from .errors import DegenerateLabelsError, NumericError, ShapeError, UsageError
 from .model import Model, score
 
 
@@ -86,6 +86,8 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray, class_id: int = 1) -> RocC
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ShapeError(f"scores shape {scores.shape} vs labels shape {labels.shape}")
+    if not np.isfinite(scores).all():
+        raise NumericError("scores must be finite")
     positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
@@ -200,11 +202,26 @@ class TimelineEntry:
 
 @dataclass(frozen=True)
 class TimelineReport:
+    """One vehicle's replay: score's arrays, one row per window, and the
+    detections made from them."""
+
     vehicle_id: str
-    entries: tuple[TimelineEntry, ...]
+    end_frames: np.ndarray             # (N,) int64, each window's last frame
+    probs: np.ndarray                  # (N, 3) class probabilities
     detections: tuple[int, ...]        # end frames starting debounced non-keep runs
     onsets: tuple[int, ...]            # ground-truth lane-change onset frames
     false_detections: tuple[int, ...]  # detections with no onset within 3 s after
+
+    @property
+    def predicted(self) -> np.ndarray:
+        """(N,) class indices; ties resolve to the lowest, toward keep."""
+        return np.argmax(self.probs, axis=1)
+
+    @property
+    def entries(self) -> tuple[TimelineEntry, ...]:
+        """The rows as TimelineEntry objects, built on each read."""
+        return tuple(map(TimelineEntry, self.end_frames.tolist(), self.predicted.tolist(),
+                         self.probs))
 
 
 def timeline_predict(
@@ -231,13 +248,7 @@ def timeline_predict(
         )
     log_probs, _ = score(model, windows)
     probs = np.exp(log_probs)
-    predicted = np.argmax(probs, axis=1)
-    entries = tuple(
-        TimelineEntry(end_frame=int(frame), predicted=int(k), probs=p)
-        for frame, k, p in zip(windows.end_frames, predicted, probs)
-    )
-
-    detections = [entries[i].end_frame for i in detect_runs(predicted)]
+    detections = windows.end_frames[detect_runs(np.argmax(probs, axis=1))].tolist()
 
     horizon = int(round(INTENTION_HORIZON_S * traj.sample_rate_hz))
     onsets = tuple(e.onset_frame for e in traj.events)
@@ -246,7 +257,8 @@ def timeline_predict(
     )
     return TimelineReport(
         vehicle_id=traj.vehicle_id,
-        entries=entries,
+        end_frames=windows.end_frames,
+        probs=probs,
         detections=tuple(detections),
         onsets=onsets,
         false_detections=false_detections,
@@ -299,5 +311,5 @@ def write_timeline_csv(report: TimelineReport, destination: str | Path) -> None:
     write_numeric_csv(
         destination, ("end_frame", "predicted", "p_keep", "p_left", "p_right"),
         "%d,%d,%.9g,%.9g,%.9g",
-        ((e.end_frame, e.predicted, *e.probs.tolist()) for e in report.entries),
+        zip(report.end_frames.tolist(), report.predicted.tolist(), *report.probs.T.tolist()),
     )

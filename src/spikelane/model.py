@@ -122,13 +122,14 @@ class Model:
     lif: LifConfig = field(default_factory=LifConfig)
 
     def __post_init__(self):
+        if not isinstance(self.lif, LifConfig):
+            raise ConfigError(f"lif must be a LifConfig, got {self.lif!r}")
         if (self.input_dim, self.classes) != (len(FEATURE_NAMES), len(LABEL_NAMES)):
             raise ConfigError(
                 f"model maps {self.input_dim} features to {self.classes} classes; the "
                 f"dataset schema has {len(FEATURE_NAMES)} features and {len(LABEL_NAMES)} classes"
             )
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        _integer_value("hidden_dim", self.hidden_dim, minimum=1)
         if self.classifier.in_dim != self.feature_layer.out_dim:
             raise ConfigError(
                 f"classifier expects {self.classifier.in_dim} inputs but the "
@@ -200,12 +201,8 @@ def new_model(
     The bound keeps initial currents mostly sub-threshold so early spike
     activity is sparse.  The same seed always yields the same model.
     """
-    _integer_value("hidden_dim", hidden_dim)
-    _integer_value("seed", seed)
-    if hidden_dim < 1:
-        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _integer_value("hidden_dim", hidden_dim, minimum=1)
+    _integer_value("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
 
     def init_layer(fan_in: int, fan_out: int) -> LinearLayer:
@@ -344,8 +341,8 @@ def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndar
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
     """Log of softmax(logits), computed max-shifted so large logits cannot overflow."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got shape {z.shape}")
+    if z.ndim != 1 or z.size == 0:
+        raise ShapeError(f"logits must be 1-D and non-empty, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise NumericError("logits must be finite")
     return _log_softmax(z)

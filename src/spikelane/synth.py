@@ -39,14 +39,10 @@ def synthesize_dataset(
     Each vehicle draws from an independent child stream of the seed, so the
     output is reproducible and order-independent.
     """
-    _integer_value("seed", seed, UsageError)
-    _integer_value("n_trajectories", n_trajectories, UsageError)
-    if n_trajectories < 1:
-        raise UsageError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    _integer_value("seed", seed, UsageError, minimum=0)
+    _integer_value("n_trajectories", n_trajectories, UsageError, minimum=1)
     if maneuvers[0] < 0 or maneuvers[1] < maneuvers[0]:
         raise UsageError(f"bad maneuver range {maneuvers}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
     # np.gradient needs two frames in the shortest record; the longest must count finitely
     shortest, longest = (np.rint(d * sample_rate_hz) for d in DURATION_S)
     if not (sample_rate_hz > 0 and shortest >= 2 and longest < np.inf):

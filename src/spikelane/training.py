@@ -37,20 +37,13 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience_epochs", "seed"):
-            _integer_value(name, getattr(self, name))
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience_epochs", 1),
+                              ("seed", 0)):
+            _integer_value(name, getattr(self, name), minimum=minimum)
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience_epochs < 1:
-            raise ConfigError(f"patience_epochs must be >= 1, got {self.patience_epochs}")
         if not 0 <= self.min_loss_delta < np.inf:
             raise ConfigError(f"min_loss_delta must be finite and >= 0, got {self.min_loss_delta}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

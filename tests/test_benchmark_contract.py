@@ -60,13 +60,14 @@ def test_stack_windows_returns_the_window_set_arrays(fleet):
 
 
 def test_window_set_iterates_window_samples(fleet):
-    _, windows, _ = fleet
-    samples = list(windows)
-    assert len(samples) == len(windows)
-    assert all(isinstance(w, sl.WindowSample) for w in samples)
-    assert [w.vehicle_id for w in samples] == windows.vehicle_ids.tolist()
-    assert [w.end_frame for w in samples] == windows.end_frames.tolist()
-    assert [w.label for w in samples] == windows.labels.tolist()
+    _, fleet_windows, _ = fleet
+    for windows in (fleet_windows, fleet_windows[:0]):
+        samples = list(windows)
+        assert len(samples) == len(windows)
+        assert all(isinstance(w, sl.WindowSample) for w in samples)
+        assert [w.vehicle_id for w in samples] == windows.vehicle_ids.tolist()
+        assert [w.end_frame for w in samples] == windows.end_frames.tolist()
+        assert [w.label for w in samples] == windows.labels.tolist()
 
 
 def test_forward_batch_log_probs_match_predict_on_bare_arrays(fleet):

@@ -660,6 +660,29 @@ class TestNormalizer:
         assert (loaded.mean == stats.mean).all()
         assert (loaded.std == stats.std).all()
 
+    def test_stats_are_float64_arrays(self):
+        stats = sl.NormStats(mean=[0, 1, 2, 3, 4], std=[1, 1, 2, 2, 3])
+        for values in (stats.mean, stats.std):
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64
+
+    @pytest.mark.parametrize("mean, std, error", [
+        (np.zeros(3), np.ones(3), sl.ShapeError),
+        (np.zeros(5), np.ones((1, 5)), sl.ShapeError),
+        (np.zeros(5), np.ones(6), sl.ShapeError),
+        (np.full(5, np.nan), np.ones(5), sl.NumericError),
+        (np.zeros(5), np.array([1.0, 1.0, np.inf, 1.0, 1.0]), sl.NumericError),
+        (np.zeros(5), np.array([1.0, -1.0, 1.0, 1.0, 1.0]), sl.ConfigError),
+        (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, 0.0]), sl.ConfigError),
+    ])
+    def test_bad_stats_rejected(self, mean, std, error):
+        with pytest.raises(error, match="normalizer"):
+            sl.NormStats(mean=mean, std=std)
+
+    def test_apply_rejects_what_is_not_norm_stats(self):
+        windows = sl.build_windows([make_traj(n=100)])
+        with pytest.raises(sl.UsageError, match="normalizer must be a NormStats"):
+            sl.apply_normalizer({"mean": np.zeros(5), "std": np.ones(5)}, windows)
+
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "norm.csv"
         path.write_text("a,b\n1,2\n")

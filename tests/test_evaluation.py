@@ -140,6 +140,11 @@ class TestRocCurve:
         with pytest.raises(sl.DegenerateLabelsError):
             sl.roc_curve(np.array([0.1, 0.2]), np.array([0, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(sl.NumericError, match="scores must be finite"):
+            sl.roc_curve(np.array([bad, 1.0, 0.5]), np.array([0, 1, 0]))
+
 
 class TestEvaluate:
     def _toy_windows(self, labels):
@@ -391,6 +396,36 @@ class TestTimeline:
         for entry in report.entries:
             assert entry.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_built_without_timeline_entries(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TimelineEntry was built")
+
+        monkeypatch.setattr(sl.evaluation, "TimelineEntry", refuse)
+        traj = sl.synthesize_dataset(27, 1)[0]
+        report = sl.timeline_predict(model_with_fixed_logits([0.0, 5.0, 0.0]), traj,
+                                     self._normalizer())
+        assert len(report.detections) == 1
+        sl.write_timeline_csv(report, tmp_path / "timeline.csv")
+        assert (tmp_path / "timeline.csv").read_text().count("\n") == len(report.end_frames) + 1
+
+    def test_entries_and_predicted_read_the_arrays(self):
+        probs = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.7]])
+        end_frames = np.array([11, 17, 23, 29], dtype=np.int64)
+        report = sl.TimelineReport("v", end_frames, probs, (), (), ())
+        # a tie resolves to the lowest class, toward keep
+        assert report.predicted.tolist() == [0, 1, 0, 2]
+        entries = report.entries
+        assert all(isinstance(e, sl.TimelineEntry) for e in entries)
+        assert [e.end_frame for e in entries] == end_frames.tolist()
+        assert all(type(e.end_frame) is int and type(e.predicted) is int for e in entries)
+        assert [e.predicted for e in entries] == report.predicted.tolist()
+        assert np.array_equal(np.array([e.probs for e in entries]), probs)
+
+    def test_normalizer_must_be_norm_stats(self):
+        traj = sl.synthesize_dataset(28, 1)[0]
+        with pytest.raises(sl.UsageError, match="normalizer must be a NormStats"):
+            sl.timeline_predict(sl.new_model(), traj, {})
+
     def test_false_detection_bookkeeping(self):
         # keep-only vehicle: any detection must be counted false
         traj = sl.synthesize_dataset(23, 1, maneuvers=(0, 0))[0]
@@ -489,7 +524,10 @@ class TestWriterBytes:
             end_frame=-(2**63), predicted=2, probs=np.array([1e-300, 1 / 3, 1.0])
         )
         for entries in (report.entries, (extreme,)):
-            case = sl.TimelineReport("v", entries, (), (), ())
+            case = sl.TimelineReport(
+                "v", np.array([e.end_frame for e in entries], dtype=np.int64),
+                np.array([e.probs for e in entries]), (), (), (),
+            )
             path = tmp_path / "timeline.csv"
             sl.write_timeline_csv(case, path)
             want = csv_writer_bytes(("end_frame", "predicted", "p_keep", "p_left", "p_right"), [

@@ -201,6 +201,11 @@ class TestPoolingAndSoftmax:
         lp = sl.softmax_logprobs(np.zeros(3))
         np.testing.assert_allclose(lp, np.log(1 / 3), atol=1e-15)
 
+    @pytest.mark.parametrize("logits", [[], np.zeros(0), np.zeros((1, 3))])
+    def test_empty_or_not_1d_rejected(self, logits):
+        with pytest.raises(sl.ShapeError, match="logits must be 1-D and non-empty"):
+            sl.softmax_logprobs(logits)
+
     def test_huge_logit_does_not_overflow(self):
         lp = sl.softmax_logprobs(np.array([1000.0, 0.0, 0.0]))
         probs = np.exp(lp)
@@ -352,6 +357,14 @@ class TestParamsAndConfig:
     def test_non_integer_arguments_rejected(self, name, value):
         with pytest.raises(sl.ConfigError, match=f"{name} must be an integer"):
             sl.new_model(**{name: value})
+
+    @pytest.mark.parametrize("lif", ["x", {"beta": 0.9}])
+    def test_lif_must_be_lif_config(self, lif):
+        with pytest.raises(sl.ConfigError, match="lif must be a LifConfig"):
+            sl.new_model(lif=lif)
+        layers = sl.new_model()
+        with pytest.raises(sl.ConfigError, match="lif must be a LifConfig"):
+            sl.Model(layers.feature_layer, layers.classifier, lif=lif)
 
     def test_lif_config_validation(self):
         with pytest.raises(sl.ConfigError):
