@@ -256,8 +256,11 @@ class NormStats:
     std: np.ndarray   # (5,)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
+        try:
+            mean = np.asarray(self.mean, dtype=np.float64)
+            std = np.asarray(self.std, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise NumericError(f"normalizer mean and std must be numeric: {exc}") from None
         expected = (len(FEATURE_NAMES),)
         if mean.shape != expected or std.shape != expected:
             raise ShapeError(f"normalizer mean shape {mean.shape} and std shape {std.shape}, "

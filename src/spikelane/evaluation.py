@@ -212,6 +212,15 @@ class TimelineReport:
     onsets: tuple[int, ...]            # ground-truth lane-change onset frames
     false_detections: tuple[int, ...]  # detections with no onset within 3 s after
 
+    def __post_init__(self):
+        end_frames = _integer_column("timeline end_frames", self.end_frames, np.int64, UsageError)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if end_frames.ndim != 1 or probs.shape != (len(end_frames), len(LABEL_NAMES)):
+            raise ShapeError(f"timeline end_frames shape {end_frames.shape} and probs shape "
+                             f"{probs.shape}, expected (n,) and (n, {len(LABEL_NAMES)})")
+        object.__setattr__(self, "end_frames", end_frames)
+        object.__setattr__(self, "probs", probs)
+
     @property
     def predicted(self) -> np.ndarray:
         """(N,) class indices; ties resolve to the lowest, toward keep."""

@@ -272,10 +272,20 @@ def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
     One GEMM over the stack's (T * N, in) rows, read in place.  With only
     in_dim terms per sum, BLAS adds them in one order whatever the number or
     order of rows, so every current has the bits of x[n, t] @ W + b.
+
+    This is the one finiteness check of forward_batch and score: it raises
+    NumericError unless every current is finite.  A non-finite input makes
+    its whole row of currents non-finite (nan * w and inf * 0.0 are nan),
+    and a finite input as large as 1e308 can overflow the GEMM; the
+    arithmetic runs under np.errstate, so neither warns first.
     """
     steps, n, in_dim = xs.shape
-    currents = xs.reshape(steps * n, in_dim) @ layer.weights
-    currents += layer.bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        currents = xs.reshape(steps * n, in_dim) @ layer.weights
+        currents += layer.bias
+    if not np.isfinite(currents).all():
+        raise NumericError("feature currents must be finite: the window stack is not finite "
+                           "or overflows the feature layer")
     return currents.reshape(steps, n, layer.out_dim)
 
 
@@ -314,19 +324,27 @@ def _lif_steps(
     u_post = where(fired, 0.0, u) or where(fired, u - v_threshold, u): the
     multiply commutes, putmask writes +0.0, and u - v_threshold * False is
     u - 0.0, which is u (-0.0 included) because the threshold is finite.
+    beta, v_threshold and the reset value enter every step as 0-d float64
+    arrays, made once per call: NumPy converts a Python-float operand
+    again on every ufunc call, which at one window costs more than the
+    arithmetic.  The values, and so the bits, are those of the floats.
     """
+    beta = np.array(cfg.beta, dtype=np.float64)
+    v_threshold = np.array(cfg.v_threshold, dtype=np.float64)
+    to_zero = cfg.reset_mode == RESET_TO_ZERO
+    reset_value = np.zeros(())
     u = np.zeros(currents.shape[1:])
     spikes = np.empty(currents.shape, dtype=bool)
-    for t in range(len(currents)):
-        u *= cfg.beta
+    for t, fired in enumerate(spikes):
+        u *= beta
         u += currents[t]
         if membrane is not None:
             membrane[t] = u
-        fired = np.greater_equal(u, cfg.v_threshold, out=spikes[t])
-        if cfg.reset_mode == RESET_TO_ZERO:
-            np.putmask(u, fired, 0.0)
+        np.greater_equal(u, v_threshold, out=fired)
+        if to_zero:
+            np.putmask(u, fired, reset_value)
         else:
-            u -= cfg.v_threshold * fired
+            u -= v_threshold * fired
     return spikes
 
 
@@ -349,8 +367,10 @@ def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # The ufunc reductions that ndarray.max and .sum call, without their
+    # Python wrappers; a (1, 3) readout pays those per window.
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def forward(model: Model, x: np.ndarray) -> ForwardCache:
@@ -363,10 +383,7 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
     """Vectorized forward pass over a (N, 12, 5) stack."""
-    xs = window_stack(windows)
-    if not np.isfinite(xs).all():
-        raise NumericError("window stack must be finite")
-    return _forward_stack(model, xs)
+    return _forward_stack(model, window_stack(windows))
 
 
 # Windows per score() chunk.  It bounds the working memory of scoring: one
@@ -384,6 +401,11 @@ def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
 # size gives the same bits.
 SCORE_CHUNK = 1024
 
+# score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
+# converted again on every ufunc call, which one-window scoring pays per call.
+_STEPS = np.array(WINDOW_STEPS)
+_STEPS.flags.writeable = False
+
 
 def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference over N windows, caching nothing.
@@ -393,13 +415,17 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     spikes per window.  The windows are scored SCORE_CHUNK at a time: the
     chunk's time-major (T, chunk, in) input (the set's take(chunk,
     time_major=True), one transposed copy of a stack), the feature
-    currents, _lif_steps keeping only the running state and filling a
+    currents, which raise NumericError unless every one is finite (a
+    non-finite window, or a finite one that overflows the feature layer),
+    _lif_steps keeping only the running state and filling a
     (T, chunk, hidden) bool spike stack through out=, counted in one
     reduction, then the readout.  The readout is an einsum rather than a
     BLAS matmul, so every row depends only on its own window: a batch of
     one gives the same bits as that window inside any batch, for any chunk
-    size.  forward_batch stays the training path, whose cache the backward
-    pass reads.
+    size.  The reductions are called as ufuncs (np.add.reduce), not through
+    the ndarray methods' Python wrappers, which a window pays per call.
+    forward_batch stays the training path, whose cache the backward pass
+    reads.
     """
     table = isinstance(windows, WindowSet)
     if not table:
@@ -413,17 +439,15 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
             xs = windows.take(chunk, time_major=True)
         else:
             xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
-        if not np.isfinite(xs).all():
-            raise NumericError("window stack must be finite")
         currents = _feature_currents(xs, model.feature_layer)
         # training's recurrence, over the same (T, chunk, hidden) layout
         spikes = _lif_steps(currents, model.lif)
-        counts = spikes.sum(axis=0, dtype=np.uint8)  # at most WINDOW_STEPS = 12 per neuron
-        pooled = counts / model.input_steps  # the bits of _forward_stack's spikes.mean(axis=0)
+        counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
+        pooled = counts / _STEPS  # the bits of _forward_stack's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
-        spike_counts[chunk] = counts.sum(axis=1)
+        spike_counts[chunk] = np.add.reduce(counts, axis=1)
     return log_probs, spike_counts
 
 
@@ -556,9 +580,10 @@ def _membrane_adjoint(
     else:
         dreset = 1.0 - cfg.v_threshold * sg
     lam = dspike * sg
+    beta = np.array(cfg.beta, dtype=np.float64)  # 0-d, as in _lif_steps
     mu = np.zeros(membrane.shape[1:])
     for t in reversed(range(len(membrane))):
         mu *= dreset[t]
         lam[t] += mu
-        np.multiply(lam[t], cfg.beta, out=mu)
+        np.multiply(lam[t], beta, out=mu)
     return lam

@@ -571,6 +571,38 @@ class TestOverflowingNormalizer:
         assert "must be finite" in err
 
 
+class TestOverflowingWindow:
+    """A finite CSV frame whose feature currents overflow float64 ends in one
+    error line and exit 1, not a NumPy warning from the feature GEMM and
+    scores from infinite currents."""
+
+    @pytest.mark.parametrize("command", [["eval", "--stride", "4"],
+                                         ["predict", "--vehicle", "veh0000"]])
+    def test_exit_1(self, command, data_csv, trained_dir, tmp_path, capsys):
+        weights = sl.load_model(trained_dir / "model.spkl").feature_layer.weights
+        j = np.abs(weights).sum(axis=0).argmax()
+        assert np.abs(weights[:, j]).sum() * 1.7 > 1.8
+        huge = [repr(v) for v in (1.7e308 * np.sign(weights[:, j])).tolist()]
+        lines = data_csv.read_text().splitlines()
+        for i in range(1, len(lines)):
+            row = lines[i].split(",")
+            if row[0] != lines[i - 1].split(",")[0]:  # each vehicle's first frame
+                row[2:7] = huge  # its five feature columns
+                lines[i] = ",".join(row)
+        data = tmp_path / "traj.csv"
+        data.write_text("\n".join(lines) + "\n")
+        norm = tmp_path / "norm.csv"
+        sl.save_norm_stats(sl.NormStats(mean=np.zeros(5), std=np.ones(5)), norm)
+        code = cli.main([
+            *command, "--data", str(data), "--model", str(trained_dir / "model.spkl"),
+            "--norm", str(norm), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "must be finite" in err
+
+
 class TestBench:
     @pytest.mark.parametrize("optimizer, copies", [("adam", 3), ("sgd", 1)])
     def test_param_memory_counts_parameters_and_optimizer_state(

@@ -673,6 +673,7 @@ class TestNormalizer:
         (np.zeros(5), np.array([1.0, 1.0, np.inf, 1.0, 1.0]), sl.NumericError),
         (np.zeros(5), np.array([1.0, -1.0, 1.0, 1.0, 1.0]), sl.ConfigError),
         (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, 0.0]), sl.ConfigError),
+        ("x", np.ones(5), sl.NumericError),
     ])
     def test_bad_stats_rejected(self, mean, std, error):
         with pytest.raises(error, match="normalizer"):

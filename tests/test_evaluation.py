@@ -421,6 +421,31 @@ class TestTimeline:
         assert [e.predicted for e in entries] == report.predicted.tolist()
         assert np.array_equal(np.array([e.probs for e in entries]), probs)
 
+    def test_built_from_lists_writes_the_bytes_of_arrays(self, tmp_path):
+        probs = [[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.1, 0.2, 0.7]]
+        end_frames = [11, 17, 23]
+        written = []
+        for report in (sl.TimelineReport("v", end_frames, probs, (), (), ()),
+                       sl.TimelineReport("v", np.array(end_frames, dtype=np.int64),
+                                         np.array(probs), (), (), ())):
+            path = tmp_path / f"timeline{len(written)}.csv"
+            sl.write_timeline_csv(report, path)
+            written.append(path.read_bytes())
+            assert report.end_frames.dtype == np.int64 and report.probs.dtype == np.float64
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("end_frames, probs, error", [
+        ([11, 17], [[0.4, 0.4, 0.2]], sl.ShapeError),
+        ([11], [[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]], sl.ShapeError),
+        ([11], [[0.5, 0.5]], sl.ShapeError),
+        ([[11]], [[0.4, 0.4, 0.2]], sl.ShapeError),
+        ([11.0], [[0.4, 0.4, 0.2]], sl.UsageError),
+        ([2**63], [[0.4, 0.4, 0.2]], sl.UsageError),
+    ])
+    def test_mismatched_columns_rejected(self, end_frames, probs, error):
+        with pytest.raises(error, match="timeline end_frames"):
+            sl.TimelineReport("v", end_frames, probs, (), (), ())
+
     def test_normalizer_must_be_norm_stats(self):
         traj = sl.synthesize_dataset(28, 1)[0]
         with pytest.raises(sl.UsageError, match="normalizer must be a NormStats"):

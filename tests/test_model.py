@@ -177,6 +177,13 @@ class TestLifContract:
         assert hits >= 2
 
 
+class TestLifContractNumpyScalars(TestLifContract):
+    """The same contract for a config built from a NumPy scalar and an int,
+    which _lif_steps turns into 0-d float64 operands like any float."""
+
+    CFG = dict(beta=np.float64(0.5), v_threshold=1)
+
+
 class TestPoolingAndSoftmax:
     def test_all_ones_pool_to_one(self):
         # a bias at twice the threshold fires every neuron on every step
@@ -288,6 +295,26 @@ class TestScore:
     def test_empty_stack(self):
         log_probs, spike_counts = sl.score(sl.new_model(), np.zeros((0, 12, 5)))
         assert log_probs.shape == (0, 3) and spike_counts.shape == (0,)
+
+
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+@pytest.mark.parametrize("call", [
+    lambda model, window: sl.score(model, window[None]),
+    lambda model, window: sl.predict(model, window),
+    lambda model, window: sl.forward_batch(model, window[None]),
+], ids=["score", "predict", "forward_batch"])
+def test_window_overflowing_the_feature_layer_is_rejected(call, reset_mode):
+    # one finite frame of 1.7e308 times the signs of one neuron's weights:
+    # its current on that neuron passes the largest float64, and the GEMM
+    # must not warn first (filterwarnings = error would raise the warning)
+    model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+    weights = model.feature_layer.weights
+    j = np.abs(weights).sum(axis=0).argmax()
+    assert np.abs(weights[:, j]).sum() * 1.7 > 1.8
+    window = np.zeros((12, 5))
+    window[3] = 1.7e308 * np.sign(weights[:, j])
+    with pytest.raises(sl.NumericError, match="must be finite"):
+        call(model, window)
 
 
 class TestNllLoss:
