@@ -28,14 +28,14 @@ from ._atomic import atomic_open
 from .dataset import FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS
 from .errors import CheckpointError, ShapeError
 from .model import (
-    LifConfig, LinearLayer, Model, RESET_MODES, flatten_params, model_params, split_params
+    MAX_HIDDEN_DIM, LifConfig, LinearLayer, Model, RESET_MODES, flatten_params, model_params,
+    split_params,
 )
 
 MAGIC = b"SPKL"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sB4IB3d")
-_MAX_DIM = 1_000_000  # bound on hidden_dim
 
 
 def model_to_bytes(model: Model) -> bytes:
@@ -72,7 +72,7 @@ def model_from_bytes(blob: bytes) -> Model:
             f"checkpoint (input_steps, input_dim, classes) = {(steps, in_dim, classes)}; "
             f"the dataset schema needs {schema}"
         )
-    if not 1 <= hidden <= _MAX_DIM:
+    if not 1 <= hidden <= MAX_HIDDEN_DIM:
         raise CheckpointError(f"implausible hidden_dim={hidden} in checkpoint header")
     if reset >= len(RESET_MODES):
         raise CheckpointError(f"unknown reset mode byte {reset}")

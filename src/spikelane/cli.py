@@ -167,8 +167,6 @@ def _fit_and_train(args):
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     trajectories = synth.synthesize_dataset(args.seed, args.n, args.rate_hz)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

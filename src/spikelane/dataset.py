@@ -19,6 +19,7 @@ gives one `WindowSample`.
 from __future__ import annotations
 
 import csv
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -72,11 +73,8 @@ class Trajectory:
 
     def __post_init__(self):
         # finite in frames over the intention horizon, which label_frames rounds to an int
-        if not 0 < self.sample_rate_hz * INTENTION_HORIZON_S < np.inf:
-            raise ConfigError(
-                f"sample_rate_hz must be > 0 and give a finite frame count over "
-                f"{INTENTION_HORIZON_S:g} s, got {self.sample_rate_hz}"
-            )
+        _real_value("sample_rate_hz", self.sample_rate_hz, 0.0,
+                    np.finfo(np.float64).max / INTENTION_HORIZON_S)
         t = _integer_column("t_index", self.t_index, np.int64, UsageError)
         f = np.asarray(self.features, dtype=np.float64)
         if t.ndim != 1 or f.shape != (len(t), len(FEATURE_NAMES)):
@@ -149,30 +147,29 @@ class WindowSet:
     end_frames: np.ndarray   # (N,) int64
 
     def __init__(self, features, labels, vehicle_ids, end_frames, starts=None, steps=None):
-        if starts is None and steps is None:
-            frames = np.ascontiguousarray(window_stack(features)).reshape(-1, len(FEATURE_NAMES))
-            starts = np.arange(0, len(frames), WINDOW_STEPS, dtype=np.intp)
-            steps = np.ones_like(starts)
-        elif starts is None or steps is None:
+        if (starts is None) != (steps is None):
             raise ShapeError("window starts and steps must be given together")
-        else:
-            frames = np.ascontiguousarray(features, dtype=np.float64)
-            starts = _integer_column("window starts", starts, np.intp, ShapeError)
-            steps = _integer_column("window steps", steps, np.intp, ShapeError)
-            if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
-                    or steps.shape != starts.shape):
-                raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} "
-                                 f"and steps shape {steps.shape}, expected "
-                                 f"(F, {len(FEATURE_NAMES)}), (N,) and (N,)")
-            # the last row bound as a quotient, so that no step * 11 can wrap around int64
-            last = (len(frames) - 1 - starts) // (WINDOW_STEPS - 1)
-            bad = (starts < 0) | (steps < 1) | (steps > last)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
-                                 f"the {len(frames)} frames of the table")
+        if starts is None:
+            features = window_stack(features).reshape(-1, len(FEATURE_NAMES))
+            starts = np.arange(0, len(features), WINDOW_STEPS, dtype=np.intp)
+            steps = np.ones_like(starts)
+        frames = np.ascontiguousarray(features, dtype=np.float64)
+        starts = _integer_column("window starts", starts, np.intp, ShapeError)
+        steps = _integer_column("window steps", steps, np.intp, ShapeError)
+        if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
+                or steps.shape != starts.shape):
+            raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} "
+                             f"and steps shape {steps.shape}, expected "
+                             f"(F, {len(FEATURE_NAMES)}), (N,) and (N,)")
+        # the last row bound as a quotient, so that no step * 11 can wrap around int64
+        last = (len(frames) - 1 - starts) // (WINDOW_STEPS - 1)
+        bad = (starts < 0) | (steps < 1) | (steps > last)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
+                             f"the {len(frames)} frames of the table")
         columns = {
-            "labels": _integer_column("window labels", labels, np.intp, UsageError),
+            "labels": _class_column("window labels", labels),
             "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
             "end_frames": _integer_column("window end_frames", end_frames, np.int64, UsageError),
         }
@@ -180,9 +177,6 @@ class WindowSet:
         if any(s != starts.shape for s in shapes):
             raise ShapeError(f"window set column shapes {shapes}, expected ({len(starts)},) "
                              f"for {len(starts)} windows")
-        bad = (columns["labels"] < 0) | (columns["labels"] >= len(LABEL_NAMES))
-        if bad.any():
-            raise UsageError(f"label {columns['labels'][bad][0]} outside [0, {len(LABEL_NAMES)})")
         for name, column in {"frames": frames, "starts": starts, "steps": steps,
                              **columns}.items():
             object.__setattr__(self, name, column)
@@ -233,6 +227,16 @@ def _integer_column(label: str, values, dtype, error: type[Exception]) -> np.nda
     return column.astype(dtype, copy=False)
 
 
+def _class_column(label: str, values) -> np.ndarray:
+    """values as an intp column of class indices, integers in [0, len(LABEL_NAMES));
+    anything else raises UsageError naming the column by label."""
+    column = _integer_column(label, values, np.intp, UsageError)
+    bad = (column < 0) | (column >= len(LABEL_NAMES))
+    if bad.any():
+        raise UsageError(f"{label}: label {column[bad][0]} outside [0, {len(LABEL_NAMES)})")
+    return column
+
+
 def _integer_value(
     name: str, value, error: type[Exception] = ConfigError, minimum: int | None = None
 ) -> None:
@@ -245,6 +249,17 @@ def _integer_value(
         raise error(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def _real_value(name: str, value, low: float, high: float = np.inf,
+                error: type[Exception] = ConfigError, closed: bool = False) -> None:
+    """Reject a value that is not a real number, such as a str or None, which
+    would reach a comparison or NumPy as a bare TypeError, and one outside
+    (low, high), or [low, high) when closed.  nan fails every comparison."""
+    if not (isinstance(value, numbers.Real) and (low <= value if closed else low < value)
+            and value < high):
+        raise error(f"{name} must be finite and lie in {'[' if closed else '('}{low:g}, "
+                    f"{high:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -290,8 +305,7 @@ class WindowConfig:
     stride_frames: int = 1
 
     def __post_init__(self):
-        if not self.window_rate_hz > 0:
-            raise ConfigError(f"window_rate_hz must be > 0, got {self.window_rate_hz}")
+        _real_value("window_rate_hz", self.window_rate_hz, 0.0)
         _integer_value("stride_frames", self.stride_frames)
         if not 1 <= self.stride_frames <= _INT64_MAX:  # np.arange takes an int64 step
             raise ConfigError(f"stride_frames must lie in [1, 2**63 - 1], got {self.stride_frames}")
@@ -415,13 +429,8 @@ def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Traj
         seen.add(key)
         rows.append((vid, frame, values, lane))
     ids, frames, values, lanes = zip(*rows) if rows else ((), (), (), ())
-    # One fresh str per distinct id, made after every per-row object: a
-    # per-row str kept as a vehicle id pins the allocator arenas of the freed
-    # rows.  "".join copies a str of two or more characters; shorter ones are
-    # cached singletons.
-    fresh = {vid: "".join(vid) for vid in set(ids)}
     return _build_trajectories(
-        np.array([fresh[vid] for vid in ids], dtype=object), np.array(frames, dtype=np.int64),
+        np.array(ids, dtype=object), np.array(frames, dtype=np.int64),
         np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
         np.array(lanes, dtype=np.int64), sample_rate_hz,
     )
@@ -531,8 +540,8 @@ def label_frames(traj: Trajectory) -> np.ndarray:
 
 
 def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
-    if not window_rate_hz > 0:
-        raise ConfigError(f"window_rate_hz must be > 0, got {window_rate_hz}")
+    _real_value("sample_rate_hz", sample_rate_hz, 0.0)
+    _real_value("window_rate_hz", window_rate_hz, 0.0)
     ratio = sample_rate_hz / window_rate_hz
     if not ratio < _INT64_MAX:  # frame positions are int64
         raise ConfigError(
@@ -544,13 +553,6 @@ def downsample_factor(sample_rate_hz: float, window_rate_hz: float) -> int:
             f"downsample factor {sample_rate_hz}/{window_rate_hz} rounds below 1"
         )
     return factor
-
-
-def _window_starts(n_frames: int, factor: int, stride: int) -> np.ndarray:
-    """First frame position of each window of WINDOW_STEPS frames `factor`
-    apart: one every `stride` frames while the window still fits."""
-    # stop clamped at 0: np.arange rejects one below the int64 range, as a huge factor gives
-    return np.arange(0, max(n_frames - (WINDOW_STEPS - 1) * factor, 0), stride)
 
 
 def build_windows(
@@ -574,7 +576,9 @@ def build_windows(
     windowed = []
     for t in ordered:
         factor = downsample_factor(t.sample_rate_hz, config.window_rate_hz)
-        starts = _window_starts(len(t), factor, config.stride_frames)
+        # one window every stride frames while its last frame fits; the stop is clamped
+        # at 0, since np.arange rejects one below the int64 range, as a huge factor gives
+        starts = np.arange(0, max(len(t) - (WINDOW_STEPS - 1) * factor, 0), config.stride_frames)
         if len(starts):
             windowed.append((t, factor, starts))
     counts = [len(starts) for _, _, starts in windowed]
@@ -705,8 +709,7 @@ def load_norm_stats(source: str | Path) -> NormStats:
 def split_by_vehicle(samples: WindowSet, ratio: float, seed: int) -> DatasetSplit:
     """Seeded split keeping every vehicle entirely on one side; both sides
     keep the input order."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"ratio must lie in (0, 1), got {ratio}")
+    _real_value("ratio", ratio, 0.0, 1.0)
     _integer_value("seed", seed, minimum=0)
     vehicles, codes = _id_codes(samples.vehicle_ids)
     if len(vehicles) < 2:

@@ -18,6 +18,7 @@ from .dataset import (
     Trajectory,
     WindowConfig,
     WindowSet,
+    _class_column,
     _integer_column,
     apply_normalizer,
     build_windows,
@@ -44,17 +45,14 @@ def confusion_and_accuracy(
 ) -> tuple[np.ndarray, float]:
     """(3, 3) count matrix indexed [true, predicted], plus accuracy."""
     n_classes = len(LABEL_NAMES)
-    predictions = _integer_column("predictions", predictions, np.intp, UsageError)
-    labels = _integer_column("labels", labels, np.intp, UsageError)
+    predictions = _class_column("predictions", predictions)
+    labels = _class_column("labels", labels)
     if predictions.shape != labels.shape or predictions.ndim != 1:
         raise UsageError(
             f"predictions shape {predictions.shape} vs labels shape {labels.shape}"
         )
     if predictions.size == 0:
         raise UsageError("need at least one prediction")
-    for name, arr in (("prediction", predictions), ("label", labels)):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise UsageError(f"{name} outside [0, {n_classes})")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, predictions), 1)
     accuracy = float((predictions == labels).mean())
@@ -178,19 +176,15 @@ DEBOUNCE_STEPS = 3  # consecutive identical non-keep predictions that make a det
 def detect_runs(predictions: Sequence[int]) -> list[int]:
     """Start indices of runs of >= DEBOUNCE_STEPS consecutive identical non-keep values.
 
-    Shorter blips and anything predicting keep never count.
+    Shorter blips and anything predicting keep never count.  Anything but a
+    1-D column of class indices, nan included, raises UsageError.
     """
-    starts = []
-    i = 0
-    n = len(predictions)
-    while i < n:
-        j = i
-        while j < n and predictions[j] == predictions[i]:
-            j += 1
-        if predictions[i] != LABEL_KEEP and j - i >= DEBOUNCE_STEPS:
-            starts.append(i)
-        i = j
-    return starts
+    values = _class_column("predictions", predictions)
+    if values.ndim != 1:
+        raise UsageError(f"predictions must be 1-D, got shape {values.shape}")
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    lengths = np.diff(starts, append=len(values))
+    return starts[(values[starts] != LABEL_KEEP) & (lengths >= DEBOUNCE_STEPS)].tolist()
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _integer_column, _integer_value,
-    window_stack,
+    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _class_column, _integer_column,
+    _integer_value, _real_value, window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -43,6 +43,8 @@ RESET_MODES = (RESET_TO_ZERO, RESET_SUBTRACT)
 
 # Hidden LIF neurons; the dataset schema fixes the window shape and class count.
 DEFAULT_HIDDEN_DIM = 24
+MAX_HIDDEN_DIM = 1_000_000  # checked by new_model before it allocates, and in checkpoints
+_CURRENT_LIMIT = np.finfo(np.float64).max / 16  # see _feature_currents
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -69,17 +71,12 @@ class LifConfig:
     reset_mode: str = RESET_TO_ZERO
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
+        _real_value("beta", self.beta, 0.0, 1.0)
         # Both must be finite: an infinite slope makes every surrogate gradient
         # inf / inf = nan, and an infinite threshold makes the subtract reset's
         # v_threshold * False nan.
-        if not 0.0 < self.v_threshold < np.inf:
-            raise ConfigError(f"v_threshold must be finite and > 0, got {self.v_threshold}")
-        if not 0.0 < self.surrogate_slope < np.inf:
-            raise ConfigError(
-                f"surrogate_slope must be finite and > 0, got {self.surrogate_slope}"
-            )
+        _real_value("v_threshold", self.v_threshold, 0.0)
+        _real_value("surrogate_slope", self.surrogate_slope, 0.0)
         if self.reset_mode not in RESET_MODES:
             raise ConfigError(f"reset_mode must be one of {RESET_MODES}, got {self.reset_mode!r}")
 
@@ -202,6 +199,8 @@ def new_model(
     activity is sparse.  The same seed always yields the same model.
     """
     _integer_value("hidden_dim", hidden_dim, minimum=1)
+    if hidden_dim > MAX_HIDDEN_DIM:
+        raise ConfigError(f"hidden_dim must be <= {MAX_HIDDEN_DIM:,}, got {hidden_dim}")
     _integer_value("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
 
@@ -274,18 +273,21 @@ def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
     order of rows, so every current has the bits of x[n, t] @ W + b.
 
     This is the one finiteness check of forward_batch and score: it raises
-    NumericError unless every current is finite.  A non-finite input makes
-    its whole row of currents non-finite (nan * w and inf * 0.0 are nan),
-    and a finite input as large as 1e308 can overflow the GEMM; the
-    arithmetic runs under np.errstate, so neither warns first.
+    NumericError unless every current is finite and within +-_CURRENT_LIMIT,
+    a sixteenth of the float64 maximum, so that the LIF state, a sum of at
+    most 12 currents each decayed by beta < 1, cannot overflow.  A
+    non-finite input makes its whole row of currents non-finite (nan * w and
+    inf * 0.0 are nan), and a finite input as large as 1e308 can overflow
+    the GEMM; the arithmetic runs under np.errstate, so neither warns first.
     """
     steps, n, in_dim = xs.shape
     with np.errstate(over="ignore", invalid="ignore"):
         currents = xs.reshape(steps * n, in_dim) @ layer.weights
         currents += layer.bias
-    if not np.isfinite(currents).all():
-        raise NumericError("feature currents must be finite: the window stack is not finite "
-                           "or overflows the feature layer")
+    if not (np.maximum.reduce(currents, axis=None, initial=-np.inf) < _CURRENT_LIMIT
+            and np.minimum.reduce(currents, axis=None, initial=np.inf) > -_CURRENT_LIMIT):
+        raise NumericError(f"feature currents must be finite and within +-{_CURRENT_LIMIT:.3g}: "
+                           "the window stack is not finite or overflows the feature layer")
     return currents.reshape(steps, n, layer.out_dim)
 
 
@@ -383,7 +385,20 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
     """Vectorized forward pass over a (N, 12, 5) stack."""
-    return _forward_stack(model, window_stack(windows))
+    xs = window_stack(windows)
+    currents = _feature_currents(np.ascontiguousarray(xs.transpose(1, 0, 2)), model.feature_layer)
+    spikes, membrane = _lif_core(currents, model.lif)
+    pooled = spikes.mean(axis=0)
+    logits = pooled @ model.classifier.weights + model.classifier.bias
+    return ForwardCache(
+        xs,
+        currents.transpose(1, 0, 2),
+        membrane.transpose(1, 0, 2),
+        spikes.transpose(1, 0, 2),
+        pooled,
+        logits,
+        _log_softmax(logits),
+    )
 
 
 # Windows per score() chunk.  It bounds the working memory of scoring: one
@@ -443,28 +458,12 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
         # training's recurrence, over the same (T, chunk, hidden) layout
         spikes = _lif_steps(currents, model.lif)
         counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
-        pooled = counts / _STEPS  # the bits of _forward_stack's spikes.mean(axis=0)
+        pooled = counts / _STEPS  # the bits of forward_batch's spikes.mean(axis=0)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
         spike_counts[chunk] = np.add.reduce(counts, axis=1)
     return log_probs, spike_counts
-
-
-def _forward_stack(model: Model, xs: np.ndarray) -> ForwardCache:
-    currents = _feature_currents(np.ascontiguousarray(xs.transpose(1, 0, 2)), model.feature_layer)
-    spikes, membrane = _lif_core(currents, model.lif)
-    pooled = spikes.mean(axis=0)
-    logits = pooled @ model.classifier.weights + model.classifier.bias
-    return ForwardCache(
-        xs,
-        currents.transpose(1, 0, 2),
-        membrane.transpose(1, 0, 2),
-        spikes.transpose(1, 0, 2),
-        pooled,
-        logits,
-        _log_softmax(logits),
-    )
 
 
 def _index_cache(cache: ForwardCache, key) -> ForwardCache:
@@ -499,8 +498,10 @@ def surrogate_grad(v: np.ndarray, slope: float) -> np.ndarray:
     """Fast-sigmoid stand-in for the spike step's derivative.
 
     Evaluated at v = membrane - threshold:  slope / (1 + slope * |v|)^2.
+    A |v| whose square overflows gives 0.0, the limit, without a warning.
     """
-    return slope / (1.0 + slope * np.abs(v)) ** 2
+    with np.errstate(over="ignore"):
+        return slope / (1.0 + slope * np.abs(v)) ** 2
 
 
 def backward(model: Model, cache: ForwardCache, label: int) -> Gradients:
@@ -531,12 +532,9 @@ def backward_batch(
             f"cache shapes {cache.input.shape}/{cache.spikes.shape} do not "
             f"match model dims (N, {steps}, {model.input_dim}, {hidden})"
         )
-    labels = _integer_column("labels", labels, np.intp, UsageError)
+    labels = _class_column("labels", labels)
     if labels.shape != (n,):
         raise UsageError(f"{n} windows but labels shape {labels.shape}")
-    bad = (labels < 0) | (labels >= model.classes)
-    if bad.any():
-        raise UsageError(f"label {labels[bad][0]} outside [0, {model.classes})")
 
     dlogits = np.exp(cache.log_probs)
     dlogits[np.arange(n), labels] -= 1.0

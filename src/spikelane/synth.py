@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Trajectory, _events_from_lanes, _integer_value
+from .dataset import Trajectory, _events_from_lanes, _integer_value, _real_value
 from .errors import UsageError
 
 LANE_WIDTH_M = 3.5
@@ -43,9 +43,10 @@ def synthesize_dataset(
     _integer_value("n_trajectories", n_trajectories, UsageError, minimum=1)
     if maneuvers[0] < 0 or maneuvers[1] < maneuvers[0]:
         raise UsageError(f"bad maneuver range {maneuvers}")
+    _real_value("sample_rate_hz", sample_rate_hz, 0.0, error=UsageError)
     # np.gradient needs two frames in the shortest record; the longest must count finitely
     shortest, longest = (np.rint(d * sample_rate_hz) for d in DURATION_S)
-    if not (sample_rate_hz > 0 and shortest >= 2 and longest < np.inf):
+    if not (shortest >= 2 and longest < np.inf):
         raise UsageError(
             f"sample rate must give a finite count of >= 2 frames over "
             f"{DURATION_S[0]:g}-{DURATION_S[1]:g} s, got {sample_rate_hz}"

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import write_numeric_csv
-from .dataset import WindowSet, _integer_value
+from .dataset import WindowSet, _integer_value, _real_value
 from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     Model,
@@ -40,10 +40,8 @@ class TrainConfig:
         for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience_epochs", 1),
                               ("seed", 0)):
             _integer_value(name, getattr(self, name), minimum=minimum)
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.min_loss_delta < np.inf:
-            raise ConfigError(f"min_loss_delta must be finite and >= 0, got {self.min_loss_delta}")
+        _real_value("learning_rate", self.learning_rate, 0.0)
+        _real_value("min_loss_delta", self.min_loss_delta, 0.0, closed=True)
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

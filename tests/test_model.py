@@ -317,6 +317,35 @@ def test_window_overflowing_the_feature_layer_is_rejected(call, reset_mode):
         call(model, window)
 
 
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+@pytest.mark.parametrize("call", [
+    lambda model, window: sl.score(model, window[None]),
+    lambda model, window: sl.predict(model, window),
+    lambda model, window: sl.forward_batch(model, window[None]),
+], ids=["score", "predict", "forward_batch"])
+def test_window_overflowing_the_lif_state_is_rejected(call, reset_mode):
+    # every current on one neuron is about -1e308, finite, but twelve steps of
+    # u = beta * u + current would overflow the state (with a warning) to -inf
+    model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+    weights = model.feature_layer.weights[:, 0]
+    window = np.tile(-1e308 * np.sign(weights) / np.abs(weights).sum(), (12, 1))
+    with pytest.raises(sl.NumericError, match="must be finite"):
+        call(model, window)
+
+
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+def test_backward_of_huge_currents_is_finite(reset_mode):
+    # (1 + slope * |v|) ** 2 overflows at currents of 1e200; the surrogate
+    # gradient is then 0.0, its limit, with no warning
+    model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+    weights = model.feature_layer.weights[:, 0]
+    window = np.tile(1e200 * np.sign(weights) / np.abs(weights).sum(), (12, 1))
+    cache = sl.forward_batch(model, window[None])
+    assert cache.currents[0, :, 0].min() > 9e199
+    grads = sl.backward_batch(model, cache, np.array([1]))
+    assert all(np.isfinite(g).all() for g in grads.as_list())
+
+
 class TestNllLoss:
     def test_uniform_single_sample_is_ln3(self):
         lp = np.log(np.full(3, 1 / 3))
@@ -366,6 +395,11 @@ class TestParamsAndConfig:
     def test_degenerate_dims_rejected(self):
         with pytest.raises(sl.ConfigError):
             sl.new_model(hidden_dim=0)
+
+    @pytest.mark.parametrize("hidden_dim", [2**64, 1_000_001])
+    def test_hidden_dim_past_the_cap_rejected(self, hidden_dim):
+        with pytest.raises(sl.ConfigError, match="hidden_dim must be <= 1,000,000"):
+            sl.new_model(hidden_dim=hidden_dim)
 
     @pytest.mark.parametrize("input_dim,classes", [(5, 4), (4, 3)])
     def test_dims_off_the_schema_rejected(self, input_dim, classes):
