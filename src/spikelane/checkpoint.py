@@ -82,9 +82,7 @@ def model_from_bytes(blob: bytes) -> Model:
         w1, b1, w2, b2 = split_params(flat, hidden)
     except (ValueError, ShapeError) as exc:
         raise CheckpointError(f"{len(blob)} bytes do not fit the header dims: {exc}") from None
-    if not np.isfinite(flat).all():
-        raise CheckpointError("checkpoint holds non-finite parameters")
-    try:
+    try:  # LinearLayer rejects non-finite parameters, LifConfig bad settings
         return Model(
             feature_layer=LinearLayer(w1, b1),
             classifier=LinearLayer(w2, b2),
@@ -96,7 +94,7 @@ def model_from_bytes(blob: bytes) -> Model:
             ),
         )
     except Exception as exc:
-        raise CheckpointError(f"checkpoint header rejected: {exc}") from exc
+        raise CheckpointError(f"checkpoint rejected: {exc}") from exc
 
 
 def save_model(model: Model, destination: str | Path) -> bytes:

@@ -76,14 +76,12 @@ class Trajectory:
         _real_value("sample_rate_hz", self.sample_rate_hz, 0.0,
                     np.finfo(np.float64).max / INTENTION_HORIZON_S)
         t = _integer_column("t_index", self.t_index, np.int64, UsageError)
-        f = np.asarray(self.features, dtype=np.float64)
-        if t.ndim != 1 or f.shape != (len(t), len(FEATURE_NAMES)):
-            raise ShapeError(f"t_index shape {t.shape} and features shape {f.shape}, expected "
-                             f"(n,) and (n, {len(FEATURE_NAMES)})")
+        if t.ndim != 1:
+            raise ShapeError(f"t_index shape {t.shape}, expected (n,)")
+        f = _float_array(f"features of vehicle {self.vehicle_id} (t_index shape {t.shape})",
+                         self.features, (len(t), len(FEATURE_NAMES)))
         if np.any(t[1:] <= t[:-1]):  # not np.diff, which overflows int64
             raise UsageError(f"t_index not strictly increasing for vehicle {self.vehicle_id}")
-        if not np.isfinite(f).all():
-            raise NumericError(f"non-finite feature values for vehicle {self.vehicle_id}")
         events = tuple(self.events)
         onsets = [e.onset_frame for e in events]
         if onsets != sorted(onsets):
@@ -153,7 +151,7 @@ class WindowSet:
             features = window_stack(features).reshape(-1, len(FEATURE_NAMES))
             starts = np.arange(0, len(features), WINDOW_STEPS, dtype=np.intp)
             steps = np.ones_like(starts)
-        frames = np.ascontiguousarray(features, dtype=np.float64)
+        frames = np.ascontiguousarray(_float_cast("frame table", features))
         starts = _integer_column("window starts", starts, np.intp, ShapeError)
         steps = _integer_column("window steps", steps, np.intp, ShapeError)
         if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
@@ -205,8 +203,9 @@ class WindowSet:
 
 
 def window_stack(windows) -> np.ndarray:
-    """The one window-shape check: windows as a float64 (N, 12, 5) stack."""
-    xs = np.asarray(windows, dtype=np.float64)
+    """The one window-shape check: windows as a float64 (N, 12, 5) stack.
+    Only cast, not scanned for finiteness: the feature currents are."""
+    xs = _float_cast("windows", windows)
     expected = (WINDOW_STEPS, len(FEATURE_NAMES))
     if xs.ndim != 3 or xs.shape[1:] != expected:
         raise ShapeError(
@@ -227,14 +226,36 @@ def _integer_column(label: str, values, dtype, error: type[Exception]) -> np.nda
     return column.astype(dtype, copy=False)
 
 
-def _class_column(label: str, values) -> np.ndarray:
-    """values as an intp column of class indices, integers in [0, len(LABEL_NAMES));
-    anything else raises UsageError naming the column by label."""
+def _class_column(label: str, values, classes: int = len(LABEL_NAMES)) -> np.ndarray:
+    """values as an intp column of class indices, integers in [0, classes);
+    anything else, a bool column included, raises UsageError naming the
+    column by label."""
     column = _integer_column(label, values, np.intp, UsageError)
-    bad = (column < 0) | (column >= len(LABEL_NAMES))
+    bad = (column < 0) | (column >= classes)
     if bad.any():
-        raise UsageError(f"{label}: label {column[bad][0]} outside [0, {len(LABEL_NAMES)})")
+        raise UsageError(f"{label}: label {column[bad][0]} outside [0, {classes})")
     return column
+
+
+def _float_cast(label: str, values) -> np.ndarray:
+    """values as a float64 array; an element NumPy cannot cast, such as a
+    str or None, raises NumericError naming the array by label."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NumericError(f"{label} must be numeric: {exc}") from None
+
+
+def _float_array(label: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The float-array rule: values as a finite float64 array of this shape, where
+    None matches any length.  A wrong shape raises ShapeError, an element that
+    cannot be cast, nan or inf NumericError; each names the array by label."""
+    array = _float_cast(label, values)
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise ShapeError(f"{label} shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise NumericError(f"{label} must be finite")
+    return array
 
 
 def _integer_value(
@@ -271,17 +292,8 @@ class NormStats:
     std: np.ndarray   # (5,)
 
     def __post_init__(self):
-        try:
-            mean = np.asarray(self.mean, dtype=np.float64)
-            std = np.asarray(self.std, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise NumericError(f"normalizer mean and std must be numeric: {exc}") from None
-        expected = (len(FEATURE_NAMES),)
-        if mean.shape != expected or std.shape != expected:
-            raise ShapeError(f"normalizer mean shape {mean.shape} and std shape {std.shape}, "
-                             f"expected {expected}")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise NumericError("normalizer mean and std must be finite")
+        mean = _float_array("normalizer mean", self.mean, (len(FEATURE_NAMES),))
+        std = _float_array("normalizer std", self.std, (len(FEATURE_NAMES),))
         if not (std > 0).all():
             raise ConfigError(f"normalizer std must be > 0, got {std.tolist()}")
         object.__setattr__(self, "mean", mean)

@@ -19,12 +19,14 @@ from .dataset import (
     WindowConfig,
     WindowSet,
     _class_column,
+    _float_array,
+    _float_cast,
     _integer_column,
     apply_normalizer,
     build_windows,
     downsample_factor,
 )
-from .errors import DegenerateLabelsError, NumericError, ShapeError, UsageError
+from .errors import DegenerateLabelsError, ShapeError, UsageError
 from .model import Model, score
 
 
@@ -35,7 +37,7 @@ def predict(model: Model, window: np.ndarray) -> tuple[int, np.ndarray]:
     window is scored as a stack of one, so the probabilities are bit for bit
     those evaluate and timeline_predict give the same window.
     """
-    log_probs, _ = score(model, np.asarray(window)[None])
+    log_probs, _ = score(model, _float_cast("window", window)[None])
     probs = np.exp(log_probs[0])
     return int(probs.argmax()), probs
 
@@ -78,14 +80,13 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray, class_id: int = 1) -> RocC
 
     Tied scores collapse into a single operating point, so the curve walks
     diagonally through ties, matching the ties-count-half convention of the
-    pairwise ranking formulation of AUC.
+    pairwise ranking formulation of AUC.  labels are binary class indices,
+    0 or 1, under the class-label rule (a bool column is not one).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
+    scores = _float_array("scores", scores, (None,))
+    labels = _class_column("labels", labels, classes=2)
+    if scores.shape != labels.shape:
         raise ShapeError(f"scores shape {scores.shape} vs labels shape {labels.shape}")
-    if not np.isfinite(scores).all():
-        raise NumericError("scores must be finite")
     positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
@@ -208,10 +209,10 @@ class TimelineReport:
 
     def __post_init__(self):
         end_frames = _integer_column("timeline end_frames", self.end_frames, np.int64, UsageError)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if end_frames.ndim != 1 or probs.shape != (len(end_frames), len(LABEL_NAMES)):
-            raise ShapeError(f"timeline end_frames shape {end_frames.shape} and probs shape "
-                             f"{probs.shape}, expected (n,) and (n, {len(LABEL_NAMES)})")
+        if end_frames.ndim != 1:
+            raise ShapeError(f"timeline end_frames shape {end_frames.shape}, expected (n,)")
+        probs = _float_array(f"timeline end_frames shape {end_frames.shape} and probs",
+                             self.probs, (len(end_frames), len(LABEL_NAMES)))
         object.__setattr__(self, "end_frames", end_frames)
         object.__setattr__(self, "probs", probs)
 

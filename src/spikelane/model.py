@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _class_column, _integer_column,
-    _integer_value, _real_value, window_stack,
+    FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _class_column, _float_array, _float_cast,
+    _integer_column, _integer_value, _real_value, window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -44,14 +44,7 @@ RESET_MODES = (RESET_TO_ZERO, RESET_SUBTRACT)
 # Hidden LIF neurons; the dataset schema fixes the window shape and class count.
 DEFAULT_HIDDEN_DIM = 24
 MAX_HIDDEN_DIM = 1_000_000  # checked by new_model before it allocates, and in checkpoints
-_CURRENT_LIMIT = np.finfo(np.float64).max / 16  # see _feature_currents
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {x.shape}")
-    return x
+_CURRENT_LIMIT = np.finfo(np.float64).max / 16  # see _check_currents
 
 
 @dataclass(frozen=True)
@@ -89,14 +82,8 @@ class LinearLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        w = _as_matrix(self.weights, "weights")
-        b = np.asarray(self.bias, dtype=np.float64)
-        if b.ndim != 1 or b.shape[0] != w.shape[1]:
-            raise ShapeError(
-                f"bias shape {b.shape} inconsistent with weights shape {w.shape}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise NumericError("layer parameters must be finite")
+        w = _float_array("weights", self.weights, (None, None))
+        b = _float_array(f"bias (weights shape {w.shape})", self.bias, (w.shape[1],))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -272,23 +259,29 @@ def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
     in_dim terms per sum, BLAS adds them in one order whatever the number or
     order of rows, so every current has the bits of x[n, t] @ W + b.
 
-    This is the one finiteness check of forward_batch and score: it raises
-    NumericError unless every current is finite and within +-_CURRENT_LIMIT,
-    a sixteenth of the float64 maximum, so that the LIF state, a sum of at
-    most 12 currents each decayed by beta < 1, cannot overflow.  A
-    non-finite input makes its whole row of currents non-finite (nan * w and
-    inf * 0.0 are nan), and a finite input as large as 1e308 can overflow
-    the GEMM; the arithmetic runs under np.errstate, so neither warns first.
+    _check_currents is the one finiteness check of forward_batch and score: a
+    non-finite input makes its row of currents non-finite (nan * w and inf * 0.0
+    are nan), and a finite one as large as 1e308 can overflow the GEMM, which
+    runs under np.errstate so that neither warns first.
     """
     steps, n, in_dim = xs.shape
     with np.errstate(over="ignore", invalid="ignore"):
         currents = xs.reshape(steps * n, in_dim) @ layer.weights
         currents += layer.bias
+    return _check_currents(currents.reshape(steps, n, layer.out_dim))
+
+
+def _check_currents(currents: np.ndarray) -> np.ndarray:
+    """The LIF input rule: returns a time-major current stack whose every value is
+    finite and within +-_CURRENT_LIMIT, a sixteenth of the float64 maximum, so that
+    the LIF state, a sum of at most 12 currents each decayed by beta < 1, cannot
+    overflow; else raises NumericError naming the first bad (t, j)."""
     if not (np.maximum.reduce(currents, axis=None, initial=-np.inf) < _CURRENT_LIMIT
             and np.minimum.reduce(currents, axis=None, initial=np.inf) > -_CURRENT_LIMIT):
-        raise NumericError(f"feature currents must be finite and within +-{_CURRENT_LIMIT:.3g}: "
-                           "the window stack is not finite or overflows the feature layer")
-    return currents.reshape(steps, n, layer.out_dim)
+        index = tuple(np.argwhere(~(np.abs(currents) < _CURRENT_LIMIT))[0])
+        raise NumericError(f"currents must be finite and within +-{_CURRENT_LIMIT:.3g}, got "
+                           f"{currents[index]} at (t={index[0]}, j={index[-1]})")
+    return currents
 
 
 def lif_forward(
@@ -301,15 +294,12 @@ def lif_forward(
     u[t] >= v_threshold, after which the state is reset to zero or has the
     threshold subtracted, depending on reset_mode.  Returns the binary spike
     matrix and the pre-reset membrane potentials, both shaped like currents.
+    The currents must pass _check_currents, as every window's do.
     """
-    currents = _as_matrix(currents, "currents")
-    if currents.shape[0] < 1:
-        raise ShapeError("currents must have at least one time step")
-    bad = ~np.isfinite(currents)
-    if bad.any():
-        t, j = np.argwhere(bad)[0]
-        raise NumericError(f"non-finite current at (t={t}, j={j})")
-    return _lif_core(currents, cfg)
+    currents = _float_cast("currents", currents)
+    if currents.ndim != 2 or len(currents) == 0:
+        raise ShapeError(f"currents shape {currents.shape}, expected (T, H) with T >= 1")
+    return _lif_core(_check_currents(currents), cfg)
 
 
 def _lif_steps(
@@ -360,11 +350,9 @@ def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndar
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
     """Log of softmax(logits), computed max-shifted so large logits cannot overflow."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ShapeError(f"logits must be 1-D and non-empty, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise NumericError("logits must be finite")
+    z = _float_array("logits", logits, (None,))
+    if z.size == 0:
+        raise ShapeError("logits shape (0,), expected at least one logit")
     return _log_softmax(z)
 
 
@@ -380,7 +368,7 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
 
     Runs forward_batch on a batch of one and drops the batch axis.
     """
-    return _index_cache(forward_batch(model, np.asarray(x)[None]), 0)
+    return _index_cache(forward_batch(model, _float_cast("window", x)[None]), 0)
 
 
 def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
@@ -482,7 +470,7 @@ def nll_loss(log_probs_batch: Sequence[np.ndarray], labels: Sequence[int]) -> fl
         )
     total = 0.0
     for lp, label in zip(log_probs_batch, labels):
-        lp = np.asarray(lp, dtype=np.float64)
+        lp = _float_cast("log-probs", lp)  # -inf is a log-probability
         if not 0 <= label < lp.shape[0]:
             raise UsageError(f"label {label} outside [0, {lp.shape[0]})")
         total -= lp[label]
@@ -546,14 +534,18 @@ def backward_batch(
     dpooled = dlogits @ model.classifier.weights.T
     dspike = dpooled / steps  # pooling spreads the gradient evenly over time
 
-    lam = _membrane_adjoint(
-        model.lif, cache.membrane.transpose(1, 0, 2), cache.spikes.transpose(1, 0, 2), dspike
-    )
-    # Both reductions read a C-contiguous (N, T, H) lam: their summation order
-    # follows the memory layout, and this one keeps the trained bits.
-    lam = np.ascontiguousarray(lam.transpose(1, 0, 2))
-    grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
-    grad_b1 = lam.sum(axis=(0, 1))
+    # A threshold or slope near the float64 limits can overflow the adjoint
+    # sweep: the gradients are then not finite, without a warning, and
+    # optimizer_step rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _membrane_adjoint(
+            model.lif, cache.membrane.transpose(1, 0, 2), cache.spikes.transpose(1, 0, 2), dspike
+        )
+        # Both reductions read a C-contiguous (N, T, H) lam: their summation
+        # order follows the memory layout, and this one keeps the trained bits.
+        lam = np.ascontiguousarray(lam.transpose(1, 0, 2))
+        grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
+        grad_b1 = lam.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
 
 

@@ -10,8 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import write_numeric_csv
-from .dataset import WindowSet, _integer_value, _real_value
-from .errors import ConfigError, DivergenceError, UsageError
+from .dataset import WindowSet, _float_cast, _integer_value, _real_value
+from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .model import (
     Model,
     backward_batch,
@@ -78,21 +78,32 @@ def optimizer_step(
     """One update of a flat parameter vector; returns the new vector.
 
     Adam uses bias-corrected moment estimates; SGD is plain
-    theta - lr * grad with no state.
+    theta - lr * grad with no state.  A step that is not finite, from a
+    gradient that is not finite or too large, raises NumericError.
     """
+    grad = _float_cast("gradient", grad)
     if theta.shape != grad.shape:
         raise UsageError(f"params shape {theta.shape} and grads shape {grad.shape} do not align")
     lr = config.learning_rate
-    if config.optimizer == "sgd":
-        return theta - lr * grad
-    if not isinstance(state, AdamState):
-        raise UsageError("adam step needs an AdamState")
-    state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    sgd = config.optimizer == "sgd"
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if sgd:
+            theta = theta - lr * grad
+        elif not isinstance(state, AdamState):
+            raise UsageError("adam step needs an AdamState")
+        else:
+            state.step += 1
+            state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+            state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+            v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # past a gradient of about 1e154 the second moment alone overflows, and
+    # its infinity would freeze that parameter for good
+    if not (np.isfinite(theta).all() and (sgd or np.isfinite(state.v).all())):
+        raise NumericError("optimizer step is not finite: the gradient is not finite or too "
+                           "large for the update")
+    return theta
 
 
 def train(
@@ -105,8 +116,9 @@ def train(
     Epochs shuffle with a generator seeded from config.seed, so identical
     inputs reproduce identical parameter trajectories.  Training stops after
     max_epochs, or once the best epoch loss has gone patience_epochs epochs
-    without improving by more than min_loss_delta.  A non-finite parameter
-    or epoch loss raises DivergenceError.  The input model is not modified.
+    without improving by more than min_loss_delta.  A step that optimizer_step
+    rejects (a non-finite gradient or parameter) or a non-finite epoch loss
+    raises DivergenceError.  The input model is not modified.
     """
     if len(train_set) == 0:
         raise UsageError("train_set is empty")
@@ -135,9 +147,10 @@ def train(
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())
             grads = backward_batch(current, cache, batch_labels)
-            theta[:] = optimizer_step(theta, flatten_params(grads.as_list()), state, config)
-            if not np.isfinite(theta).all():
-                raise DivergenceError(f"non-finite parameters at epoch {epoch}")
+            try:
+                theta[:] = optimizer_step(theta, flatten_params(grads.as_list()), state, config)
+            except NumericError as exc:
+                raise DivergenceError(f"non-finite parameters at epoch {epoch}: {exc}") from None
         mean_loss = total_nll / n
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")

@@ -140,6 +140,13 @@ class TestRocCurve:
         with pytest.raises(sl.DegenerateLabelsError):
             sl.roc_curve(np.array([0.1, 0.2]), np.array([0, 0]))
 
+    @pytest.mark.parametrize("labels", [[2.0, 1], [2, 1], [-1, 1], ["x", 1],
+                                        np.array([False, True])])
+    def test_labels_must_be_0_or_1(self, labels):
+        # the class-label rule with two classes; a bool column is not an integer one
+        with pytest.raises(sl.UsageError, match="labels"):
+            sl.roc_curve([0.2, 0.5], labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(sl.NumericError, match="scores must be finite"):

@@ -109,6 +109,13 @@ class TestLifForward:
         with pytest.raises(sl.NumericError, match=r"t=3.*j=7"):
             sl.lif_forward(currents, sl.LifConfig())
 
+    @pytest.mark.parametrize("reset_mode,current", [("to_zero", -1e308), ("subtract", 1e308)])
+    def test_currents_overflowing_the_state_rejected(self, reset_mode, current):
+        # finite, but two steps of u = beta * u + current overflow the state
+        # (with a warning, an error under filterwarnings) without the bound
+        with pytest.raises(sl.NumericError, match="must be finite and within"):
+            sl.lif_forward(np.full((2, 1), current), sl.LifConfig(reset_mode=reset_mode))
+
 
 def dyadic(rng, shape):
     """Values whose LIF sums at beta 0.5 are exact, so potentials land exactly
@@ -210,7 +217,7 @@ class TestPoolingAndSoftmax:
 
     @pytest.mark.parametrize("logits", [[], np.zeros(0), np.zeros((1, 3))])
     def test_empty_or_not_1d_rejected(self, logits):
-        with pytest.raises(sl.ShapeError, match="logits must be 1-D and non-empty"):
+        with pytest.raises(sl.ShapeError, match="logits shape"):
             sl.softmax_logprobs(logits)
 
     def test_huge_logit_does_not_overflow(self):
@@ -344,6 +351,40 @@ def test_backward_of_huge_currents_is_finite(reset_mode):
     assert cache.currents[0, :, 0].min() > 9e199
     grads = sl.backward_batch(model, cache, np.array([1]))
     assert all(np.isfinite(g).all() for g in grads.as_list())
+
+
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+def test_backward_with_a_threshold_near_the_float64_limit_is_finite(reset_mode):
+    # currents just inside the bound take the membrane to about -7e307, and
+    # membrane - v_threshold overflows to -inf, whose surrogate gradient is 0.0
+    model = sl.new_model(seed=5, lif=sl.LifConfig(v_threshold=1.5e308, reset_mode=reset_mode))
+    weights = model.feature_layer.weights[:, 0]
+    window = np.tile(-1e307 * np.sign(weights) / np.abs(weights).sum(), (12, 1))
+    cache = sl.forward_batch(model, window[None])
+    assert cache.membrane[0, :, 0].min() < -7e307
+    grads = sl.backward_batch(model, cache, np.array([1]))
+    assert all(np.isfinite(g).all() for g in grads.as_list())
+
+
+@pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+@pytest.mark.parametrize("lif", [dict(surrogate_slope=1e300), dict(v_threshold=1e200)])
+def test_overflowing_adjoint_is_rejected_by_the_optimizer(lif, reset_mode):
+    # the membrane at threshold on every step multiplies the adjoint by
+    # about v_threshold * surrogate_slope per step: the gradients overflow
+    # without a warning, and optimizer_step rejects them
+    model = sl.new_model(seed=5, lif=sl.LifConfig(**lif, reset_mode=reset_mode))
+    shape = (1, model.input_steps, model.hidden_dim)
+    cache = ForwardCache(
+        input=np.ones((1, model.input_steps, model.input_dim)), currents=np.zeros(shape),
+        membrane=np.full(shape, model.lif.v_threshold), spikes=np.ones(shape),
+        pooled=np.ones((1, model.hidden_dim)), logits=np.zeros((1, 3)),
+        log_probs=np.log(np.full((1, 3), 1 / 3)),
+    )
+    flat = sl.flatten_params(sl.backward_batch(model, cache, np.array([0])).as_list())
+    assert not np.isfinite(flat).all()
+    config = sl.TrainConfig()
+    with pytest.raises(sl.NumericError, match="optimizer step is not finite"):
+        sl.optimizer_step(np.zeros_like(flat), flat, sl.init_optimizer_state(flat, config), config)
 
 
 class TestNllLoss:

@@ -79,6 +79,19 @@ class TestOptimizerStep:
         with pytest.raises(sl.UsageError):
             sl.optimizer_step(np.zeros(2), np.zeros(2), None, config)
 
+    @pytest.mark.parametrize("optimizer,learning_rate,gradient", [
+        ("adam", 1e-3, [np.inf, 0.0, 0.0]),  # inf / inf in the update
+        ("adam", 1e-3, [np.nan, 0.0, 0.0]),
+        ("adam", 1e-3, [1e200, 0.0, 0.0]),  # finite; the second moment overflows
+        ("sgd", 1e-3, [-np.inf, 0.0, 0.0]),
+        ("sgd", 1e300, [1e10, 0.0, 0.0]),  # finite; lr * gradient overflows
+    ])
+    def test_step_that_is_not_finite_rejected(self, optimizer, learning_rate, gradient):
+        config = sl.TrainConfig(optimizer=optimizer, learning_rate=learning_rate)
+        state = sl.init_optimizer_state(np.zeros(3), config)
+        with pytest.raises(sl.NumericError, match="optimizer step is not finite"):
+            sl.optimizer_step(np.zeros(3), np.array(gradient), state, config)
+
 
 class TestTrainConfig:
     def test_defaults(self):
