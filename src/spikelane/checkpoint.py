@@ -55,6 +55,10 @@ def model_to_bytes(model: Model) -> bytes:
 
 
 def model_from_bytes(blob: bytes) -> Model:
+    try:  # any bytes-like blob, as bytes: a str or None is not one
+        blob = memoryview(blob).cast("B")
+    except TypeError:
+        raise CheckpointError(f"checkpoint must be bytes-like, got {type(blob).__name__}") from None
     if len(blob) < _HEADER.size:
         raise CheckpointError(
             f"checkpoint truncated: {len(blob)} bytes, header needs {_HEADER.size}"

@@ -75,9 +75,7 @@ class Trajectory:
         # finite in frames over the intention horizon, which label_frames rounds to an int
         _real_value("sample_rate_hz", self.sample_rate_hz, 0.0,
                     np.finfo(np.float64).max / INTENTION_HORIZON_S)
-        t = _integer_column("t_index", self.t_index, np.int64, UsageError)
-        if t.ndim != 1:
-            raise ShapeError(f"t_index shape {t.shape}, expected (n,)")
+        t = _integer_column("t_index", self.t_index, np.int64, UsageError, (None,))
         f = _float_array(f"features of vehicle {self.vehicle_id} (t_index shape {t.shape})",
                          self.features, (len(t), len(FEATURE_NAMES)))
         if np.any(t[1:] <= t[:-1]):  # not np.diff, which overflows int64
@@ -151,14 +149,10 @@ class WindowSet:
             features = window_stack(features).reshape(-1, len(FEATURE_NAMES))
             starts = np.arange(0, len(features), WINDOW_STEPS, dtype=np.intp)
             steps = np.ones_like(starts)
-        frames = np.ascontiguousarray(_float_cast("frame table", features))
-        starts = _integer_column("window starts", starts, np.intp, ShapeError)
-        steps = _integer_column("window steps", steps, np.intp, ShapeError)
-        if (frames.ndim != 2 or frames.shape[1] != len(FEATURE_NAMES) or starts.ndim != 1
-                or steps.shape != starts.shape):
-            raise ShapeError(f"frame table shape {frames.shape}, starts shape {starts.shape} "
-                             f"and steps shape {steps.shape}, expected "
-                             f"(F, {len(FEATURE_NAMES)}), (N,) and (N,)")
+        frames = np.ascontiguousarray(
+            _float_cast("frame table", features, (None, len(FEATURE_NAMES))))
+        starts = _integer_column("window starts", starts, np.intp, ShapeError, (None,))
+        steps = _integer_column("window steps", steps, np.intp, ShapeError, starts.shape)
         # the last row bound as a quotient, so that no step * 11 can wrap around int64
         last = (len(frames) - 1 - starts) // (WINDOW_STEPS - 1)
         bad = (starts < 0) | (steps < 1) | (steps > last)
@@ -167,14 +161,12 @@ class WindowSet:
             raise ShapeError(f"window {i} (start {starts[i]}, step {steps[i]}) reaches outside "
                              f"the {len(frames)} frames of the table")
         columns = {
-            "labels": _class_column("window labels", labels),
-            "vehicle_ids": np.asarray(vehicle_ids, dtype=object),
-            "end_frames": _integer_column("window end_frames", end_frames, np.int64, UsageError),
+            "labels": _class_column("window labels", labels, shape=starts.shape),
+            "vehicle_ids": _shaped("window vehicle_ids", np.asarray(vehicle_ids, dtype=object),
+                                   starts.shape),
+            "end_frames": _integer_column("window end_frames", end_frames, np.int64, UsageError,
+                                          starts.shape),
         }
-        shapes = [c.shape for c in columns.values()]
-        if any(s != starts.shape for s in shapes):
-            raise ShapeError(f"window set column shapes {shapes}, expected ({len(starts)},) "
-                             f"for {len(starts)} windows")
         for name, column in {"frames": frames, "starts": starts, "steps": steps,
                              **columns}.items():
             object.__setattr__(self, name, column)
@@ -214,45 +206,57 @@ def window_stack(windows) -> np.ndarray:
     return xs
 
 
-def _integer_column(label: str, values, dtype, error: type[Exception]) -> np.ndarray:
+def _shaped(label: str, array: np.ndarray, shape: tuple[int | None, ...] | None) -> np.ndarray:
+    """The shape rule of the casts below: array unless shape is given and
+    array does not have it, None matching any length; that raises ShapeError
+    naming the array by label."""
+    if shape is not None and (array.ndim != len(shape)
+                              or any(n not in (None, m) for n, m in zip(shape, array.shape))):
+        raise ShapeError(f"{label} shape {array.shape}, expected {shape}")
+    return array
+
+
+def _integer_column(label: str, values, dtype, error: type[Exception], shape=None) -> np.ndarray:
     """values as a column of this integer dtype, which casting alone would
     truncate (floats) or overflow (a Python int past int64: an object or
     uint64 column); error names the column by label.  An empty column, of
-    any dtype, stays empty."""
+    any dtype, stays empty.  Then the shape rule."""
     column = np.asarray(values)
     if column.size and (not np.issubdtype(column.dtype, np.integer)
                         or column.dtype == np.uint64 and column.max() > _INT64_MAX):
         raise error(f"{label} must be integers within int64, got dtype {column.dtype}")
-    return column.astype(dtype, copy=False)
+    return _shaped(label, column.astype(dtype, copy=False), shape)
 
 
-def _class_column(label: str, values, classes: int = len(LABEL_NAMES)) -> np.ndarray:
+def _class_column(label: str, values, classes: int = len(LABEL_NAMES), shape=None) -> np.ndarray:
     """values as an intp column of class indices, integers in [0, classes);
     anything else, a bool column included, raises UsageError naming the
-    column by label."""
-    column = _integer_column(label, values, np.intp, UsageError)
+    column by label, and a wrong shape ShapeError."""
+    column = _integer_column(label, values, np.intp, UsageError, shape)
     bad = (column < 0) | (column >= classes)
     if bad.any():
         raise UsageError(f"{label}: label {column[bad][0]} outside [0, {classes})")
     return column
 
 
-def _float_cast(label: str, values) -> np.ndarray:
-    """values as a float64 array; an element NumPy cannot cast, such as a
-    str or None, raises NumericError naming the array by label."""
+def _float_cast(label: str, values, shape=None) -> np.ndarray:
+    """values as a float64 array of this shape (the shape rule); an element
+    NumPy cannot cast, such as a str or None, or a complex array, whose cast
+    would drop the imaginary part, raises NumericError naming the array by label."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        if np.asarray(values).dtype.kind == "c":
+            raise NumericError(f"{label} must be real, got a complex array")
+        array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise NumericError(f"{label} must be numeric: {exc}") from None
+    return _shaped(label, array, shape)
 
 
 def _float_array(label: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
     """The float-array rule: values as a finite float64 array of this shape, where
     None matches any length.  A wrong shape raises ShapeError, an element that
     cannot be cast, nan or inf NumericError; each names the array by label."""
-    array = _float_cast(label, values)
-    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise ShapeError(f"{label} shape {array.shape}, expected {shape}")
+    array = _float_cast(label, values, shape)
     if not np.isfinite(array).all():
         raise NumericError(f"{label} must be finite")
     return array

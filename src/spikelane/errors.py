@@ -5,16 +5,19 @@ class SpikeLaneError(Exception):
     """Base class for all spikelane errors."""
 
 
-class ShapeError(SpikeLaneError):
-    """An array argument has the wrong shape."""
+class UsageError(SpikeLaneError):
+    """An operation was called with inconsistent or empty arguments."""
+
+
+class ShapeError(UsageError):
+    """An array argument has the wrong shape: the cast helpers in dataset take
+    the expected shape, where None matches any length.  A UsageError, so the
+    CLI exits 2."""
 
 
 class NumericError(SpikeLaneError):
-    """A value that must be finite is NaN or infinite."""
-
-
-class UsageError(SpikeLaneError):
-    """An operation was called with inconsistent or empty arguments."""
+    """A value that must be a finite real number is NaN, infinite, complex or
+    not a number at all."""
 
 
 class ConfigError(SpikeLaneError):

@@ -26,7 +26,7 @@ from .dataset import (
     build_windows,
     downsample_factor,
 )
-from .errors import DegenerateLabelsError, ShapeError, UsageError
+from .errors import DegenerateLabelsError, UsageError
 from .model import Model, score
 
 
@@ -47,12 +47,8 @@ def confusion_and_accuracy(
 ) -> tuple[np.ndarray, float]:
     """(3, 3) count matrix indexed [true, predicted], plus accuracy."""
     n_classes = len(LABEL_NAMES)
-    predictions = _class_column("predictions", predictions)
-    labels = _class_column("labels", labels)
-    if predictions.shape != labels.shape or predictions.ndim != 1:
-        raise UsageError(
-            f"predictions shape {predictions.shape} vs labels shape {labels.shape}"
-        )
+    predictions = _class_column("predictions", predictions, shape=(None,))
+    labels = _class_column("labels", labels, shape=predictions.shape)
     if predictions.size == 0:
         raise UsageError("need at least one prediction")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
@@ -84,9 +80,7 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray, class_id: int = 1) -> RocC
     0 or 1, under the class-label rule (a bool column is not one).
     """
     scores = _float_array("scores", scores, (None,))
-    labels = _class_column("labels", labels, classes=2)
-    if scores.shape != labels.shape:
-        raise ShapeError(f"scores shape {scores.shape} vs labels shape {labels.shape}")
+    labels = _class_column("labels", labels, classes=2, shape=scores.shape)
     positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
@@ -180,9 +174,7 @@ def detect_runs(predictions: Sequence[int]) -> list[int]:
     Shorter blips and anything predicting keep never count.  Anything but a
     1-D column of class indices, nan included, raises UsageError.
     """
-    values = _class_column("predictions", predictions)
-    if values.ndim != 1:
-        raise UsageError(f"predictions must be 1-D, got shape {values.shape}")
+    values = _class_column("predictions", predictions, shape=(None,))
     starts = np.flatnonzero(np.diff(values, prepend=-1))
     lengths = np.diff(starts, append=len(values))
     return starts[(values[starts] != LABEL_KEEP) & (lengths >= DEBOUNCE_STEPS)].tolist()
@@ -208,9 +200,8 @@ class TimelineReport:
     false_detections: tuple[int, ...]  # detections with no onset within 3 s after
 
     def __post_init__(self):
-        end_frames = _integer_column("timeline end_frames", self.end_frames, np.int64, UsageError)
-        if end_frames.ndim != 1:
-            raise ShapeError(f"timeline end_frames shape {end_frames.shape}, expected (n,)")
+        end_frames = _integer_column("timeline end_frames", self.end_frames, np.int64, UsageError,
+                                     (None,))
         probs = _float_array(f"timeline end_frames shape {end_frames.shape} and probs",
                              self.probs, (len(end_frames), len(LABEL_NAMES)))
         object.__setattr__(self, "end_frames", end_frames)

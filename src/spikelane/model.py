@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import (
     FEATURE_NAMES, LABEL_NAMES, WINDOW_STEPS, WindowSet, _class_column, _float_array, _float_cast,
-    _integer_column, _integer_value, _real_value, window_stack,
+    _integer_value, _real_value, window_stack,
 )
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -231,8 +231,7 @@ def split_params(theta: np.ndarray, hidden_dim: int) -> list[np.ndarray]:
     input_dim, classes = len(FEATURE_NAMES), len(LABEL_NAMES)
     shapes = [(input_dim, hidden_dim), (hidden_dim,), (hidden_dim, classes), (classes,)]
     ends = np.cumsum([np.prod(s) for s in shapes])
-    if theta.shape != (ends[-1],):
-        raise ShapeError(f"parameter vector shape {theta.shape}, expected ({ends[-1]},)")
+    theta = _float_cast("parameter vector", theta, (int(ends[-1]),))
     return [part.reshape(s) for part, s in zip(np.split(theta, ends[:-1]), shapes)]
 
 
@@ -296,8 +295,8 @@ def lif_forward(
     matrix and the pre-reset membrane potentials, both shaped like currents.
     The currents must pass _check_currents, as every window's do.
     """
-    currents = _float_cast("currents", currents)
-    if currents.ndim != 2 or len(currents) == 0:
+    currents = _float_cast("currents", currents, (None, None))
+    if len(currents) == 0:
         raise ShapeError(f"currents shape {currents.shape}, expected (T, H) with T >= 1")
     return _lif_core(_check_currents(currents), cfg)
 
@@ -463,18 +462,10 @@ def nll_loss(log_probs_batch: Sequence[np.ndarray], labels: Sequence[int]) -> fl
     """Mean negative log-likelihood of the true classes over a batch."""
     if len(log_probs_batch) == 0:
         raise UsageError("nll_loss needs a non-empty batch")
-    labels = _integer_column("labels", labels, np.intp, UsageError)
-    if labels.shape != (len(log_probs_batch),):
-        raise UsageError(
-            f"{len(log_probs_batch)} log-prob vectors but labels shape {labels.shape}"
-        )
-    total = 0.0
-    for lp, label in zip(log_probs_batch, labels):
-        lp = _float_cast("log-probs", lp)  # -inf is a log-probability
-        if not 0 <= label < lp.shape[0]:
-            raise UsageError(f"label {label} outside [0, {lp.shape[0]})")
-        total -= lp[label]
-    return total / len(labels)
+    log_probs = _float_cast("log-probs", log_probs_batch, (None, None))  # may hold -inf
+    n, classes = log_probs.shape
+    labels = _class_column("labels", labels, classes=classes, shape=(n,))
+    return float(-log_probs[np.arange(n), labels].sum() / n)
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +505,19 @@ def backward_batch(
     which is how the backward pass is verified.
     """
     steps, hidden = model.input_steps, model.hidden_dim
-    n = len(cache.input)
-    if cache.input.shape != (n, steps, model.input_dim) or cache.spikes.shape != (n, steps, hidden):
-        raise UsageError(
-            f"cache shapes {cache.input.shape}/{cache.spikes.shape} do not "
-            f"match model dims (N, {steps}, {model.input_dim}, {hidden})"
-        )
-    labels = _class_column("labels", labels)
-    if labels.shape != (n,):
-        raise UsageError(f"{n} windows but labels shape {labels.shape}")
+    xs = _float_cast("cache input", cache.input, (None, steps, model.input_dim))
+    n = len(xs)
+    membrane = _float_cast("cache membrane", cache.membrane, (n, steps, hidden))
+    spikes = _float_cast("cache spikes", cache.spikes, (n, steps, hidden))
+    pooled = _float_cast("cache pooled", cache.pooled, (n, hidden))
+    log_probs = _float_cast("cache log_probs", cache.log_probs, (n, model.classes))
+    labels = _class_column("labels", labels, shape=(n,))
 
-    dlogits = np.exp(cache.log_probs)
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 
-    grad_w2 = cache.pooled.T @ dlogits
+    grad_w2 = pooled.T @ dlogits
     grad_b2 = dlogits.sum(axis=0)
 
     dpooled = dlogits @ model.classifier.weights.T
@@ -538,13 +527,12 @@ def backward_batch(
     # sweep: the gradients are then not finite, without a warning, and
     # optimizer_step rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = _membrane_adjoint(
-            model.lif, cache.membrane.transpose(1, 0, 2), cache.spikes.transpose(1, 0, 2), dspike
-        )
+        lam = _membrane_adjoint(model.lif, membrane.transpose(1, 0, 2),
+                                spikes.transpose(1, 0, 2), dspike)
         # Both reductions read a C-contiguous (N, T, H) lam: their summation
         # order follows the memory layout, and this one keeps the trained bits.
         lam = np.ascontiguousarray(lam.transpose(1, 0, 2))
-        grad_w1 = np.einsum("nti,ntj->ij", cache.input, lam)
+        grad_w1 = np.einsum("nti,ntj->ij", xs, lam)
         grad_b1 = lam.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
 

@@ -81,9 +81,8 @@ def optimizer_step(
     theta - lr * grad with no state.  A step that is not finite, from a
     gradient that is not finite or too large, raises NumericError.
     """
-    grad = _float_cast("gradient", grad)
-    if theta.shape != grad.shape:
-        raise UsageError(f"params shape {theta.shape} and grads shape {grad.shape} do not align")
+    theta = _float_cast("parameters", theta, (None,))
+    grad = _float_cast("gradient", grad, theta.shape)
     lr = config.learning_rate
     sgd = config.optimizer == "sgd"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

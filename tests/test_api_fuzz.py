@@ -4,11 +4,12 @@ Each target takes one value of BAD_VALUES in one argument, every other
 argument valid.  A value the target lists as accepted is valid there and must
 return normally; every other value must raise a SpikeLaneError.  An array
 target puts the value in the first element of an otherwise valid array, and
-must also raise a SpikeLaneError for that array with an extra leading axis
-and for an empty array.  The fixtures come from fixed seeds, so a failing
-case reproduces as it is.
+must raise ShapeError for that array with an extra leading axis and for an
+empty array, and NumericError for it as a complex array.  The fixtures come
+from fixed seeds, so a failing case reproduces as it is.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ BAD_VALUES = {
     "2**64": 2**64,
     "'x'": "x",
     "None": None,
+    "1j": 1j,
 }
 
 
@@ -145,6 +147,41 @@ TARGETS = {
 }
 
 
+_CACHE = sl.forward_batch(sl.new_model(seed=23), np.random.default_rng(23).normal(size=(2, 12, 5)))
+_LOG_PROBS = [[0.0, -np.inf, -np.inf]]
+
+
+def _backward(cache_field):
+    """backward_batch on _CACHE with one field replaced by the array."""
+    return lambda f, a: sl.backward_batch(
+        f["model"], dataclasses.replace(_CACHE, **{cache_field: a}), [0, 1])
+
+# name: (call taking the fleet and an array, a valid array, arrays of the wrong
+# shape); the array targets above add their own with an extra leading axis and empty
+MISSHAPEN = {
+    **{name: (call, valid, (np.asarray(valid)[None], np.zeros(0)))
+       for name, (call, valid, _) in ARRAY_TARGETS.items()},
+    "nll_loss.log_probs": (lambda f, a: sl.nll_loss(a, [0]), _LOG_PROBS,
+                           ([np.float64(0.0)], np.zeros((1, 1, 3)))),
+    "nll_loss.labels": (lambda f, a: sl.nll_loss(_LOG_PROBS, a), [0], ([[0]], [0, 0])),
+    "split_params": (lambda f, a: sl.split_params(a, 24), [0.0] * 219,
+                     ([0.0] * 218, np.zeros((1, 219)))),
+    "optimizer_step.theta": (
+        lambda f, a: sl.optimizer_step(a, np.zeros(3), None, sl.TrainConfig(optimizer="sgd")),
+        [0.0] * 3, ([[0.0] * 3], [0.0] * 2)),
+    # a list-valued field is valid: backward_batch casts each field it reads
+    **{f"backward_batch.cache.{name}": (
+        _backward(name), getattr(_CACHE, name).tolist(),
+        (getattr(_CACHE, name)[None], getattr(_CACHE, name)[:1]))
+       for name in ("input", "membrane", "spikes", "pooled", "log_probs")},
+    "detect_runs": (lambda f, a: sl.detect_runs(a), [1, 1, 1], ([[1, 1, 1]], 1)),
+    "confusion_and_accuracy.predictions": (
+        lambda f, a: sl.confusion_and_accuracy(a, [0, 1]), [0, 1], ([[0, 1]], [0])),
+    "confusion_and_accuracy.labels": (
+        lambda f, a: sl.confusion_and_accuracy([0, 1], a), [0, 1], ([[0, 1]], [0, 1, 2])),
+}
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_bad_value_raises_a_spikelane_error(target, fleet):
     call, accepted = TARGETS[target]
@@ -165,13 +202,27 @@ def test_bad_value_raises_a_spikelane_error(target, fleet):
     assert wrong == []
 
 
-@pytest.mark.parametrize("target", ARRAY_TARGETS)
+@pytest.mark.parametrize("target", MISSHAPEN)
 def test_misshapen_array_raises_a_spikelane_error(target, fleet):
-    call, valid, _ = ARRAY_TARGETS[target]
+    call, valid, misshapen = MISSHAPEN[target]
     call(fleet, valid)
-    for array in (np.asarray(valid)[None], np.zeros(0)):
-        with pytest.raises(sl.SpikeLaneError):
+    for array in misshapen:
+        with pytest.raises(sl.ShapeError):
             call(fleet, array)
+
+
+# roc_curve's labels are an integer column, which rejects a complex one as any float one
+@pytest.mark.parametrize("target", [name for name in ARRAY_TARGETS if name != "roc_curve.labels"])
+def test_complex_array_raises_a_numeric_error(target, fleet):
+    # the float cast would drop the imaginary part, with only a ComplexWarning
+    call, valid, _ = ARRAY_TARGETS[target]
+    with pytest.raises(sl.NumericError, match="must be real"):
+        call(fleet, np.asarray(valid) + 0j)
+
+
+def test_shape_error_is_a_usage_error():
+    # so a wrong shape exits 2 from the CLI, like any other bad input
+    assert issubclass(sl.ShapeError, sl.UsageError)
 
 
 def test_detect_runs_on_nan_returns():

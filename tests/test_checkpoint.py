@@ -123,6 +123,17 @@ class TestCorruption:
         with pytest.raises(sl.CheckpointError, match=f"{name} must be finite"):
             sl.model_from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("blob", ["x" * 100, None, 100], ids=["str", "None", "int"])
+    def test_blob_that_is_not_bytes_like(self, blob):
+        with pytest.raises(sl.CheckpointError, match="bytes-like"):
+            sl.model_from_bytes(blob)
+
+    def test_any_bytes_like_blob_loads(self):
+        model = sl.new_model(seed=3)
+        blob = sl.model_to_bytes(model)
+        for like in (bytearray(blob), memoryview(blob), np.frombuffer(blob, dtype=np.uint8)):
+            assert params_equal(sl.model_from_bytes(like), model)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             sl.load_model(tmp_path / "absent.spkl")
