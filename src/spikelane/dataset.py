@@ -24,7 +24,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -241,12 +241,21 @@ def _class_column(label: str, values, classes: int = len(LABEL_NAMES), shape=Non
 
 def _float_cast(label: str, values, shape=None) -> np.ndarray:
     """values as a float64 array of this shape (the shape rule); an element
-    NumPy cannot cast, such as a str or None, or a complex array, whose cast
-    would drop the imaginary part, raises NumericError naming the array by label."""
+    NumPy cannot cast, such as a str or None, or a complex array or element,
+    whose cast would drop the imaginary part, raises NumericError naming the
+    array by label."""
     try:
-        if np.asarray(values).dtype.kind == "c":
+        kind = np.asarray(values).dtype.kind
+        if kind == "c":
             raise NumericError(f"{label} must be real, got a complex array")
-        array = np.asarray(values, dtype=np.float64)
+        if kind != "O":
+            return _shaped(label, np.asarray(values, dtype=np.float64), shape)
+        # an object array may hold complex scalars, whose cast only warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            array = np.asarray(values, dtype=np.float64)
+    except np.exceptions.ComplexWarning:
+        raise NumericError(f"{label} must be real, got a complex element") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise NumericError(f"{label} must be numeric: {exc}") from None
     return _shaped(label, array, shape)
@@ -351,9 +360,18 @@ def parse_trajectories(
 
 
 def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
-    # Lines are read up front for the column parser.  A decode error is held
-    # back until the row parser has seen the lines before it, so that a bad
-    # row earlier in the file is the error reported.
+    # A seekable source is read lazily by the column parser, with no list of
+    # lines.  Any failure there rewinds it and parses it as below, as a
+    # source that cannot seek is parsed, so results and errors are the same
+    # whatever the source.
+    start = _position(stream)
+    if start is not None:
+        trajectories = _parse_handle(stream, sample_rate_hz)
+        if trajectories is not None:
+            return trajectories
+        stream.seek(start)
+    # A decode error is held back until the row parser has seen the lines
+    # before it, so that a bad row earlier in the file is the error reported.
     lines: list[str] = []
     undecodable = None
     try:
@@ -381,6 +399,32 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
     return trajectories
 
 
+def _position(stream) -> int | None:
+    """Where a stream stands, when it can seek back there; else None."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _parse_handle(stream: TextIO, sample_rate_hz: float) -> list[Trajectory] | None:
+    """The column parser over the lines of a handle as they are read.
+
+    The header must be one line without quotes, whose csv parse cannot run
+    on into the next line.  Returns None when the lines must be read up
+    front instead: on any other header, a decode error, or whenever
+    _parse_columns returns None.
+    """
+    try:
+        line = stream.readline()
+        header = next(csv.reader([line]), None)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    if header is None or '"' in line or tuple(cell.strip() for cell in header) != CSV_HEADER:
+        return None
+    return _parse_columns(stream, sample_rate_hz)
+
+
 # Every cell of a row, so that loadtxt rejects a row with more or fewer than
 # eight.  Ids are read as Python strs, whose width the data sets.
 _CSV_COLUMNS = np.dtype([
@@ -391,7 +435,7 @@ _CSV_COLUMNS = np.dtype([
 ])
 
 
-def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] | None:
+def _parse_columns(lines: Iterable[str], sample_rate_hz: float) -> list[Trajectory] | None:
     """Column-wise parse of the rows after the header with NumPy's C reader.
 
     Returns None whenever the row parser must decide instead: on any loadtxt
@@ -399,24 +443,33 @@ def _parse_columns(body: list[str], sample_rate_hz: float) -> list[Trajectory] |
     int() accepts; a wrong cell count; an integer outside int64) and on any
     failed column check (non-finite feature, duplicate (vehicle, frame)).
     The row parser then gives the result or the line-numbered ParseError.
-    Lines past the csv module's field size limit go to the row parser too.
+    Lines past the csv module's field size limit, and a decode error while
+    reading the lines, go to the row parser too.
     """
-    if max(map(len, body), default=0) > csv.field_size_limit():
-        return None
     # one str per distinct id: a str per row fragmented the allocator and raised peak RSS
     names: dict[str, str] = {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(body, dtype=_CSV_COLUMNS, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1,
+            table = np.loadtxt(_within_field_limit(lines), dtype=_CSV_COLUMNS, delimiter=",",
+                               quotechar='"', comments=None, ndmin=1,
                                converters={0: lambda cell: names.setdefault(cell, cell.strip())})
-    except (ValueError, Warning):
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     if not np.isfinite(table["features"]).all():
         return None
     return _build_trajectories(table["vehicle_id"], table["frame"], table["features"],
                                table["lane_id"], sample_rate_hz)
+
+
+def _within_field_limit(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, one at a time; a line past csv.field_size_limit() raises
+    ValueError, since only the row parser may judge it."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line past the csv field size limit")
+        yield line
 
 
 def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Trajectory]:

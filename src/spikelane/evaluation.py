@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._atomic import atomic_open, write_numeric_csv
+from ._atomic import array_rows, atomic_open, write_numeric_csv
 from .dataset import (
     INTENTION_HORIZON_S,
     LABEL_KEEP,
@@ -296,7 +296,7 @@ def write_eval_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         fpr, tpr = curve.points.T
         write_numeric_csv(
             path, ("threshold", "fpr", "tpr"), "%.9g,%.9g,%.9g",
-            zip(curve.thresholds.tolist(), fpr.tolist(), tpr.tolist()),
+            array_rows(curve.thresholds, fpr, tpr),
         )
         paths.append(path)
     return paths
@@ -306,5 +306,5 @@ def write_timeline_csv(report: TimelineReport, destination: str | Path) -> None:
     write_numeric_csv(
         destination, ("end_frame", "predicted", "p_keep", "p_left", "p_right"),
         "%d,%d,%.9g,%.9g,%.9g",
-        zip(report.end_frames.tolist(), report.predicted.tolist(), *report.probs.T.tolist()),
+        array_rows(report.end_frames, report.predicted, *report.probs.T),
     )

@@ -77,7 +77,8 @@ def optimizer_step(
 ) -> np.ndarray:
     """One update of a flat parameter vector; returns the new vector.
 
-    Adam uses bias-corrected moment estimates; SGD is plain
+    Adam uses bias-corrected moment estimates, whose state vectors must
+    cast to float64 arrays of theta's shape, as grad must; SGD is plain
     theta - lr * grad with no state.  A step that is not finite, from a
     gradient that is not finite or too large, raises NumericError.
     """
@@ -91,9 +92,11 @@ def optimizer_step(
         elif not isinstance(state, AdamState):
             raise UsageError("adam step needs an AdamState")
         else:
+            m = _float_cast("Adam first moment", state.m, theta.shape)
+            v = _float_cast("Adam second moment", state.v, theta.shape)
             state.step += 1
-            state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-            state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+            state.m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            state.v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
             m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
             v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -1,6 +1,7 @@
 """Artifact writers replace their destination whole, or leave it as it was."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,3 +120,68 @@ def test_success_leaves_no_temp_file_and_usual_permissions(name, writers, tmp_pa
     plain.write_bytes(b"")
     assert _temp_files(tmp_path) == []
     assert os.stat(tmp_path / first).st_mode == os.stat(plain).st_mode
+
+
+def _joined_whole(header, row_format, rows):
+    """The bytes of writing the header and every row as one joined block."""
+    line = row_format + "\r\n"
+    return (",".join(header) + "\r\n" + "".join(line % row for row in rows)).encode("utf-8")
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, _atomic._BLOCK_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 5, 6, _atomic._BLOCK_ROWS * 2 + 7])
+def test_rows_written_a_block_at_a_time_give_the_whole_file_bytes(
+    n, block_rows, tmp_path, monkeypatch
+):
+    rng = np.random.default_rng(n)
+    ints, floats = rng.integers(-10**6, 10**6, n), rng.normal(size=(2, n)) * 1e5
+    floats[:, :1] = np.inf  # a ROC curve's first threshold
+    header, row_format = ("frame", "a", "b"), "%d,%.9g,%.17g"
+    want = _joined_whole(header, row_format, zip(ints.tolist(), *floats.tolist()))
+    monkeypatch.setattr(_atomic, "_BLOCK_ROWS", block_rows)
+    _atomic.write_numeric_csv(tmp_path / "x.csv", header, row_format,
+                              _atomic.array_rows(ints, *floats))
+    assert (tmp_path / "x.csv").read_bytes() == want
+
+
+def _peak_above_live(write):
+    """The tracemalloc peak of write() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_report(n):
+    """An EvalReport whose three ROC curves have n + 1 points each."""
+    rng = np.random.default_rng(n)
+    curve = sl.roc_curve(rng.random(n), rng.integers(0, 2, n))
+    return sl.EvalReport(n_samples=n, accuracy=0.5, confusion=np.zeros((3, 3), dtype=int),
+                         roc_curves=(curve, curve, curve), macro_auc=curve.auc, warnings=(),
+                         spikes_per_window=0.0, synops_per_window=0.0)
+
+
+def test_numeric_csv_transient_does_not_grow_with_rows(tmp_path):
+    # formatting every row before one write held a str per row: 7.4 MB above
+    # live data for 80,000 rows, four times that of 20,000
+    peaks = [
+        _peak_above_live(lambda: _atomic.write_numeric_csv(
+            tmp_path / "x.csv", ("i", "x"), "%d,%.9g", ((i, i / 7) for i in range(n))))
+        for n in (20_000, 80_000)
+    ]
+    assert peaks[1] < 2 * 2**20
+    assert peaks[1] < peaks[0] + 2**18
+
+
+def test_eval_report_transient_does_not_grow_with_curve_length(tmp_path):
+    # whole-column tolist() lists and a str per row: 15.7 MB above live data
+    # for three 80,001-point curves, four times that of 20,001-point ones
+    peaks = []
+    for n in (20_000, 80_000):
+        report = _wide_report(n)
+        peaks.append(_peak_above_live(lambda: sl.write_eval_report(report, tmp_path / str(n))))
+    assert peaks[1] < 2 * 2**20
+    assert peaks[1] < peaks[0] + 2**18

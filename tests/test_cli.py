@@ -195,9 +195,9 @@ class TestTrain:
         # fit_normalizer gathers the training windows a chunk at a time, so
         # train never holds an (N, 12, 5) window array.  The peak of a 1-epoch
         # train at stride 2 (19,200 windows, 15,340 of them training) measured
-        # 1.43x the bytes of all windows, set by the CSV parse; 1.6x leaves a
-        # margin of about 12%.  A fit that gathers the whole training stack
-        # and its squared deviations measured 1.94x.
+        # 0.62x the bytes of all windows, set by the CSV parse (1.43x while
+        # the parse held every line as a str).  A fit that gathers the whole
+        # training stack and its squared deviations measured 2.73x.
         peak = traced_peak([
             "train", "--data", str(fleet_csv), "--stride", "2", "--max-epochs", "1",
             "--seed", "1", "--out", str(tmp_path / "out"),
@@ -329,9 +329,9 @@ class TestEval:
 
     def test_peak_memory_holds_one_window_array(self, fleet_csv, trained_dir, tmp_path, capsys):
         # a window set stores each frame once, so eval never holds one
-        # (N, 12, 5) window array.  The peak measured 0.71x its bytes (the
-        # CSV parse); 0.85x leaves a margin of about 20%, and a returning
-        # window array takes it past 1x.
+        # (N, 12, 5) window array.  The peak measured 0.56x its bytes, in
+        # evaluate (0.71x in the CSV parse while it held every line as a
+        # str), and a returning window array takes it past 1x.
         peak = traced_peak([
             "eval", "--data", str(fleet_csv), "--stride", "1", "--split", "all",
             "--model", str(trained_dir / "model.spkl"),

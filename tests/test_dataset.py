@@ -2,7 +2,10 @@
 
 import csv
 import io
+import os
 import random
+import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -333,6 +336,142 @@ class TestParseDifferential:
             except AssertionError as error:
                 pytest.fail(f"case {case} ({kind}) of {text!r}: {error}")
         assert columnar > 0  # the column path took part
+
+
+# PARITY_CASES, plus bodies that are not the row parser's to judge alone: a
+# cell past the csv field limit, and invalid UTF-8 after sound and after bad rows
+SOURCE_CASES = [(name, text.encode("utf-8")) for name, text, _ in PARITY_CASES] + [
+    ("past_field_limit",
+     _body(keep_row("a", 0), keep_row("a", "0" * csv.field_size_limit() + "1")).encode("utf-8")),
+    ("undecodable_after_sound_rows",
+     _body(*(keep_row("a", f) for f in range(3000))).encode("utf-8") + b"\xff\n"),
+    ("undecodable_after_bad_row",
+     _body(keep_row("a", 0), "a,1,oops,30.0,0.0,0.0,0.0,3",
+           *(keep_row("a", f) for f in range(2, 3000))).encode("utf-8") + b"\xff\n"),
+]
+
+
+def _outcome(source):
+    """What parse_trajectories gives for a source: the trajectories, the
+    ParseError's message, or the name of any other error's type (a decode
+    error's position depends on how the bytes were read)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return sl.parse_trajectories(source, 25.0)
+        except sl.ParseError as error:
+            return str(error)
+        except (UnicodeDecodeError, csv.Error) as error:
+            return type(error).__name__
+
+
+def _fifo_outcome(path, data):
+    """_outcome of a FIFO at path that a thread fills with data: a source
+    that cannot seek."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:  # the parser stopped reading at a decode error
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome(path)
+    finally:
+        writer.join(timeout=30)
+
+
+class RewindRecorder(io.StringIO):
+    """A StringIO that records where it stood at each seek."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rewound_from = []
+
+    def seek(self, *args):
+        self.rewound_from.append(self.tell())
+        return super().seek(*args)
+
+
+class TestParseSources:
+    """A seekable source is read lazily, a line at a time; every source
+    gives the result or error the same text gives from a path."""
+
+    @pytest.mark.parametrize("name,data", SOURCE_CASES, ids=[case[0] for case in SOURCE_CASES])
+    def test_sources_match_path(self, tmp_path, name, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        want = _outcome(path)
+        (tmp_path / "skip.csv").write_bytes(b"a line before the header\n" + data)
+        with open(tmp_path / "skip.csv", encoding="utf-8", newline="") as handle:
+            handle.readline()  # seekable, and not at its start
+            _assert_same_parse(_outcome(handle), want)
+        with open(tmp_path / "skip.csv", encoding="utf-8", newline="") as handle:
+            next(handle)  # a text file read by next() cannot tell() its position
+            _assert_same_parse(_outcome(handle), want)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        source = io.StringIO("a line before the header\n" + text, newline="")
+        source.readline()
+        _assert_same_parse(_outcome(source), want)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("name,data", SOURCE_CASES, ids=[case[0] for case in SOURCE_CASES])
+    def test_fifo_matches_path(self, tmp_path, name, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        _assert_same_parse(_fifo_outcome(tmp_path / "fifo.csv", data), _outcome(path))
+
+    @pytest.mark.parametrize("bad_row,error", [
+        ("a,4000,oops,30.0,0.0,0.0,0.0,3", "line 4002: non-numeric cell"),
+        ("a,4000,nan,30.0,0.0,0.0,0.0,3", "line 4002: non-finite feature value"),
+        (keep_row("a", 17), r"line 4002: duplicate \(vehicle, frame\) = \('a', 17\)"),
+        (keep_row("a", 4000) + ",9", "line 4002: expected 8 cells, got 9"),
+    ])
+    def test_bad_row_after_lines_read_lazily_names_its_line(self, tmp_path, bad_row, error):
+        rows = [keep_row("a", f) for f in range(5000)]
+        rows[4000] = bad_row
+        text = _body(*rows)
+        source = RewindRecorder(text, newline="")
+        with pytest.raises(sl.ParseError, match=error):
+            sl.parse_trajectories(source, 25.0)
+        # the column parser read its way past the bad row, then rewound
+        assert len(source.rewound_from) == 1
+        assert source.rewound_from[0] > text.index(bad_row)
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(sl.ParseError, match=error):
+            sl.parse_trajectories(path, 25.0)
+
+    def test_sound_seekable_source_is_read_once(self):
+        source = RewindRecorder(_synth_csv(), newline="")
+        assert len(sl.parse_trajectories(source, 25.0)) == 3
+        assert source.rewound_from == []
+
+    def test_parse_memory_per_row_is_bounded(self, tmp_path):
+        # The parse holds the parsed columns, not a str per line: 138 B a row
+        # at its tracemalloc peak on 40 synthetic vehicles, where a list of
+        # every line took the peak to 316 B a row.
+        path = tmp_path / "fleet.csv"
+        trajectories = sl.synthesize_dataset(5, 40)
+        sl.write_trajectories_csv(trajectories, path)
+        rows = sum(map(len, trajectories))
+        assert rows >= 40_000
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            parsed = sl.parse_trajectories(path, 25.0)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, parsed)) == rows
+        assert peak < 200 * rows
 
 
 class TestLabelFrames:
@@ -678,6 +817,12 @@ class TestNormalizer:
     def test_bad_stats_rejected(self, mean, std, error):
         with pytest.raises(error, match="normalizer"):
             sl.NormStats(mean=mean, std=std)
+
+    def test_complex_element_of_an_object_array_rejected(self):
+        # the object array passes the dtype check; its cast would only warn
+        mean = np.array([np.complex128(1j), 0, 0, 0, 0], dtype=object)
+        with pytest.raises(sl.NumericError, match="normalizer mean must be real"):
+            sl.NormStats(mean=mean, std=np.ones(5))
 
     def test_apply_rejects_what_is_not_norm_stats(self):
         windows = sl.build_windows([make_traj(n=100)])

@@ -79,6 +79,35 @@ class TestOptimizerStep:
         with pytest.raises(sl.UsageError):
             sl.optimizer_step(np.zeros(2), np.zeros(2), None, config)
 
+    @pytest.mark.parametrize("m,v,name", [
+        (np.zeros(2), np.zeros(3), "first"),
+        (np.zeros(3), np.zeros((1, 3)), "second"),
+    ])
+    def test_adam_moments_of_the_wrong_shape_rejected(self, m, v, name):
+        # a wrong length once raised a bare ValueError from broadcasting
+        state = sl.AdamState(m, v)
+        with pytest.raises(sl.ShapeError, match=f"Adam {name} moment shape"):
+            sl.optimizer_step(np.zeros(3), np.zeros(3), state, sl.TrainConfig())
+        assert state.step == 0
+
+    def test_adam_moments_that_cannot_be_cast_rejected(self):
+        state = sl.AdamState(np.zeros(3), ["x", 0.0, 0.0])
+        with pytest.raises(sl.NumericError, match="Adam second moment must be numeric"):
+            sl.optimizer_step(np.zeros(3), np.zeros(3), state, sl.TrainConfig())
+
+    def test_adam_moments_given_as_lists_are_arrays(self):
+        # lists once raised a bare TypeError; they give the array state's bits
+        config = sl.TrainConfig()
+        g = np.array([0.3, -0.2, 0.0])
+        want_state = sl.AdamState(np.array([0.1, 0.0, -0.1]), np.array([0.01, 0.0, 0.02]), step=2)
+        want = sl.optimizer_step(np.ones(3), g, want_state, config)
+        state = sl.AdamState([0.1, 0.0, -0.1], [0.01, 0.0, 0.02], step=2)
+        got = sl.optimizer_step(np.ones(3), g, state, config)
+        assert got.tobytes() == want.tobytes()
+        assert state.m.tobytes() == want_state.m.tobytes()
+        assert state.v.tobytes() == want_state.v.tobytes()
+        assert state.step == 3
+
     @pytest.mark.parametrize("optimizer,learning_rate,gradient", [
         ("adam", 1e-3, [np.inf, 0.0, 0.0]),  # inf / inf in the update
         ("adam", 1e-3, [np.nan, 0.0, 0.0]),
