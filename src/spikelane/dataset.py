@@ -19,9 +19,11 @@ gives one `WindowSample`.
 from __future__ import annotations
 
 import csv
+import itertools
 import numbers
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -171,12 +173,17 @@ class WindowSet:
                              **columns}.items():
             object.__setattr__(self, name, column)
 
-    def take(self, index=slice(None), time_major: bool = False) -> np.ndarray:
+    def take(self, index=slice(None), time_major: bool = False, *, _out=None) -> np.ndarray:
         """The features of the windows at index, gathered from the frame
         table into a new C-contiguous array: (12, 5) for an int, (k, 12, 5)
-        for a slice, mask or index array, and (12, k, 5) with time_major."""
-        rows = np.multiply.outer(self.steps[index], _STEP_OFFSETS) + self.starts[index][..., None]
-        return np.take(self.frames, rows.T if time_major else rows, axis=0)
+        for a slice, mask or index array, and (12, k, 5) with time_major.
+        _out, an array of that shape, is filled and returned instead."""
+        rows = np.multiply.outer(self.steps[index], _STEP_OFFSETS)
+        rows += self.starts[index][..., None]
+        # __init__ keeps every row a window reaches inside the table, so "clip"
+        # never clips; unlike "raise", it writes into _out without a
+        # temporary of the gathered size.
+        return np.take(self.frames, rows.T if time_major else rows, axis=0, out=_out, mode="clip")
 
     @property
     def features(self) -> np.ndarray:
@@ -286,14 +293,16 @@ def _integer_value(
 
 
 def _real_value(name: str, value, low: float, high: float = np.inf,
-                error: type[Exception] = ConfigError, closed: bool = False) -> None:
+                error: type[Exception] = ConfigError, closed: bool = False,
+                closed_high: bool = False) -> None:
     """Reject a value that is not a real number, such as a str or None, which
     would reach a comparison or NumPy as a bare TypeError, and one outside
-    (low, high), or [low, high) when closed.  nan fails every comparison."""
+    (low, high), with low admitted when closed and a finite high when
+    closed_high.  nan fails every comparison."""
     if not (isinstance(value, numbers.Real) and (low <= value if closed else low < value)
-            and value < high):
+            and (value <= high if closed_high else value < high)):
         raise error(f"{name} must be finite and lie in {'[' if closed else '('}{low:g}, "
-                    f"{high:g}), got {value!r}")
+                    f"{high:g}{']' if closed_high else ')'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -425,6 +434,13 @@ def _parse_handle(stream: TextIO, sample_rate_hz: float) -> list[Trajectory] | N
     return _parse_columns(stream, sample_rate_hz)
 
 
+# Rows per loadtxt call, 1 MB of table.  One call over a whole file grows
+# its table by reallocation in 1.25x steps (to 4.6 MB for 61,410 rows), and a
+# step that finds no free block that large in the heap is mapped afresh, on
+# top of the heap's resident free space: that raised batch_score's peak RSS
+# by 4-8 MB in some processes.  Blocks of one size fit the heap's holes.
+_PARSE_BLOCK = 16_384
+
 # Every cell of a row, so that loadtxt rejects a row with more or fewer than
 # eight.  Ids are read as Python strs, whose width the data sets.
 _CSV_COLUMNS = np.dtype([
@@ -448,18 +464,28 @@ def _parse_columns(lines: Iterable[str], sample_rate_hz: float) -> list[Trajecto
     """
     # one str per distinct id: a str per row fragmented the allocator and raised peak RSS
     names: dict[str, str] = {}
+    rows = _within_field_limit(lines)
+    blocks = []
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(_within_field_limit(lines), dtype=_CSV_COLUMNS, delimiter=",",
-                               quotechar='"', comments=None, ndmin=1,
-                               converters={0: lambda cell: names.setdefault(cell, cell.strip())})
+            # with max_rows, loadtxt notes that a blank line is not a row
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
+            for first in rows:  # each block starts at a line not yet read
+                blocks.append(np.loadtxt(
+                    itertools.chain([first], rows), dtype=_CSV_COLUMNS, delimiter=",",
+                    quotechar='"', comments=None, ndmin=1, max_rows=_PARSE_BLOCK,
+                    converters={0: lambda cell: names.setdefault(cell, cell.strip())}))
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    if not np.isfinite(table["features"]).all():
+    if not blocks:  # no row: the row parser decides, as loadtxt's empty-input warning did
         return None
-    return _build_trajectories(table["vehicle_id"], table["frame"], table["features"],
-                               table["lane_id"], sample_rate_hz)
+    ids, frames, features, lanes = (np.concatenate([block[name] for block in blocks])
+                                    for name in _CSV_COLUMNS.names)
+    del blocks
+    if not np.isfinite(features).all():
+        return None
+    return _build_trajectories(ids, frames, features, lanes, sample_rate_hz)
 
 
 def _within_field_limit(lines: Iterable[str]) -> Iterator[str]:
@@ -473,9 +499,15 @@ def _within_field_limit(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Trajectory]:
-    """The row-by-row parser: every check per line, errors name the line."""
-    rows: list[tuple[str, int, list[float], int]] = []
-    seen: set[tuple[str, int]] = set()
+    """The row-by-row parser: every check per line, errors name the line.
+
+    The rows go into four columns, not an object per row: the ids share one
+    str per distinct id, as in _parse_columns, and the numbers go into typed
+    arrays.  The duplicate check keeps one set of frames per id.
+    """
+    ids: list[str] = []
+    frames, features, lanes = array("q"), array("d"), array("q")
+    vehicles: dict[str, tuple[str, set[int]]] = {}  # id: (its shared str, its frames)
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -492,15 +524,20 @@ def _parse_rows(reader: Iterator[list[str]], sample_rate_hz: float) -> list[Traj
             raise ParseError(f"line {line_no}: frame or lane_id outside the int64 range")
         if not all(np.isfinite(values)):
             raise ParseError(f"line {line_no}: non-finite feature value")
-        key = (vid, frame)
-        if key in seen:
-            raise ParseError(f"line {line_no}: duplicate (vehicle, frame) = {key}")
-        seen.add(key)
-        rows.append((vid, frame, values, lane))
-    ids, frames, values, lanes = zip(*rows) if rows else ((), (), (), ())
+        vehicle = vehicles.get(vid)
+        if vehicle is None:
+            vehicle = vehicles[vid] = (vid, set())
+        vid, vehicle_frames = vehicle
+        if frame in vehicle_frames:
+            raise ParseError(f"line {line_no}: duplicate (vehicle, frame) = {(vid, frame)}")
+        vehicle_frames.add(frame)
+        ids.append(vid)
+        frames.append(frame)
+        features.extend(values)
+        lanes.append(lane)
     return _build_trajectories(
         np.array(ids, dtype=object), np.array(frames, dtype=np.int64),
-        np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
+        np.array(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
         np.array(lanes, dtype=np.int64), sample_rate_hz,
     )
 

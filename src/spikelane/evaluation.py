@@ -22,6 +22,9 @@ from .dataset import (
     _float_array,
     _float_cast,
     _integer_column,
+    _integer_value,
+    _real_value,
+    _shaped,
     apply_normalizer,
     build_windows,
     downsample_factor,
@@ -87,28 +90,40 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray, class_id: int = 1) -> RocC
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("both binary classes must be present")
 
+    # Each whole-length temporary is dropped once read, so that a long
+    # curve holds little more than its own thresholds and points.
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = positive[order].astype(np.float64)
+    sorted_pos = positive[order]
+    del order, positive
     # last index of each run of tied scores
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    last = np.concatenate([boundary, [scores.size - 1]])
-    tp = np.cumsum(sorted_pos)[last]
-    fp = (last + 1) - tp
+    last = np.concatenate([np.flatnonzero(np.diff(sorted_scores)), [scores.size - 1]])
     thresholds = np.concatenate([[np.inf], sorted_scores[last]])
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    auc = float(np.trapezoid(tpr, fpr))
+    del sorted_scores
+    tp = np.cumsum(sorted_pos, dtype=np.float64)[last]  # exact integer counts
+    del sorted_pos
+    fp = (last + 1) - tp
+    del last
+    points = np.zeros((tp.size + 1, 2))  # rows of (fpr, tpr) from the (0, 0) corner
+    fpr, tpr = points.T
+    np.divide(fp, n_neg, out=fpr[1:])
+    np.divide(tp, n_pos, out=tpr[1:])
     return RocCurve(
         class_id=class_id,
         thresholds=thresholds,
-        points=np.column_stack([fpr, tpr]),
-        auc=auc,
+        points=points,
+        auc=float(np.trapezoid(tpr, fpr)),
     )
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """What evaluate measured.  Every field is checked on construction: a
+    count >= 1, ratios in [0, 1] (macro_auc may be nan), finite spike
+    figures >= 0, an integer (3, 3) confusion matrix, one RocCurve or None
+    per class and a column of str warnings; anything else raises
+    UsageError, or ShapeError for a wrong shape."""
+
     n_samples: int
     accuracy: float
     confusion: np.ndarray                 # (3, 3) counts, [true, predicted]
@@ -117,6 +132,27 @@ class EvalReport:
     warnings: tuple[str, ...]
     spikes_per_window: float              # mean hidden-layer spikes per window
     synops_per_window: float              # spikes_per_window x classifier fan-out
+
+    def __post_init__(self):
+        _integer_value("n_samples", self.n_samples, UsageError, minimum=1)
+        _real_value("accuracy", self.accuracy, 0.0, 1.0, UsageError, closed=True, closed_high=True)
+        if not (isinstance(self.macro_auc, float) and np.isnan(self.macro_auc)):  # nan: no curve
+            _real_value("macro_auc", self.macro_auc, 0.0, 1.0, UsageError, closed=True,
+                        closed_high=True)
+        for name in ("spikes_per_window", "synops_per_window"):
+            _real_value(name, getattr(self, name), 0.0, error=UsageError, closed=True)
+        classes = len(LABEL_NAMES)
+        confusion = _integer_column("confusion", self.confusion, np.int64, UsageError,
+                                    (classes, classes))
+        curves = _shaped("roc_curves", np.asarray(self.roc_curves, dtype=object), (classes,))
+        warnings = _shaped("warnings", np.asarray(self.warnings, dtype=object), (None,))
+        if not all(curve is None or isinstance(curve, RocCurve) for curve in curves):
+            raise UsageError("roc_curves must each be a RocCurve or None")
+        if not all(isinstance(warning, str) for warning in warnings):
+            raise UsageError("warnings must each be a str")
+        object.__setattr__(self, "confusion", confusion)
+        object.__setattr__(self, "roc_curves", tuple(curves.tolist()))
+        object.__setattr__(self, "warnings", tuple(warnings.tolist()))
 
 
 def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
@@ -130,11 +166,12 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     if len(test_set) == 0:
         raise UsageError("test_set is empty")
     labels = test_set.labels
+    # Each whole-set array is dropped once read.
     log_probs, spike_counts = score(model, test_set)
     spikes_per_window = float(spike_counts.mean())
-    probs = np.exp(log_probs)
-    predictions = np.argmax(probs, axis=1)
-    confusion, accuracy = confusion_and_accuracy(predictions, labels)
+    del spike_counts
+    probs = np.exp(log_probs, out=log_probs)
+    confusion, accuracy = confusion_and_accuracy(np.argmax(probs, axis=1), labels)
 
     curves: list[RocCurve | None] = []
     warnings: list[str] = []

@@ -17,7 +17,15 @@ same layout.  _lif_steps updates one state array in place and writes each
 step's threshold compare straight into a bool spike stack (out=), which score
 counts with a single reduction and forward_batch casts to float64 once.
 score gathers each chunk of a WindowSet time-major with WindowSet.take, or
-reads a bare (N, 12, 5) stack directly.
+copies it from a bare (N, 12, 5) stack.
+Each call allocates its working arrays once, not per chunk or batch: score
+a WindowSet's gathered input, the current stack, the bool spike stack and
+the LIF state, in the first chunk's shape, and train, through a _WorkingSet that forward_batch and
+backward_batch take as _work, the gathered windows, the time-major input,
+the current, membrane and spike stacks and the backward sweep's blocks.
+A shorter last chunk or batch uses the front of each array.  So the time of
+a call does not depend on whether the heap handed earlier pages back to the
+kernel.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -26,6 +34,7 @@ sharing a model across threads for inference is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -250,9 +259,41 @@ def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
+class _WorkingSet:
+    """Scratch arrays shared by the batches of one call, one per name.
+
+    block(name, shape, dtype) is a C-contiguous view of the leading elements
+    of that name's flat array, which is allocated on first use and again
+    only for a larger block.  train sizes each block by its first batch, the
+    largest, so a shorter last batch reads the front of the same memory, and
+    no batch allocates or frees a (T, N, hidden) stack: whether freed pages
+    go back to the kernel, and fault in again, would depend on the heap's
+    history.  A fresh working set gives each block a new array, which is the
+    allocating path of every public caller.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def block(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
+# The to_zero reset value, made once.  It stays writeable, though nothing
+# writes it: np.putmask copies a read-only values array on every call.
+_ZERO = np.zeros(())
+
+
+def _feature_currents(
+    xs: np.ndarray, layer: LinearLayer, out: np.ndarray | None = None
+) -> np.ndarray:
     """Time-major (T, N, hidden) input currents of a C-contiguous time-major
-    (T, N, in) window stack.
+    (T, N, in) window stack: a new array, or out, a C-contiguous array of
+    that shape, filled.
 
     One GEMM over the stack's (T * N, in) rows, read in place.  With only
     in_dim terms per sum, BLAS adds them in one order whatever the number or
@@ -265,9 +306,10 @@ def _feature_currents(xs: np.ndarray, layer: LinearLayer) -> np.ndarray:
     """
     steps, n, in_dim = xs.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        currents = xs.reshape(steps * n, in_dim) @ layer.weights
+        currents = np.matmul(xs.reshape(steps * n, in_dim), layer.weights,
+                             out=None if out is None else out.reshape(steps * n, -1))
         currents += layer.bias
-    return _check_currents(currents.reshape(steps, n, layer.out_dim))
+    return _check_currents(currents.reshape(steps, n, -1))
 
 
 def _check_currents(currents: np.ndarray) -> np.ndarray:
@@ -298,34 +340,39 @@ def lif_forward(
     currents = _float_cast("currents", currents, (None, None))
     if len(currents) == 0:
         raise ShapeError(f"currents shape {currents.shape}, expected (T, H) with T >= 1")
-    return _lif_core(_check_currents(currents), cfg)
+    return _lif_stacks(_check_currents(currents), cfg, _WorkingSet())
 
 
 def _lif_steps(
-    currents: np.ndarray, cfg: LifConfig, membrane: np.ndarray | None = None
+    currents: np.ndarray,
+    cfg: LifConfig,
+    spikes: np.ndarray,
+    state: np.ndarray,
+    membrane: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The LIF recurrence: returns the bool spike stack, shaped like currents.
+    """The LIF recurrence: fills and returns spikes, a bool stack shaped like
+    currents, running the state in state, shaped like one step, which must
+    hold zeros on entry and holds the last step's state on return.
 
     Time runs along axis 0, so the same loop serves (T, H) and the
     time-major (T, N, H) stacks of training and scoring, and each step reads
-    one contiguous block.  One state array is updated in place, each step's
-    threshold compare is written straight into its row of the spike stack,
+    one contiguous block.  The state is updated in place, each step's
+    threshold compare is written straight into its row of spikes (out=),
     and, when a membrane stack is passed, the pre-reset potential into its
     row.  The bits are those of u = beta * u_post + currents[t] with
     u_post = where(fired, 0.0, u) or where(fired, u - v_threshold, u): the
     multiply commutes, putmask writes +0.0, and u - v_threshold * False is
     u - 0.0, which is u (-0.0 included) because the threshold is finite.
-    beta, v_threshold and the reset value enter every step as 0-d float64
-    arrays, made once per call: NumPy converts a Python-float operand
-    again on every ufunc call, which at one window costs more than the
-    arithmetic.  The values, and so the bits, are those of the floats.
+    beta and v_threshold enter every step as 0-d float64 arrays, made once
+    per call, and the reset value as _ZERO: NumPy converts a Python-float
+    operand again on every ufunc call, which at one window costs more than
+    the arithmetic.  The values, and so the bits, are those of the floats.
     """
     beta = np.array(cfg.beta, dtype=np.float64)
     v_threshold = np.array(cfg.v_threshold, dtype=np.float64)
     to_zero = cfg.reset_mode == RESET_TO_ZERO
-    reset_value = np.zeros(())
-    u = np.zeros(currents.shape[1:])
-    spikes = np.empty(currents.shape, dtype=bool)
+    reset_value = _ZERO  # a local name: each step reads it
+    u = state
     for t, fired in enumerate(spikes):
         u *= beta
         u += currents[t]
@@ -339,12 +386,18 @@ def _lif_steps(
     return spikes
 
 
-def _lif_core(currents: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
-    # Time-major like _lif_steps: float64 spikes and the pre-reset membrane,
-    # both shaped like currents.
-    membrane = np.empty(currents.shape)
-    spikes = _lif_steps(currents, cfg, membrane)
-    return spikes.astype(np.float64), membrane
+def _lif_stacks(
+    currents: np.ndarray, cfg: LifConfig, work: _WorkingSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 spike and pre-reset membrane stacks of forward_batch and
+    lif_forward, shaped like currents, in work's blocks."""
+    membrane = work.block("membrane", currents.shape)
+    state = work.block("state", currents.shape[1:])
+    state.fill(0.0)
+    fired = _lif_steps(currents, cfg, work.block("fired", currents.shape, bool), state, membrane)
+    spikes = work.block("spikes", currents.shape)
+    np.copyto(spikes, fired)
+    return spikes, membrane
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -370,11 +423,22 @@ def forward(model: Model, x: np.ndarray) -> ForwardCache:
     return _index_cache(forward_batch(model, _float_cast("window", x)[None]), 0)
 
 
-def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
-    """Vectorized forward pass over a (N, 12, 5) stack."""
+def forward_batch(
+    model: Model, windows: np.ndarray, *, _work: _WorkingSet | None = None
+) -> ForwardCache:
+    """Vectorized forward pass over a (N, 12, 5) stack.
+
+    The time-major input and the current, membrane and spike stacks are
+    blocks of _work, train's working set, so that the cache holds only until
+    the next batch; without it they are new arrays.
+    """
+    work = _WorkingSet() if _work is None else _work
     xs = window_stack(windows)
-    currents = _feature_currents(np.ascontiguousarray(xs.transpose(1, 0, 2)), model.feature_layer)
-    spikes, membrane = _lif_core(currents, model.lif)
+    shape = (model.input_steps, len(xs), model.hidden_dim)
+    time_major = work.block("input", (model.input_steps, len(xs), model.input_dim))
+    np.copyto(time_major, xs.transpose(1, 0, 2))
+    currents = _feature_currents(time_major, model.feature_layer, work.block("currents", shape))
+    spikes, membrane = _lif_stacks(currents, model.lif, work)
     pooled = spikes.mean(axis=0)
     logits = pooled @ model.classifier.weights + model.classifier.bias
     return ForwardCache(
@@ -388,19 +452,22 @@ def forward_batch(model: Model, windows: np.ndarray) -> ForwardCache:
     )
 
 
-# Windows per score() chunk.  It bounds the working memory of scoring: one
-# chunk's (T, chunk, hidden) currents are the largest array score() holds
-# (2.4 MB at 1,024 windows, 9.4 MB at 4,096), beside its gathered
-# (T, chunk, in) input (0.5 MB at 1,024) and its (T, chunk, hidden) bool
-# spikes (0.3 MB).  It is sized for the cache: each LIF step works on the
-# (chunk, hidden) float64 state, the step's currents and one bool spike
-# row (in subtract mode also one temporary the size of the state), about
-# 0.4 MB at 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.
+# Windows per score() chunk.  It bounds the working memory of scoring, which
+# score() allocates once per call and reuses for every chunk: the
+# (T, chunk, hidden) currents are its largest array (2.4 MB at 1,024
+# windows, 9.4 MB at 4,096), beside the gathered (T, chunk, in) input
+# (0.5 MB at 1,024), the (T, chunk, hidden) bool spikes (0.3 MB) and the
+# (chunk, hidden) LIF state (0.2 MB).  It is sized for the cache: each LIF
+# step works on the state, the step's currents and one bool spike row (in
+# subtract mode also one temporary the size of the state), about 0.4 MB at
+# 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.
 # score() on 57,574 windows at stride 1 (2-CPU Xeon, one BLAS thread, 6
 # processes of 12 rounds, chunk sizes in rotating order, on a shared host)
 # took 0.085 s at best and 0.094 s in the median at 1,024, 0.081/0.088 s at
-# 512, 0.086/0.094 s at 2,048 and 0.089/0.100 s at 4,096.  Every chunk
-# size gives the same bits.
+# 512, 0.086/0.094 s at 2,048 and 0.089/0.100 s at 4,096, when each chunk
+# still allocated its own arrays.  Every chunk size gives the same bits.
+# On 57,503 windows score() peaks 5.46 MB above the window set under
+# tracemalloc, its outputs included.
 SCORE_CHUNK = 1024
 
 # score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
@@ -414,9 +481,10 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
 
     windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
     (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
-    spikes per window.  The windows are scored SCORE_CHUNK at a time: the
-    chunk's time-major (T, chunk, in) input (the set's take(chunk,
-    time_major=True), one transposed copy of a stack), the feature
+    spikes per window.  The windows are scored SCORE_CHUNK at a time, every
+    chunk in the same arrays, allocated once per call: the chunk's
+    time-major (T, chunk, in) input (the set's take(chunk, time_major=True),
+    or for a bare stack a transposed copy made per chunk), the feature
     currents, which raise NumericError unless every one is finite (a
     non-finite window, or a finite one that overflows the feature layer),
     _lif_steps keeping only the running state and filling a
@@ -435,22 +503,43 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     n = len(windows)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
+    # One working set for every chunk, in the first chunk's final shape; the
+    # first chunk's GEMM allocates the current stack.
+    size = min(n, SCORE_CHUNK)
+    in_dim, hidden = model.feature_layer.weights.shape
+    currents = None
+    spikes = np.empty((WINDOW_STEPS, size, hidden), bool)
+    state = np.zeros((size, hidden))
+    gathered = np.empty((WINDOW_STEPS, size, in_dim)) if table else None
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
+        if start:  # a later chunk: a zero state, on the front of each array if shorter
+            if n - start < size:
+                currents, spikes, state = (_front(a, n - start) for a in (currents, spikes, state))
+                if table:
+                    gathered = _front(gathered, n - start)
+            state.fill(0.0)
         if table:
-            xs = windows.take(chunk, time_major=True)
-        else:
+            xs = windows.take(chunk, time_major=True, _out=gathered)
+        else:  # copied afresh: at one window, a copy into a kept array costs more
             xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
-        currents = _feature_currents(xs, model.feature_layer)
+        currents = _feature_currents(xs, model.feature_layer, currents)
         # training's recurrence, over the same (T, chunk, hidden) layout
-        spikes = _lif_steps(currents, model.lif)
+        _lif_steps(currents, model.lif, spikes, state)
         counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
-        pooled = counts / _STEPS  # the bits of forward_batch's spikes.mean(axis=0)
+        # the bits of forward_batch's spikes.mean(axis=0), in the spent LIF state
+        pooled = np.divide(counts, _STEPS, out=state)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
         spike_counts[chunk] = np.add.reduce(counts, axis=1)
     return log_probs, spike_counts
+
+
+def _front(array: np.ndarray, k: int) -> np.ndarray:
+    """A C-contiguous (..., n, X) array's leading elements as (..., k, X)."""
+    shape = (*array.shape[:-2], k, array.shape[-1])
+    return array.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _index_cache(cache: ForwardCache, key) -> ForwardCache:
@@ -479,8 +568,17 @@ def surrogate_grad(v: np.ndarray, slope: float) -> np.ndarray:
     Evaluated at v = membrane - threshold:  slope / (1 + slope * |v|)^2.
     A |v| whose square overflows gives 0.0, the limit, without a warning.
     """
+    return _surrogate_grad(v, slope)
+
+
+def _surrogate_grad(v, slope: float, out: np.ndarray | None = None):
+    # surrogate_grad's ufuncs in its order, each written into out when given
     with np.errstate(over="ignore"):
-        return slope / (1.0 + slope * np.abs(v)) ** 2
+        grad = np.abs(v, out=out)
+        grad = np.multiply(slope, grad, out=out)
+        grad = np.add(1.0, grad, out=out)
+        grad = np.square(grad, out=out)  # what ** 2 calls
+        return np.divide(slope, grad, out=out)
 
 
 def backward(model: Model, cache: ForwardCache, label: int) -> Gradients:
@@ -493,7 +591,7 @@ def backward(model: Model, cache: ForwardCache, label: int) -> Gradients:
 
 
 def backward_batch(
-    model: Model, cache: ForwardCache, labels: np.ndarray
+    model: Model, cache: ForwardCache, labels: np.ndarray, *, _work: _WorkingSet | None = None
 ) -> Gradients:
     """Mean gradients of the batch NLL loss (the 1/N average over samples).
 
@@ -502,8 +600,11 @@ def backward_batch(
     beta, including the post-spike reset path for the configured reset mode.
     The formulas only read the cached spike and membrane values, so a cache
     filled by a smoothed forward variant yields that variant's exact gradient,
-    which is how the backward pass is verified.
+    which is how the backward pass is verified.  The (T, N, hidden) blocks
+    of the sweep are blocks of _work, train's working set; without it they
+    are new arrays.
     """
+    work = _WorkingSet() if _work is None else _work
     steps, hidden = model.input_steps, model.hidden_dim
     xs = _float_cast("cache input", cache.input, (None, steps, model.input_dim))
     n = len(xs)
@@ -528,12 +629,14 @@ def backward_batch(
     # optimizer_step rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _membrane_adjoint(model.lif, membrane.transpose(1, 0, 2),
-                                spikes.transpose(1, 0, 2), dspike)
+                                spikes.transpose(1, 0, 2), dspike, work)
         # Both reductions read a C-contiguous (N, T, H) lam: their summation
         # order follows the memory layout, and this one keeps the trained bits.
-        lam = np.ascontiguousarray(lam.transpose(1, 0, 2))
-        grad_w1 = np.einsum("nti,ntj->ij", xs, lam)
-        grad_b1 = lam.sum(axis=(0, 1))
+        # It goes in the reset-derivative block, which the sweep has done with.
+        batch_major = work.block("reset", (n, steps, hidden))
+        np.copyto(batch_major, lam.transpose(1, 0, 2))
+        grad_w1 = np.einsum("nti,ntj->ij", xs, batch_major)
+        grad_b1 = batch_major.sum(axis=(0, 1))
     return Gradients(grad_w1, grad_b1, grad_w2, grad_b2)
 
 
@@ -542,22 +645,34 @@ def _membrane_adjoint(
     membrane: np.ndarray,
     spikes: np.ndarray,
     dspike: np.ndarray,
+    work: _WorkingSet,
 ) -> np.ndarray:
-    """Backward sweep over the LIF recurrence; returns dLoss/dCurrents.
+    """Backward sweep over the LIF recurrence; returns dLoss/dCurrents in
+    work's adjoint block.
 
     Works on time-major (T, N, H) stacks, like _lif_steps.  dspike is the loss
     gradient on each spike (identical for every time step here, but broadcast
     either way).  Everything that does not depend on the next step's adjoint
-    is computed for the whole stack first; the sweep then does three in-place
-    ops per step, with the bits of lam[t] = dspike * sg[t] + mu * dreset[t].
+    is computed for the whole stack first, into work's surrogate and reset
+    blocks, with the ufuncs and operands of
+    sg = surrogate_grad(membrane - v_threshold, slope),
+    dreset = (1.0 - spikes) - membrane * sg or 1.0 - v_threshold * sg, and
+    lam = dspike * sg.  The sweep then does three in-place ops per step, with
+    the bits of lam[t] = dspike * sg[t] + mu * dreset[t].
     """
-    sg = surrogate_grad(membrane - cfg.v_threshold, cfg.surrogate_slope)
+    sg = work.block("surrogate", membrane.shape)
+    dreset = work.block("reset", membrane.shape)
+    lam = work.block("adjoint", membrane.shape)
+    np.subtract(membrane, cfg.v_threshold, out=sg)
+    _surrogate_grad(sg, cfg.surrogate_slope, out=sg)
     if cfg.reset_mode == RESET_TO_ZERO:
         # d(u * (1 - s)) / du with s depending on u via the surrogate
-        dreset = (1.0 - spikes) - membrane * sg
+        np.subtract(1.0, spikes, out=dreset)
+        dreset -= np.multiply(membrane, sg, out=lam)  # lam is set below
     else:
-        dreset = 1.0 - cfg.v_threshold * sg
-    lam = dspike * sg
+        np.multiply(cfg.v_threshold, sg, out=dreset)
+        np.subtract(1.0, dreset, out=dreset)
+    np.multiply(dspike, sg, out=lam)
     beta = np.array(cfg.beta, dtype=np.float64)  # 0-d, as in _lif_steps
     mu = np.zeros(membrane.shape[1:])
     for t in reversed(range(len(membrane))):

@@ -14,6 +14,7 @@ from .dataset import WindowSet, _float_cast, _integer_value, _real_value
 from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .model import (
     Model,
+    _WorkingSet,
     backward_batch,
     flatten_params,
     forward_batch,
@@ -136,6 +137,10 @@ def train(
     best_theta = theta.copy()
     epochs_without_improvement = 0
     logs: list[EpochLog] = []
+    # every batch's gathered windows and forward and backward stacks, sized
+    # by the first batch: no batch allocates one
+    work = _WorkingSet()
+    window_shape = (current.input_steps, current.input_dim)
 
     for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
@@ -144,11 +149,12 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            cache = forward_batch(current, train_set.take(idx))
+            windows = train_set.take(idx, _out=work.block("windows", (idx.size, *window_shape)))
+            cache = forward_batch(current, windows, _work=work)
             batch_labels = labels[idx]
             total_nll -= float(cache.log_probs[np.arange(idx.size), batch_labels].sum())
             correct += int((np.argmax(cache.log_probs, axis=1) == batch_labels).sum())
-            grads = backward_batch(current, cache, batch_labels)
+            grads = backward_batch(current, cache, batch_labels, _work=work)
             try:
                 theta[:] = optimizer_step(theta, flatten_params(grads.as_list()), state, config)
             except NumericError as exc:

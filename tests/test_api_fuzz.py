@@ -64,6 +64,14 @@ def _adam_step(gradient):
                              config)
 
 
+def _report(**fields):
+    """An EvalReport of valid fields but the given ones."""
+    valid = dict(n_samples=3, accuracy=0.5, confusion=np.zeros((3, 3), dtype=np.int64),
+                 roc_curves=(None, None, None), macro_auc=float("nan"), warnings=("w",),
+                 spikes_per_window=1.0, synops_per_window=3.0)
+    return sl.EvalReport(**{**valid, **fields})
+
+
 NUMBERS = ("-1", "0", "2.0", "2**64")  # finite values any float array accepts
 
 # name: (call taking the fleet and an array, a valid array, accepted value names)
@@ -142,6 +150,21 @@ TARGETS = {
         lambda f, v: sl.confusion_and_accuracy([0, 0], [v, 0]), ("0",)),
     "TimelineReport.end_frames": (
         lambda f, v: sl.TimelineReport("v", [v], [[1.0, 0.0, 0.0]], (), (), ()), ("-1", "0")),
+    "EvalReport.n_samples": (lambda f, v: _report(n_samples=v), ("2**64",)),
+    "EvalReport.accuracy": (lambda f, v: _report(accuracy=v), ("0",)),
+    "EvalReport.macro_auc": (lambda f, v: _report(macro_auc=v), ("nan", "0")),  # nan: no curve
+    "EvalReport.spikes_per_window": (
+        lambda f, v: _report(spikes_per_window=v), ("0", "2.0", "2**64")),
+    "EvalReport.synops_per_window": (
+        lambda f, v: _report(synops_per_window=v), ("0", "2.0", "2**64")),
+    # an integer matrix, like TimelineReport.end_frames, so no complex-array target
+    "EvalReport.confusion": (
+        lambda f, v: _report(confusion=_with_first(v, np.zeros((3, 3), dtype=np.int64))),
+        ("-1", "0")),
+    "EvalReport.roc_curves": (lambda f, v: _report(roc_curves=v), ()),
+    "EvalReport.roc_curves[0]": (lambda f, v: _report(roc_curves=(v, None, None)), ("None",)),
+    "EvalReport.warnings": (lambda f, v: _report(warnings=v), ()),
+    "EvalReport.warnings[0]": (lambda f, v: _report(warnings=(v,)), ("'x'",)),
     **{name: (lambda f, v, call=call, valid=valid: call(f, _with_first(v, valid)), accepted)
        for name, (call, valid, accepted) in ARRAY_TARGETS.items()},
 }
@@ -175,6 +198,12 @@ MISSHAPEN = {
         (getattr(_CACHE, name)[None], getattr(_CACHE, name)[:1]))
        for name in ("input", "membrane", "spikes", "pooled", "log_probs")},
     "detect_runs": (lambda f, a: sl.detect_runs(a), [1, 1, 1], ([[1, 1, 1]], 1)),
+    "EvalReport.confusion": (
+        lambda f, a: _report(confusion=a), np.zeros((3, 3), dtype=np.int64),
+        (np.zeros((1, 3, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))),
+    "EvalReport.roc_curves": (
+        lambda f, a: _report(roc_curves=a), (None, None, None), ((None, None), [[None] * 3])),
+    "EvalReport.warnings": (lambda f, a: _report(warnings=a), ("w",), ("w", [["w"]])),
     "confusion_and_accuracy.predictions": (
         lambda f, a: sl.confusion_and_accuracy(a, [0, 1]), [0, 1], ([[0, 1]], [0])),
     "confusion_and_accuracy.labels": (

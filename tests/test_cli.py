@@ -329,9 +329,11 @@ class TestEval:
 
     def test_peak_memory_holds_one_window_array(self, fleet_csv, trained_dir, tmp_path, capsys):
         # a window set stores each frame once, so eval never holds one
-        # (N, 12, 5) window array.  The peak measured 0.56x its bytes, in
-        # evaluate (0.71x in the CSV parse while it held every line as a
-        # str), and a returning window array takes it past 1x.
+        # (N, 12, 5) window array.  The peak measured 0.44x its bytes, in
+        # evaluate (0.56x while score allocated its arrays per chunk and
+        # evaluate held its whole-set temporaries, 0.71x in the CSV parse
+        # while it held every line as a str), and a returning window array
+        # takes it past 1x.
         peak = traced_peak([
             "eval", "--data", str(fleet_csv), "--stride", "1", "--split", "all",
             "--model", str(trained_dir / "model.spkl"),

@@ -233,6 +233,26 @@ class TestParseParity:
             _assert_same_parse(direct, want)
         _assert_same_parse(got, want)
 
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("name,text,columnar", PARITY_CASES,
+                             ids=[case[0] for case in PARITY_CASES])
+    def test_blocks_of_rows_match_row_parser(self, monkeypatch, name, text, columnar, block):
+        # The column parser reads _PARSE_BLOCK rows per loadtxt call.  With
+        # blocks of one or two rows every case crosses block boundaries: a
+        # row rejected in any block still leaves the file to the row parser,
+        # and an accepted file parses the same.  A block of blank lines only
+        # may hand a file with blank lines to the row parser as well.
+        monkeypatch.setattr(dataset, "_PARSE_BLOCK", block)
+        want = _rows_only(text)
+        body = io.StringIO(text, newline="").readlines()[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = dataset._parse_columns(body, 25.0)
+        if direct is not None:
+            _assert_same_parse(direct, want)
+        blank = any(not line.strip() for line in body)
+        assert (direct is not None) == columnar or (columnar and blank)
+
     @pytest.mark.parametrize("name,text,columnar", PARITY_CASES,
                              ids=[case[0] for case in PARITY_CASES])
     def test_text_source_matches_path(self, tmp_path, name, text, columnar):
@@ -472,6 +492,34 @@ class TestParseSources:
             tracemalloc.stop()
         assert sum(map(len, parsed)) == rows
         assert peak < 200 * rows
+
+    def test_row_parser_memory_per_row_is_bounded(self, tmp_path):
+        # The last row's frame, 1_000_000, is an int to int() but not to the
+        # column parser, so the whole file goes to the row parser.  That
+        # parser holds four columns, not a tuple, a list, an id str and a
+        # duplicate key per row: 422 B a row at its tracemalloc peak (most
+        # of it the list of lines, which the row parser reads), against
+        # 833 B a row with the per-row objects.
+        path = tmp_path / "fleet.csv"
+        trajectories = sl.synthesize_dataset(5, 40)
+        sl.write_trajectories_csv(trajectories, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[-1].split(",")
+        cells[1] = f"{int(cells[1]) + 1_000_000:_}"
+        lines[-1] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        rows = len(lines) - 1
+        assert rows >= 40_000
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            parsed = sl.parse_trajectories(path, 25.0)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, parsed)) == rows
+        assert parsed[-1].t_index[-1] >= 1_000_000
+        assert peak < 600 * rows
 
 
 class TestLabelFrames:

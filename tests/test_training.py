@@ -252,8 +252,8 @@ class TestTrainLoop:
         # loss here, so exercise the guard by faking a poisoned batch
         real = tr.forward_batch
 
-        def poisoned(model, windows):
-            cache = real(model, windows)
+        def poisoned(model, windows, **kwargs):
+            cache = real(model, windows, **kwargs)
             bad = cache.log_probs.copy()
             bad[0, :] = -np.inf
             return type(cache)(
@@ -270,8 +270,8 @@ class TestTrainLoop:
         # three batches per epoch; the fifth gradient (epoch 2) is poisoned
         real, calls = tr.backward_batch, []
 
-        def poisoned(model, cache, labels):
-            grads = real(model, cache, labels)
+        def poisoned(model, cache, labels, **kwargs):
+            grads = real(model, cache, labels, **kwargs)
             calls.append(None)
             if len(calls) == 5:
                 grads.feature_weights[0, 0] = np.nan
@@ -309,8 +309,11 @@ class TestTrainLoop:
         model = sl.new_model(seed=4, lif=sl.LifConfig(reset_mode=reset_mode))
         config = sl.TrainConfig(max_epochs=2, patience_epochs=3, learning_rate=0.03, seed=2)
         got, got_logs = sl.train(model, samples, config)
-        monkeypatch.setattr(tr, "forward_batch", forward_batch_batch_major)
-        monkeypatch.setattr(tr, "backward_batch", backward_batch_batch_major)
+        # train passes its working set as _work, which the reference step allocates without
+        monkeypatch.setattr(tr, "forward_batch", lambda model, windows, _work: (
+            forward_batch_batch_major(model, windows)))
+        monkeypatch.setattr(tr, "backward_batch", lambda model, cache, labels, _work: (
+            backward_batch_batch_major(model, cache, labels)))
         want, want_logs = sl.train(model, samples, config)
         assert sl.model_to_bytes(got) == sl.model_to_bytes(want)
         assert [log.mean_loss for log in got_logs] == [log.mean_loss for log in want_logs]
