@@ -127,9 +127,10 @@ class WindowSet:
     the table.  The starts, steps, labels and end_frames must be integers
     within int64.
 
-    take(index, time_major=False) is the one reader of this layout: it
-    gathers the windows at index from the table, batch-major or time-major.
-    The features property is take() of every window.
+    take(index, time_major=False) and span(index) are the only readers of
+    this layout: take gathers the windows at index from the table,
+    batch-major or time-major, and span gives the run of frames they cover
+    with their rows in it.  The features property is take() of every window.
 
     An int index gives a WindowSample; a slice, mask or index array gives a
     WindowSet.  Iteration yields WindowSamples.  vehicle_ids is an object
@@ -184,6 +185,21 @@ class WindowSet:
         # never clips; unlike "raise", it writes into _out without a
         # temporary of the gathered size.
         return np.take(self.frames, rows.T if time_major else rows, axis=0, out=_out, mode="clip")
+
+    def span(self, index=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The frames that the windows at index (a slice, mask or index array)
+        span, from the first row of any of them to the last, as a view of the
+        frame table, and the windows' rows in that view as a C-contiguous
+        (12, k) intp array: np.take(frames, rows, axis=0) is
+        take(index, time_major=True).  The span may hold frames that no
+        window at index uses."""
+        rows = np.multiply.outer(_STEP_OFFSETS, self.steps[index])
+        rows += self.starts[index]
+        if not rows.size:
+            return self.frames[:0], rows
+        low = rows[0].min()  # steps are >= 1, so each window's rows rise
+        rows -= low
+        return self.frames[low : low + rows[-1].max() + 1], rows
 
     @property
     def features(self) -> np.ndarray:
@@ -369,15 +385,18 @@ def parse_trajectories(
 
 
 def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
-    # A seekable source is read lazily by the column parser, with no list of
-    # lines.  Any failure there rewinds it and parses it as below, as a
-    # source that cannot seek is parsed, so results and errors are the same
-    # whatever the source.
+    # A seekable source whose header is one plain line is read lazily by the
+    # column parser, with no list of lines.  Any failure there rewinds it and
+    # parses it as below, as a source that cannot seek is parsed, so results
+    # and errors are the same whatever the source; the column parser, which
+    # has seen these lines already, is then not run again.
     start = _position(stream)
-    if start is not None:
-        trajectories = _parse_handle(stream, sample_rate_hz)
+    columns_tried = start is not None and _plain_header(stream)
+    if columns_tried:
+        trajectories = _parse_columns(stream, sample_rate_hz)
         if trajectories is not None:
             return trajectories
+    if start is not None:
         stream.seek(start)
     # A decode error is held back until the row parser has seen the lines
     # before it, so that a bad row earlier in the file is the error reported.
@@ -398,7 +417,7 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
         raise ParseError(
             f"line 1: header {header} does not match {','.join(CSV_HEADER)}"
         )
-    if undecodable is None:
+    if undecodable is None and not columns_tried:
         trajectories = _parse_columns(lines[reader.line_num:], sample_rate_hz)
         if trajectories is not None:
             return trajectories
@@ -416,22 +435,19 @@ def _position(stream) -> int | None:
         return None
 
 
-def _parse_handle(stream: TextIO, sample_rate_hz: float) -> list[Trajectory] | None:
-    """The column parser over the lines of a handle as they are read.
-
-    The header must be one line without quotes, whose csv parse cannot run
-    on into the next line.  Returns None when the lines must be read up
-    front instead: on any other header, a decode error, or whenever
-    _parse_columns returns None.
+def _plain_header(stream: TextIO) -> bool:
+    """Reads a handle's first line: whether it is the header, alone on its
+    line and without quotes, so that its csv parse cannot run on into the
+    next line and the column parser may read the rest of the handle.  Any
+    other header, or a decode error, sends the source to the list of lines.
     """
     try:
         line = stream.readline()
         header = next(csv.reader([line]), None)
     except (csv.Error, UnicodeDecodeError):
-        return None
-    if header is None or '"' in line or tuple(cell.strip() for cell in header) != CSV_HEADER:
-        return None
-    return _parse_columns(stream, sample_rate_hz)
+        return False
+    return (header is not None and '"' not in line
+            and tuple(cell.strip() for cell in header) == CSV_HEADER)
 
 
 # Rows per loadtxt call, 1 MB of table.  One call over a whole file grows

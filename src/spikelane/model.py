@@ -16,11 +16,14 @@ step reads and writes one contiguous block; the backward sweep runs over the
 same layout.  _lif_steps updates one state array in place and writes each
 step's threshold compare straight into a bool spike stack (out=), which score
 counts with a single reduction and forward_batch casts to float64 once.
-score gathers each chunk of a WindowSet time-major with WindowSet.take, or
-copies it from a bare (N, 12, 5) stack.
+score runs the feature layer once per frame of the span of a WindowSet
+chunk (WindowSet.span) and gathers each window's currents from it, or, for
+a sparse chunk or a bare (N, 12, 5) stack, once per window copy.
 Each call allocates its working arrays once, not per chunk or batch: score
-a WindowSet's gathered input, the current stack, the bool spike stack and
-the LIF state, in the first chunk's shape, and train, through a _WorkingSet that forward_batch and
+the current stack, the bool spike stack, the LIF state and the to_zero
+reset's mask in the first chunk's shape, and the per-frame currents and a
+gathered input when a chunk first needs them, the former grown only for a
+longer span; train, through a _WorkingSet that forward_batch and
 backward_batch take as _work, the gathered windows, the time-major input,
 the current, membrane and spike stacks and the backward sweep's blocks.
 A shorter last chunk or batch uses the front of each array.  So the time of
@@ -269,7 +272,9 @@ class _WorkingSet:
     no batch allocates or frees a (T, N, hidden) stack: whether freed pages
     go back to the kernel, and fault in again, would depend on the heap's
     history.  A fresh working set gives each block a new array, which is the
-    allocating path of every public caller.
+    allocating path of every public caller.  score keeps its per-frame
+    currents in one, whose block grows, the old array freed first, only
+    for a chunk that spans more frames than any before it.
     """
 
     def __init__(self):
@@ -277,10 +282,10 @@ class _WorkingSet:
 
     def block(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype=dtype)
-        return flat[:size].reshape(shape)
+        if name not in self._flat or self._flat[name].size < size:
+            self._flat.pop(name, None)  # a smaller array goes before its successor comes
+            self._flat[name] = np.empty(size, dtype=dtype)
+        return self._flat[name][:size].reshape(shape)
 
 
 # The to_zero reset value, made once.  It stays writeable, though nothing
@@ -343,12 +348,27 @@ def lif_forward(
     return _lif_stacks(_check_currents(currents), cfg, _WorkingSet())
 
 
+# The LIF state size (values, windows x hidden neurons) from which the
+# to_zero reset multiplies the state by the complement of the spike mask
+# instead of calling np.putmask, whose branches mispredict on a real spike
+# mask but which is one NumPy call in place of two.  On a trained model's
+# currents (fire rate 0.24-0.37; 2-CPU Xeon, one BLAS thread, best of 7) the
+# multiply took this share of putmask's time per 12-step loop, at 24
+# neurons: 1.59 at 1 window, 1.16 at 128 (training's batches), 1.02-1.07
+# at 160-256, 0.89 at 384, 0.81 at 512 and 0.68 at 1,024 (score's chunks).
+# Between 3,072 values (128 windows) and about 6,144 (256) the choice costs
+# little either way; from 4,096, predict and training batches of up to 170
+# windows keep putmask.
+_MULTIPLY_RESET_SIZE = 4096
+
+
 def _lif_steps(
     currents: np.ndarray,
     cfg: LifConfig,
     spikes: np.ndarray,
     state: np.ndarray,
     membrane: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
 ) -> np.ndarray:
     """The LIF recurrence: fills and returns spikes, a bool stack shaped like
     currents, running the state in state, shaped like one step, which must
@@ -361,8 +381,13 @@ def _lif_steps(
     and, when a membrane stack is passed, the pre-reset potential into its
     row.  The bits are those of u = beta * u_post + currents[t] with
     u_post = where(fired, 0.0, u) or where(fired, u - v_threshold, u): the
-    multiply commutes, putmask writes +0.0, and u - v_threshold * False is
-    u - 0.0, which is u (-0.0 included) because the threshold is finite.
+    multiply commutes, and u - v_threshold * False is u - 0.0, which is u
+    (-0.0 included) because the threshold is finite.  The to_zero reset
+    writes +0.0 where fired: np.putmask does for a state smaller than
+    _MULTIPLY_RESET_SIZE, and from that size u *= not fired does, in keep
+    (a bool array shaped like state; made here when not given), because a
+    fired u is at least v_threshold > 0 and finite (_check_currents bounds
+    it), so u * 0.0 is +0.0, and u * 1.0 is u.
     beta and v_threshold enter every step as 0-d float64 arrays, made once
     per call, and the reset value as _ZERO: NumPy converts a Python-float
     operand again on every ufunc call, which at one window costs more than
@@ -371,6 +396,9 @@ def _lif_steps(
     beta = np.array(cfg.beta, dtype=np.float64)
     v_threshold = np.array(cfg.v_threshold, dtype=np.float64)
     to_zero = cfg.reset_mode == RESET_TO_ZERO
+    putmask = to_zero and state.size < _MULTIPLY_RESET_SIZE
+    if to_zero and not putmask and keep is None:
+        keep = np.empty(state.shape, bool)
     reset_value = _ZERO  # a local name: each step reads it
     u = state
     for t, fired in enumerate(spikes):
@@ -379,8 +407,11 @@ def _lif_steps(
         if membrane is not None:
             membrane[t] = u
         np.greater_equal(u, v_threshold, out=fired)
-        if to_zero:
+        if putmask:  # tested first: predict's one-window loop pays for every test
             np.putmask(u, fired, reset_value)
+        elif to_zero:
+            np.logical_not(fired, out=keep)
+            u *= keep
         else:
             u -= v_threshold * fired
     return spikes
@@ -455,20 +486,31 @@ def forward_batch(
 # Windows per score() chunk.  It bounds the working memory of scoring, which
 # score() allocates once per call and reuses for every chunk: the
 # (T, chunk, hidden) currents are its largest array (2.4 MB at 1,024
-# windows, 9.4 MB at 4,096), beside the gathered (T, chunk, in) input
-# (0.5 MB at 1,024), the (T, chunk, hidden) bool spikes (0.3 MB) and the
-# (chunk, hidden) LIF state (0.2 MB).  It is sized for the cache: each LIF
-# step works on the state, the step's currents and one bool spike row (in
-# subtract mode also one temporary the size of the state), about 0.4 MB at
-# 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.
-# score() on 57,574 windows at stride 1 (2-CPU Xeon, one BLAS thread, 6
-# processes of 12 rounds, chunk sizes in rotating order, on a shared host)
-# took 0.085 s at best and 0.094 s in the median at 1,024, 0.081/0.088 s at
-# 512, 0.086/0.094 s at 2,048 and 0.089/0.100 s at 4,096, when each chunk
-# still allocated its own arrays.  Every chunk size gives the same bits.
-# On 57,503 windows score() peaks 5.46 MB above the window set under
-# tracemalloc, its outputs included.
+# windows, 9.4 MB at 4,096), beside the per-frame currents of a chunk's span
+# (0.2 MB at stride 1, 1.3 MB at 6.4 frames per window) or the gathered
+# (T, chunk, in) input (0.5 MB), the (T, chunk, hidden) bool spikes
+# (0.3 MB) and the (chunk, hidden) LIF state (0.2 MB).  It is sized for the
+# cache: each LIF step works on the state, the step's currents and one bool
+# spike row (and the reset's mask, or in subtract mode one temporary the
+# size of the state), about 0.4 MB at 1,024 windows, which fits a 2-MiB L2,
+# against 1.7 MB at 4,096.  score() on 57,623 windows at stride 1, on the
+# per-frame path (2-CPU Xeon, one BLAS thread, 6 processes of 12 rounds,
+# chunk sizes in rotating order, on a shared host), took 0.075 s at best and
+# 0.104 s in the median at 1,024, 0.074/0.098 s at 512, 0.078/0.102 s at
+# 2,048 and 0.085/0.106 s at 4,096: within the host's noise below 4,096.
+# Every chunk size gives the same bits.  On those windows score() peaks
+# 5.33 MB above the window set under tracemalloc, its outputs included.
 SCORE_CHUNK = 1024
+
+# Frames per window up to which score computes a WindowSet chunk's currents
+# once per frame of its span rather than once per window copy.  Per chunk of
+# 1,024 windows (span, feature layer, gather and finiteness check; 2-CPU
+# Xeon, one BLAS thread, best of 9), the per-frame path took this share of
+# the per-copy path's time: 0.58 at 1.1 frames per window (stride 1), 0.73
+# at 4.3, 0.90 at 6.4 (the timeline's stride), 0.94 at 7.5, 1.07 at 8.5,
+# 1.12 at 9.6, 1.39 at 11.7 and 2.39 at 12.8, where the gather from the
+# span's currents slows.
+_SPAN_LIMIT = 8
 
 # score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
 # converted again on every ufunc call, which one-window scoring pays per call.
@@ -482,12 +524,20 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
     (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
     spikes per window.  The windows are scored SCORE_CHUNK at a time, every
-    chunk in the same arrays, allocated once per call: the chunk's
-    time-major (T, chunk, in) input (the set's take(chunk, time_major=True),
-    or for a bare stack a transposed copy made per chunk), the feature
-    currents, which raise NumericError unless every one is finite (a
-    non-finite window, or a finite one that overflows the feature layer),
-    _lif_steps keeping only the running state and filling a
+    chunk in the same arrays, allocated once per call.  A chunk's
+    time-major (T, chunk, hidden) feature currents come one of two ways:
+    - per frame, for a WindowSet chunk whose span (WindowSet.span) holds at
+      most _SPAN_LIMIT frames per window: the feature layer runs once over
+      the span's frames, into a block that grows only for a longer span,
+      and each window's currents are gathered from it (_span_currents);
+    - per window copy, for any other chunk: its time-major (T, chunk, in)
+      input, gathered from the span (into an array made on first use) or,
+      for a bare stack, a transposed copy made per chunk, goes through the
+      feature layer (_feature_currents).
+    Both give every current the bits of x[n, t] @ W + b, and raise
+    NumericError unless every current a window uses is finite (a
+    non-finite window, or a finite one that overflows the feature layer).
+    _lif_steps then keeps only the running state and fills a
     (T, chunk, hidden) bool spike stack through out=, counted in one
     reduction, then the readout.  The readout is an einsum rather than a
     BLAS matmul, so every row depends only on its own window: a batch of
@@ -504,28 +554,36 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
     # One working set for every chunk, in the first chunk's final shape; the
-    # first chunk's GEMM allocates the current stack.
+    # first chunk's GEMM or gather allocates the current stack.
     size = min(n, SCORE_CHUNK)
     in_dim, hidden = model.feature_layer.weights.shape
-    currents = None
+    currents = gathered = None
+    spans = _WorkingSet() if table else None
     spikes = np.empty((WINDOW_STEPS, size, hidden), bool)
     state = np.zeros((size, hidden))
-    gathered = np.empty((WINDOW_STEPS, size, in_dim)) if table else None
+    keep = np.empty(state.shape, bool) if state.size >= _MULTIPLY_RESET_SIZE else None
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
         if start:  # a later chunk: a zero state, on the front of each array if shorter
             if n - start < size:
                 currents, spikes, state = (_front(a, n - start) for a in (currents, spikes, state))
-                if table:
-                    gathered = _front(gathered, n - start)
+                gathered, keep = (None if a is None else _front(a, n - start)
+                                  for a in (gathered, keep))
             state.fill(0.0)
-        if table:
-            xs = windows.take(chunk, time_major=True, _out=gathered)
-        else:  # copied afresh: at one window, a copy into a kept array costs more
+        if not table:  # copied afresh: at one window, a copy into a kept array costs more
             xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
-        currents = _feature_currents(xs, model.feature_layer, currents)
+            currents = _feature_currents(xs, model.feature_layer, currents)
+        else:
+            frames, rows = windows.span(chunk)
+            if len(frames) <= _SPAN_LIMIT * rows.shape[1]:
+                currents = _span_currents(frames, rows, model.feature_layer, spans, currents)
+            else:
+                if gathered is None:
+                    gathered = np.empty((WINDOW_STEPS, rows.shape[1], in_dim))
+                xs = np.take(frames, rows, axis=0, out=gathered, mode="clip")
+                currents = _feature_currents(xs, model.feature_layer, currents)
         # training's recurrence, over the same (T, chunk, hidden) layout
-        _lif_steps(currents, model.lif, spikes, state)
+        _lif_steps(currents, model.lif, spikes, state, keep=keep)
         counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
         # the bits of forward_batch's spikes.mean(axis=0), in the spent LIF state
         pooled = np.divide(counts, _STEPS, out=state)
@@ -534,6 +592,28 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
         log_probs[chunk] = _log_softmax(logits)
         spike_counts[chunk] = np.add.reduce(counts, axis=1)
     return log_probs, spike_counts
+
+
+def _span_currents(
+    frames: np.ndarray, rows: np.ndarray, layer: LinearLayer, work: _WorkingSet,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """The (T, k, hidden) currents of the windows whose (T, k) rows index the
+    (S, in) frames of a span: a new array, or out, filled.
+
+    One GEMM over the span's frames, into work's "span" block, then a gather
+    of each window's rows from it.  Each frame's currents have the bits that
+    _feature_currents gives that frame inside any window.  A frame no window
+    uses may hold anything (nan, inf, a finite value that overflows the
+    GEMM): the GEMM runs under np.errstate, and _check_currents sees only the
+    gathered currents.  mode="clip" never clips, since every row lies in the
+    span, and writes into out without a temporary.
+    """
+    block = work.block("span", (len(frames), layer.out_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(frames, layer.weights, out=block)
+        block += layer.bias
+    return _check_currents(np.take(block, rows, axis=0, out=out, mode="clip"))
 
 
 def _front(array: np.ndarray, k: int) -> np.ndarray:

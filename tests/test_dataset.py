@@ -474,6 +474,42 @@ class TestParseSources:
         assert len(sl.parse_trajectories(source, 25.0)) == 3
         assert source.rewound_from == []
 
+    @pytest.mark.parametrize("last_row,error", [
+        (keep_row("a", "1_003_000"), None),  # an int to int(), not to loadtxt
+        ("a,2999,oops,30.0,0.0,0.0,0.0,3", "line 3001: non-numeric cell"),
+    ], ids=["underscore_frame", "bad_cell"])
+    def test_column_parser_runs_once_per_source(self, tmp_path, monkeypatch, last_row, error):
+        # A file the column parser rejects goes to the row parser.  A source
+        # it read lazily is not column-parsed a second time from the list of
+        # lines; a quoted header, which it does not read lazily, and a source
+        # that cannot seek are column-parsed once, from that list.
+        rows = [keep_row("a", f) for f in range(2999)] + [last_row]
+        want = _rows_only(_body(*rows))
+        if error is None:
+            assert want[0].t_index[-1] == 1_003_000
+        else:
+            assert want.startswith(error)
+        calls = []
+
+        def counted(lines, sample_rate_hz):
+            calls.append(1)
+            return real(lines, sample_rate_hz)
+
+        real = dataset._parse_columns
+        monkeypatch.setattr(dataset, "_parse_columns", counted)
+        for name, header in (("plain", HEADER), ("quoted", '"vehicle_id"' + HEADER[10:])):
+            data = _body(*rows).replace(HEADER, header, 1).encode("utf-8")
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            sources = [path]
+            if hasattr(os, "mkfifo"):
+                sources.append(tmp_path / f"{name}.fifo")
+            for source in sources:
+                calls.clear()
+                got = _outcome(path) if source == path else _fifo_outcome(source, data)
+                _assert_same_parse(got, want)
+                assert len(calls) == 1, (name, source)
+
     def test_parse_memory_per_row_is_bounded(self, tmp_path):
         # The parse holds the parsed columns, not a str per line: 138 B a row
         # at its tracemalloc peak on 40 synthetic vehicles, where a list of
@@ -714,6 +750,19 @@ class TestWindowOracle:
             assert time_major.flags.c_contiguous
             assert time_major.shape == (12, len(want), 5)
             assert np.array_equal(time_major, want.transpose(1, 0, 2))
+
+    def test_span_holds_the_windows_rows(self):
+        windows = self._two_rate_windows()
+        for index in [slice(3, 30, 4), slice(None, None, -1), windows.vehicle_ids == "b",
+                      np.array([7, 0, 7, len(windows) - 1]), np.arange(len(windows))[::-3],
+                      slice(0, 0)]:
+            frames, rows = windows.span(index)
+            assert np.shares_memory(frames, windows.frames) or not len(frames)
+            assert rows.flags.c_contiguous and rows.dtype == np.intp
+            assert np.array_equal(np.take(frames, rows, axis=0),
+                                  windows.take(index, time_major=True))
+            if rows.size:  # from the windows' first frame to their last, no further
+                assert rows.min() == 0 and rows.max() == len(frames) - 1
 
     def test_take_empty(self):
         windows = self._two_rate_windows()

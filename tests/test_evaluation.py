@@ -212,6 +212,13 @@ def fleet_windows(seed=31, vehicles=3):
     return trajectories, stats, sl.apply_normalizer(stats, windows)
 
 
+def stride_windows(stride, vehicles=3):
+    """Normalized windows of synthetic vehicles, one every stride frames."""
+    windows = sl.build_windows(sl.synthesize_dataset(31, vehicles),
+                               sl.WindowConfig(stride_frames=stride))
+    return sl.apply_normalizer(sl.fit_normalizer(windows), windows)
+
+
 def assert_same_report(a, b):
     assert (a.n_samples, a.accuracy, a.macro_auc, a.warnings) == \
         (b.n_samples, b.accuracy, b.macro_auc, b.warnings)
@@ -316,6 +323,70 @@ class TestScoringPath:
         got = sl.score(model, self._with_frame(windows, unused[0], value))
         want = sl.score(model, windows)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_unused_frame_is_never_read_at_stride_one(self, reset_mode, value):
+        # the frames of a vehicle too short for a window, between two long
+        # vehicles, inside a chunk's span: the per-frame path runs the
+        # feature layer over them, but no window gathers their currents
+        windows = stride_windows(1, vehicles=2)
+        first = windows.starts[windows.vehicle_ids == windows.vehicle_ids[-1]].min()
+        assert 0 < first < model_module.SCORE_CHUNK  # the first chunk spans both vehicles
+        short = np.full((30, 5), value)
+        frames = np.concatenate([windows.frames[:first], short, windows.frames[first:]])
+        starts = np.where(windows.starts < first, windows.starts, windows.starts + len(short))
+        poisoned = sl.WindowSet(frames, windows.labels, windows.vehicle_ids, windows.end_frames,
+                                starts=starts, steps=windows.steps)
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        got = sl.score(model, poisoned)
+        want = sl.score(model, windows)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    @pytest.mark.parametrize("case", ["stride 1", "stride 6", "stride 20", "split side",
+                                      "shuffled", "shuffled fleet", "chunk - 1", "chunk",
+                                      "chunk + 1"])
+    def test_window_set_scores_like_its_bare_stack_bit_for_bit(self, reset_mode, case):
+        # a WindowSet chunk's currents come per frame of its span or per
+        # gathered window; a bare stack's always per window copy
+        chunk = model_module.SCORE_CHUNK
+        stride = {"stride 6": 6, "stride 20": 20}.get(case, 1)
+        windows = stride_windows(stride, vehicles=10 if case == "shuffled fleet" else 3)
+        if case == "split side":
+            windows = sl.split_by_vehicle(windows, 0.5, seed=3).test
+        elif case.startswith("shuffled"):
+            windows = windows[np.random.default_rng(4).permutation(len(windows))]
+        elif case.startswith("chunk"):
+            windows = windows[: chunk + {"chunk - 1": -1, "chunk": 0, "chunk + 1": 1}[case]]
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        log_probs, spike_counts = sl.score(model, windows)
+        stack_log_probs, stack_spike_counts = sl.score(model, windows.features)
+        assert spike_counts.sum() > 0
+        assert log_probs.tobytes() == stack_log_probs.tobytes()
+        assert spike_counts.tobytes() == stack_spike_counts.tobytes()
+
+    def test_both_current_paths_run(self, monkeypatch):
+        # a stride-1 set is scored per frame of each chunk's span; a shuffled
+        # one, whose every chunk spans about the whole table, more than
+        # _SPAN_LIMIT frames per window, and a bare stack per window copy
+        calls = []
+        for name in ("_span_currents", "_feature_currents"):
+            def spy(*args, _name=name, _real=getattr(model_module, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(model_module, name, spy)
+        windows = stride_windows(1, vehicles=10)
+        chunks = -(-len(windows) // model_module.SCORE_CHUNK)
+        assert len(windows.span()[0]) > model_module._SPAN_LIMIT * model_module.SCORE_CHUNK
+        model = sl.new_model(seed=5)
+        shuffled = windows[np.random.default_rng(4).permutation(len(windows))]
+        for source, path in ((windows, "_span_currents"), (shuffled, "_feature_currents"),
+                             (windows.features, "_feature_currents")):
+            calls.clear()
+            sl.score(model, source)
+            assert calls == [path] * chunks
 
     @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
     def test_used_non_finite_frame_is_rejected(self, reset_mode):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spikelane as sl
-from spikelane.model import ForwardCache, _log_softmax
+from spikelane.model import _MULTIPLY_RESET_SIZE, SCORE_CHUNK, ForwardCache, _log_softmax
 
 from oracles import (
     backward_batch_batch_major,
@@ -159,7 +159,25 @@ class TestLifContract:
         assert (np.signbit(want_m) & (want_m == 0)).sum() >= 2
         assert (~np.signbit(want_m) & (want_m == 0)).sum() >= 12
 
-    @pytest.mark.parametrize("n", [1, 37])
+    def test_lif_forward_past_the_reset_switch(self, reset_mode):
+        # a (T, H) state of _MULTIPLY_RESET_SIZE neurons takes the multiply
+        # reset; the feature GEMM of the batched paths drops the sign of a
+        # zero current, so here a -0.0 potential meets it
+        cfg = sl.LifConfig(reset_mode=reset_mode, **self.CFG)
+        currents = dyadic(np.random.default_rng(23), (12, _MULTIPLY_RESET_SIZE))
+        currents[:4, 0] = [1.0, 0.5, 0.75, -0.0]
+        currents[:4, 1] = [-5e-324, -0.0, -0.0, 1.5]
+        spikes, membrane = sl.lif_forward(currents, cfg)
+        want_m = self.check_step_outputs(currents, spikes, membrane, cfg)
+        assert (want_m == 1.0).sum() >= 2
+        assert (np.signbit(want_m) & (want_m == 0)).sum() >= 2
+
+    # The to_zero reset switches from putmask to a multiply at a state of
+    # _MULTIPLY_RESET_SIZE values: at SWITCH windows of these 5 neurons.
+    # score's chunks of SCORE_CHUNK + 1 windows take the multiply, then putmask.
+    SWITCH = -(-_MULTIPLY_RESET_SIZE // 5)
+
+    @pytest.mark.parametrize("n", [1, 37, SWITCH - 1, SWITCH, SCORE_CHUNK + 1])
     def test_forward_batch_and_score(self, reset_mode, n):
         # identity feature layer: each window's currents are its features, but
         # for the sign of a zero, which the GEMM may drop; so naive_lif reads
