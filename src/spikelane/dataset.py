@@ -127,10 +127,13 @@ class WindowSet:
     the table.  The starts, steps, labels and end_frames must be integers
     within int64.
 
-    take(index, time_major=False) and span(index) are the only readers of
-    this layout: take gathers the windows at index from the table,
-    batch-major or time-major, and span gives the run of frames they cover
-    with their rows in it.  The features property is take() of every window.
+    take(index, time_major=False), span(index) and runs(min_length) are the
+    only readers of this layout: take gathers the windows at index from the
+    table, batch-major or time-major, span gives the frames they cover with
+    their rows in it, and runs finds the stretches of windows at
+    consecutive starts with one step, whose rows in their frames follow
+    from their position alone (a stride-1 vehicle's windows).  The features
+    property is take() of every window.
 
     An int index gives a WindowSample; a slice, mask or index array gives a
     WindowSet.  Iteration yields WindowSamples.  vehicle_ids is an object
@@ -200,6 +203,22 @@ class WindowSet:
         low = rows[0].min()  # steps are >= 1, so each window's rows rise
         rows -= low
         return self.frames[low : low + rows[-1].max() + 1], rows
+
+    def runs(self, min_length: int) -> list[tuple[int, int, int, np.ndarray]]:
+        """The runs of at least min_length windows, and at least one, in
+        index order whose starts rise by one and which share one step m,
+        each as (begin, end, m, frames): windows begin to end - 1, and the
+        frames they span, a view of the frame table in which window
+        begin + i reads rows i + m * t.  So the windows at a slice of a run,
+        from begin + i to begin + j, span frames[i : j + 11 * m].  Found in
+        one pass over starts and steps."""
+        cuts = np.flatnonzero((np.diff(self.starts) != 1) | (np.diff(self.steps) != 0)) + 1
+        bounds = np.concatenate(([0], cuts, [len(self)]))
+        long = np.flatnonzero(np.diff(bounds) >= max(min_length, 1))
+        begins, ends = bounds[long], bounds[long + 1]
+        return [(b, e, m, self.frames[first : first + e - b + (WINDOW_STEPS - 1) * m])
+                for b, e, m, first in zip(*(column.tolist() for column in (
+                    begins, ends, self.steps[begins], self.starts[begins])))]
 
     @property
     def features(self) -> np.ndarray:
@@ -389,7 +408,9 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
     # column parser, with no list of lines.  Any failure there rewinds it and
     # parses it as below, as a source that cannot seek is parsed, so results
     # and errors are the same whatever the source; the column parser, which
-    # has seen these lines already, is then not run again.
+    # has seen these lines already, is then not run again, and the row
+    # parser reads the rewound handle lazily too.  Any other source is read
+    # into a list of lines, which both parsers may read.
     start = _position(stream)
     columns_tried = start is not None and _plain_header(stream)
     if columns_tried:
@@ -400,31 +421,38 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
         stream.seek(start)
     # A decode error is held back until the row parser has seen the lines
     # before it, so that a bad row earlier in the file is the error reported.
-    lines: list[str] = []
-    undecodable = None
-    try:
-        lines.extend(stream)
-    except UnicodeDecodeError as error:
-        undecodable = error
+    undecodable: list[UnicodeDecodeError] = []
+    lines = _until_undecodable(stream, undecodable)
+    if not columns_tried:
+        lines = list(lines)
     reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
-        if undecodable is not None:
-            raise undecodable from None
+        if undecodable:
+            raise undecodable[0] from None
         raise ParseError("line 1: empty input, expected header") from None
     if tuple(cell.strip() for cell in header) != CSV_HEADER:
         raise ParseError(
             f"line 1: header {header} does not match {','.join(CSV_HEADER)}"
         )
-    if undecodable is None and not columns_tried:
+    if not undecodable and not columns_tried:
         trajectories = _parse_columns(lines[reader.line_num:], sample_rate_hz)
         if trajectories is not None:
             return trajectories
     trajectories = _parse_rows(reader, sample_rate_hz)
-    if undecodable is not None:
-        raise undecodable
+    if undecodable:
+        raise undecodable[0]
     return trajectories
+
+
+def _until_undecodable(stream: TextIO, undecodable: list[UnicodeDecodeError]) -> Iterator[str]:
+    """The lines of a stream up to the first that cannot be decoded, whose
+    error is appended to undecodable instead of raised."""
+    try:
+        yield from stream
+    except UnicodeDecodeError as error:
+        undecodable.append(error)
 
 
 def _position(stream) -> int | None:
@@ -479,7 +507,7 @@ def _parse_columns(lines: Iterable[str], sample_rate_hz: float) -> list[Trajecto
     reading the lines, go to the row parser too.
     """
     # one str per distinct id: a str per row fragmented the allocator and raised peak RSS
-    names: dict[str, str] = {}
+    names = _StrippedIds()
     rows = _within_field_limit(lines)
     blocks = []
     try:
@@ -491,7 +519,7 @@ def _parse_columns(lines: Iterable[str], sample_rate_hz: float) -> list[Trajecto
                 blocks.append(np.loadtxt(
                     itertools.chain([first], rows), dtype=_CSV_COLUMNS, delimiter=",",
                     quotechar='"', comments=None, ndmin=1, max_rows=_PARSE_BLOCK,
-                    converters={0: lambda cell: names.setdefault(cell, cell.strip())}))
+                    converters={0: names.__getitem__}))
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     if not blocks:  # no row: the row parser decides, as loadtxt's empty-input warning did
@@ -502,6 +530,16 @@ def _parse_columns(lines: Iterable[str], sample_rate_hz: float) -> list[Trajecto
     if not np.isfinite(features).all():
         return None
     return _build_trajectories(ids, frames, features, lanes, sample_rate_hz)
+
+
+class _StrippedIds(dict):
+    """Each id cell as read, mapped to its stripped str, made once per
+    distinct cell: so every row of one id shares one str, and the lookup of
+    a cell seen before is one C-level dict read, with no Python call."""
+
+    def __missing__(self, cell: str) -> str:
+        self[cell] = stripped = cell.strip()
+        return stripped
 
 
 def _within_field_limit(lines: Iterable[str]) -> Iterator[str]:

@@ -16,17 +16,20 @@ step reads and writes one contiguous block; the backward sweep runs over the
 same layout.  _lif_steps updates one state array in place and writes each
 step's threshold compare straight into a bool spike stack (out=), which score
 counts with a single reduction and forward_batch casts to float64 once.
-score runs the feature layer once per frame of the span of a WindowSet
-chunk (WindowSet.span) and gathers each window's currents from it, or, for
-a sparse chunk or a bare (N, 12, 5) stack, once per window copy.
+score runs the feature layer once per frame that a WindowSet chunk spans:
+for a chunk of a run of windows at consecutive starts (WindowSet.runs, a
+stride-1 vehicle) it reads each window's currents in place, as a strided
+view of those per-frame currents; for another chunk whose span
+(WindowSet.span) is dense enough it gathers them from it.  A sparse chunk
+or a bare (N, 12, 5) stack runs the feature layer once per window copy.
 Each call allocates its working arrays once, not per chunk or batch: score
-the current stack, the bool spike stack, the LIF state and the to_zero
-reset's mask in the first chunk's shape, and the per-frame currents and a
-gathered input when a chunk first needs them, the former grown only for a
+the bool spike stack, the LIF state and the to_zero reset's mask in the
+largest chunk's shape, the current stack and a gathered input likewise when
+a chunk first needs them, and the per-frame currents, grown only for a
 longer span; train, through a _WorkingSet that forward_batch and
 backward_batch take as _work, the gathered windows, the time-major input,
 the current, membrane and spike stacks and the backward sweep's blocks.
-A shorter last chunk or batch uses the front of each array.  So the time of
+A shorter chunk or batch uses the front of each array.  So the time of
 a call does not depend on whether the heap handed earlier pages back to the
 kernel.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
@@ -485,31 +488,33 @@ def forward_batch(
 
 # Windows per score() chunk.  It bounds the working memory of scoring, which
 # score() allocates once per call and reuses for every chunk: the
-# (T, chunk, hidden) currents are its largest array (2.4 MB at 1,024
-# windows, 9.4 MB at 4,096), beside the per-frame currents of a chunk's span
-# (0.2 MB at stride 1, 1.3 MB at 6.4 frames per window) or the gathered
-# (T, chunk, in) input (0.5 MB), the (T, chunk, hidden) bool spikes
+# (T, chunk, hidden) current stack, which only a chunk outside a run needs
+# (a run's chunks read their currents in place), is its largest array (2.4 MB
+# at 1,024 windows, 9.4 MB at 4,096), beside the per-frame currents of a
+# chunk's frames (0.2 MB at stride 1, 1.3 MB at 6.4 frames per window) or the
+# gathered (T, chunk, in) input (0.5 MB), the (T, chunk, hidden) bool spikes
 # (0.3 MB) and the (chunk, hidden) LIF state (0.2 MB).  It is sized for the
 # cache: each LIF step works on the state, the step's currents and one bool
 # spike row (and the reset's mask, or in subtract mode one temporary the
 # size of the state), about 0.4 MB at 1,024 windows, which fits a 2-MiB L2,
 # against 1.7 MB at 4,096.  score() on 57,623 windows at stride 1, on the
-# per-frame path (2-CPU Xeon, one BLAS thread, 6 processes of 12 rounds,
+# per-frame gather (2-CPU Xeon, one BLAS thread, 6 processes of 12 rounds,
 # chunk sizes in rotating order, on a shared host), took 0.075 s at best and
 # 0.104 s in the median at 1,024, 0.074/0.098 s at 512, 0.078/0.102 s at
 # 2,048 and 0.085/0.106 s at 4,096: within the host's noise below 4,096.
-# Every chunk size gives the same bits.  On those windows score() peaks
-# 5.33 MB above the window set under tracemalloc, its outputs included.
+# Every chunk size gives the same bits.  On 57,700 stride-1 windows, all in
+# runs, score() peaks 2.8 MB above the window set under tracemalloc, its
+# outputs included, against 5.1 MB when it gathers every chunk's currents.
 SCORE_CHUNK = 1024
 
-# Frames per window up to which score computes a WindowSet chunk's currents
-# once per frame of its span rather than once per window copy.  Per chunk of
-# 1,024 windows (span, feature layer, gather and finiteness check; 2-CPU
-# Xeon, one BLAS thread, best of 9), the per-frame path took this share of
-# the per-copy path's time: 0.58 at 1.1 frames per window (stride 1), 0.73
-# at 4.3, 0.90 at 6.4 (the timeline's stride), 0.94 at 7.5, 1.07 at 8.5,
-# 1.12 at 9.6, 1.39 at 11.7 and 2.39 at 12.8, where the gather from the
-# span's currents slows.
+# Frames per window up to which score computes a WindowSet chunk outside a
+# run's currents once per frame of its span, then gathers them, rather than
+# once per window copy.  Per chunk of 1,024 windows (span, feature layer,
+# gather and finiteness check; 2-CPU Xeon, one BLAS thread, best of 9), the
+# per-frame path took this share of the per-copy path's time: 0.58 at 1.1
+# frames per window (stride 1), 0.73 at 4.3, 0.90 at 6.4 (the timeline's
+# stride), 0.94 at 7.5, 1.07 at 8.5, 1.12 at 9.6, 1.39 at 11.7 and 2.39 at
+# 12.8, where the gather from the span's currents slows.
 _SPAN_LIMIT = 8
 
 # score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
@@ -523,19 +528,26 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
 
     windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
     (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
-    spikes per window.  The windows are scored SCORE_CHUNK at a time, every
-    chunk in the same arrays, allocated once per call.  A chunk's
-    time-major (T, chunk, hidden) feature currents come one of two ways:
-    - per frame, for a WindowSet chunk whose span (WindowSet.span) holds at
-      most _SPAN_LIMIT frames per window: the feature layer runs once over
-      the span's frames, into a block that grows only for a longer span,
-      and each window's currents are gathered from it (_span_currents);
+    spikes per window.  The windows are scored in chunks of at most
+    SCORE_CHUNK, every chunk in the same arrays, allocated once per call
+    (_score_chunks): each run of at least SCORE_CHUNK // 4 windows at
+    consecutive starts with one step (WindowSet.runs, a stride-1 vehicle)
+    is cut into chunks of its own, and the windows between runs, or all of
+    a bare stack, are cut SCORE_CHUNK at a time.  A chunk's time-major
+    (T, chunk, hidden) feature currents come one of three ways:
+    - in place, for a chunk of a run: the feature layer runs once over the
+      frames the chunk spans, into a block that grows only for a longer
+      span, and the currents are a read-only strided view of that block,
+      step t of window i being its row i + m * t (_run_currents);
+    - per frame, for another WindowSet chunk whose span (WindowSet.span)
+      holds at most _SPAN_LIMIT frames per window: the same block, from
+      which each window's currents are gathered (_span_currents);
     - per window copy, for any other chunk: its time-major (T, chunk, in)
-      input, gathered from the span (into an array made on first use) or,
-      for a bare stack, a transposed copy made per chunk, goes through the
-      feature layer (_feature_currents).
-    Both give every current the bits of x[n, t] @ W + b, and raise
-    NumericError unless every current a window uses is finite (a
+      input, gathered from the span or, for a bare stack, a transposed copy
+      made per chunk, goes through the feature layer (_feature_currents).
+    The gathered currents and input go in arrays made when a chunk first
+    needs them.  All three give every current the bits of x[n, t] @ W + b,
+    and raise NumericError unless every current a window uses is finite (a
     non-finite window, or a finite one that overflows the feature layer).
     _lif_steps then keeps only the running state and fills a
     (T, chunk, hidden) bool spike stack through out=, counted in one
@@ -553,8 +565,8 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     n = len(windows)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
-    # One working set for every chunk, in the first chunk's final shape; the
-    # first chunk's GEMM or gather allocates the current stack.
+    # One working set for every chunk, sized for the largest; a shorter
+    # chunk uses the front of each array.
     size = min(n, SCORE_CHUNK)
     in_dim, hidden = model.feature_layer.weights.shape
     currents = gathered = None
@@ -562,31 +574,39 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     spikes = np.empty((WINDOW_STEPS, size, hidden), bool)
     state = np.zeros((size, hidden))
     keep = np.empty(state.shape, bool) if state.size >= _MULTIPLY_RESET_SIZE else None
-    for start in range(0, n, SCORE_CHUNK):
-        chunk = slice(start, start + SCORE_CHUNK)
-        if start:  # a later chunk: a zero state, on the front of each array if shorter
-            if n - start < size:
-                currents, spikes, state = (_front(a, n - start) for a in (currents, spikes, state))
-                gathered, keep = (None if a is None else _front(a, n - start)
-                                  for a in (gathered, keep))
-            state.fill(0.0)
-        if not table:  # copied afresh: at one window, a copy into a kept array costs more
-            xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
-            currents = _feature_currents(xs, model.feature_layer, currents)
+    for chunk, run in _score_chunks(windows) if table else _grid(0, n):
+        k = chunk.stop - chunk.start
+        if run is not None:
+            chunk_currents = _run_currents(*run, model.feature_layer, spans)
         else:
-            frames, rows = windows.span(chunk)
-            if len(frames) <= _SPAN_LIMIT * rows.shape[1]:
-                currents = _span_currents(frames, rows, model.feature_layer, spans, currents)
+            if currents is None:
+                currents = np.empty((WINDOW_STEPS, size, hidden))
+            out = currents if k == size else _front(currents, k)
+            if not table:  # copied afresh: at one window, a copy into a kept array costs more
+                xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
+                chunk_currents = _feature_currents(xs, model.feature_layer, out)
             else:
-                if gathered is None:
-                    gathered = np.empty((WINDOW_STEPS, rows.shape[1], in_dim))
-                xs = np.take(frames, rows, axis=0, out=gathered, mode="clip")
-                currents = _feature_currents(xs, model.feature_layer, currents)
+                frames, rows = windows.span(chunk)
+                if len(frames) <= _SPAN_LIMIT * k:
+                    chunk_currents = _span_currents(frames, rows, model.feature_layer, spans, out)
+                else:
+                    if gathered is None:
+                        gathered = np.empty((WINDOW_STEPS, size, in_dim))
+                    xs = np.take(frames, rows, axis=0, mode="clip",
+                                 out=gathered if k == size else _front(gathered, k))
+                    chunk_currents = _feature_currents(xs, model.feature_layer, out)
+        if k == size:
+            chunk_spikes, chunk_state, chunk_keep = spikes, state, keep
+        else:
+            chunk_spikes, chunk_state = _front(spikes, k), _front(state, k)
+            chunk_keep = None if keep is None else _front(keep, k)
+        if chunk.start:  # a later chunk: a zero state, in the one a chunk before spent
+            chunk_state.fill(0.0)
         # training's recurrence, over the same (T, chunk, hidden) layout
-        _lif_steps(currents, model.lif, spikes, state, keep=keep)
-        counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
+        _lif_steps(chunk_currents, model.lif, chunk_spikes, chunk_state, keep=chunk_keep)
+        counts = np.add.reduce(chunk_spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
         # the bits of forward_batch's spikes.mean(axis=0), in the spent LIF state
-        pooled = np.divide(counts, _STEPS, out=state)
+        pooled = np.divide(counts, _STEPS, out=chunk_state)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
@@ -594,26 +614,98 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     return log_probs, spike_counts
 
 
-def _span_currents(
-    frames: np.ndarray, rows: np.ndarray, layer: LinearLayer, work: _WorkingSet,
-    out: np.ndarray | None,
-) -> np.ndarray:
-    """The (T, k, hidden) currents of the windows whose (T, k) rows index the
-    (S, in) frames of a span: a new array, or out, filled.
+def _score_chunks(windows: WindowSet) -> list[tuple[slice, tuple | None]]:
+    """score's chunks of a WindowSet in index order, as (slice, run): run is
+    (frames, m) for a chunk of a run (WindowSet.runs) of at least
+    SCORE_CHUNK // 4 windows, the frames the chunk spans and the run's step,
+    and None for any other chunk.  A run is cut into the fewest chunks of at
+    most SCORE_CHUNK windows, of equal length to within one window, so that
+    none is much shorter than the run threshold; the windows before, between
+    and after runs SCORE_CHUNK at a time, as a bare stack's (_grid).
 
-    One GEMM over the span's frames, into work's "span" block, then a gather
-    of each window's rows from it.  Each frame's currents have the bits that
+    The threshold is where reading in place starts to pay.  On fleets of
+    about 24,000 windows in runs of L at step 6 (2-CPU Xeon, one BLAS
+    thread, best of 36), in place took 2.14, 1.59, 1.19, 0.99, 0.88 and
+    0.83 us a window at L = 64, 128, 192, 256, 384 and 934, and the grid's
+    gather 1.31, 1.24, 1.27, 1.14, 1.21 and 1.26: a short run's chunks are
+    short, and each pays the LIF loop's per-step calls."""
+    chunks: list[tuple[slice, tuple | None]] = []
+    done = 0
+    for begin, end, step, frames in windows.runs(SCORE_CHUNK // 4):
+        chunks += _grid(done, begin)
+        parts = -(-(end - begin) // SCORE_CHUNK)
+        for part in range(parts):
+            i, j = (end - begin) * part // parts, (end - begin) * (part + 1) // parts
+            chunks.append((slice(begin + i, begin + j),
+                           (frames[i : j + (WINDOW_STEPS - 1) * step], step)))
+        done = end
+    return chunks + _grid(done, len(windows))
+
+
+def _grid(start: int, stop: int) -> list[tuple[slice, None]]:
+    """score's chunks of windows start to stop - 1 outside runs:
+    SCORE_CHUNK at a time, the last shorter.  At most one chunk, such as
+    predict's one window, is built without the comprehension, which costs
+    it about 0.4 us a call."""
+    if stop - start <= SCORE_CHUNK:
+        return [(slice(start, stop), None)] if stop > start else []
+    return [(slice(i, min(i + SCORE_CHUNK, stop)), None) for i in range(start, stop, SCORE_CHUNK)]
+
+
+def _frame_currents(frames: np.ndarray, layer: LinearLayer, work: _WorkingSet) -> np.ndarray:
+    """The (S, hidden) currents of the (S, in) frames of a span, unchecked,
+    in work's "span" block.
+
+    One GEMM over the frames.  Each frame's currents have the bits that
     _feature_currents gives that frame inside any window.  A frame no window
     uses may hold anything (nan, inf, a finite value that overflows the
-    GEMM): the GEMM runs under np.errstate, and _check_currents sees only the
-    gathered currents.  mode="clip" never clips, since every row lies in the
-    span, and writes into out without a temporary.
+    GEMM): the GEMM runs under np.errstate, and the callers check only the
+    currents that windows use.
     """
     block = work.block("span", (len(frames), layer.out_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(frames, layer.weights, out=block)
         block += layer.bias
+    return block
+
+
+def _span_currents(
+    frames: np.ndarray, rows: np.ndarray, layer: LinearLayer, work: _WorkingSet,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The (T, k, hidden) currents of the windows whose (T, k) rows index the
+    (S, in) frames of a span, gathered from _frame_currents into out and
+    checked.  mode="clip" never clips, since every row lies in the span, and
+    writes into out without a temporary.
+    """
+    block = _frame_currents(frames, layer, work)
     return _check_currents(np.take(block, rows, axis=0, out=out, mode="clip"))
+
+
+def _run_currents(
+    frames: np.ndarray, step: int, layer: LinearLayer, work: _WorkingSet
+) -> np.ndarray:
+    """The (T, k, hidden) currents of a run's k windows, whose step t reads
+    rows i + step * t of the (k + 11 * step, in) frames they span, as a
+    read-only view of the _frame_currents block with strides
+    (step * row, row, item): no current is copied.  Each step's (k, hidden)
+    currents are a contiguous slice of the block.
+
+    The finiteness check reads the block, about k + 11 * step rows rather
+    than 12 * k; only when it fails does _check_currents read the view, so
+    that a frame no window uses still never raises, and a used one raises
+    what the gathered currents would.
+    """
+    block = _frame_currents(frames, layer, work)
+    row, item = block.strides
+    view = np.lib.stride_tricks.as_strided(
+        block, (WINDOW_STEPS, len(block) - (WINDOW_STEPS - 1) * step, layer.out_dim),
+        (step * row, row, item), writeable=False)
+    try:
+        _check_currents(block)
+    except NumericError:
+        _check_currents(view)
+    return view
 
 
 def _front(array: np.ndarray, k: int) -> np.ndarray:

@@ -533,9 +533,9 @@ class TestParseSources:
         # The last row's frame, 1_000_000, is an int to int() but not to the
         # column parser, so the whole file goes to the row parser.  That
         # parser holds four columns, not a tuple, a list, an id str and a
-        # duplicate key per row: 422 B a row at its tracemalloc peak (most
-        # of it the list of lines, which the row parser reads), against
-        # 833 B a row with the per-row objects.
+        # duplicate key per row, and reads the rewound file a line at a
+        # time: 249 B a row at its tracemalloc peak, against 422 B a row
+        # with a list of the file's lines and 833 B with the per-row objects.
         path = tmp_path / "fleet.csv"
         trajectories = sl.synthesize_dataset(5, 40)
         sl.write_trajectories_csv(trajectories, path)
@@ -555,7 +555,7 @@ class TestParseSources:
             tracemalloc.stop()
         assert sum(map(len, parsed)) == rows
         assert parsed[-1].t_index[-1] >= 1_000_000
-        assert peak < 600 * rows
+        assert peak < 300 * rows
 
 
 class TestLabelFrames:

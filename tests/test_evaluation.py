@@ -219,6 +219,13 @@ def stride_windows(stride, vehicles=3):
     return sl.apply_normalizer(sl.fit_normalizer(windows), windows)
 
 
+def one_run(windows, n):
+    """n windows over the frame table of windows that form one run, as a
+    stride-1 vehicle's do: starts 0 to n - 1, each with step 6."""
+    return sl.WindowSet(windows.frames, np.zeros(n, dtype=np.intp), np.full(n, "v", dtype=object),
+                        np.arange(n), starts=np.arange(n), steps=np.full(n, 6))
+
+
 def assert_same_report(a, b):
     assert (a.n_samples, a.accuracy, a.macro_auc, a.warnings) == \
         (b.n_samples, b.accuracy, b.macro_auc, b.warnings)
@@ -345,14 +352,20 @@ class TestScoringPath:
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
-    @pytest.mark.parametrize("case", ["stride 1", "stride 6", "stride 20", "split side",
-                                      "shuffled", "shuffled fleet", "chunk - 1", "chunk",
-                                      "chunk + 1"])
+    @pytest.mark.parametrize("case", ["stride 1", "stride 2", "stride 6", "stride 20",
+                                      "split side", "shuffled", "shuffled fleet", "chunk - 1",
+                                      "chunk", "chunk + 1", "run - 1", "run", "run + 1",
+                                      "vehicle chunk - 1", "vehicle chunk", "vehicle chunk + 1",
+                                      "hole"])
     def test_window_set_scores_like_its_bare_stack_bit_for_bit(self, reset_mode, case):
-        # a WindowSet chunk's currents come per frame of its span or per
-        # gathered window; a bare stack's always per window copy
+        # a WindowSet chunk's currents come in place from a run's frames, per
+        # frame of its span, or per gathered window; a bare stack's always
+        # per window copy.  The "run" cases are one vehicle's first windows,
+        # just below, at and above the run threshold; the "vehicle" ones a
+        # single run of about a chunk, longer than any synthetic vehicle;
+        # "hole" masks out one window, which splits its vehicle's run in two.
         chunk = model_module.SCORE_CHUNK
-        stride = {"stride 6": 6, "stride 20": 20}.get(case, 1)
+        stride = {"stride 2": 2, "stride 6": 6, "stride 20": 20}.get(case, 1)
         windows = stride_windows(stride, vehicles=10 if case == "shuffled fleet" else 3)
         if case == "split side":
             windows = sl.split_by_vehicle(windows, 0.5, seed=3).test
@@ -360,6 +373,13 @@ class TestScoringPath:
             windows = windows[np.random.default_rng(4).permutation(len(windows))]
         elif case.startswith("chunk"):
             windows = windows[: chunk + {"chunk - 1": -1, "chunk": 0, "chunk + 1": 1}[case]]
+        elif case.startswith("run"):
+            windows = windows[: chunk // 4 + {"run - 1": -1, "run": 0, "run + 1": 1}[case]]
+        elif case.startswith("vehicle"):
+            windows = one_run(windows, chunk + {"vehicle chunk - 1": -1, "vehicle chunk": 0,
+                                                "vehicle chunk + 1": 1}[case])
+        elif case == "hole":
+            windows = windows[np.arange(len(windows)) != 400]
         model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
         log_probs, spike_counts = sl.score(model, windows)
         stack_log_probs, stack_spike_counts = sl.score(model, windows.features)
@@ -368,11 +388,12 @@ class TestScoringPath:
         assert spike_counts.tobytes() == stack_spike_counts.tobytes()
 
     def test_both_current_paths_run(self, monkeypatch):
-        # a stride-1 set is scored per frame of each chunk's span; a shuffled
-        # one, whose every chunk spans about the whole table, more than
+        # a stride-1 set is scored in place from each run's frames, a
+        # stride-2 one per frame of each chunk's span, and a shuffled one,
+        # whose every chunk spans about the whole table, more than
         # _SPAN_LIMIT frames per window, and a bare stack per window copy
         calls = []
-        for name in ("_span_currents", "_feature_currents"):
+        for name in ("_run_currents", "_span_currents", "_feature_currents"):
             def spy(*args, _name=name, _real=getattr(model_module, name)):
                 calls.append(_name)
                 return _real(*args)
@@ -382,11 +403,74 @@ class TestScoringPath:
         assert len(windows.span()[0]) > model_module._SPAN_LIMIT * model_module.SCORE_CHUNK
         model = sl.new_model(seed=5)
         shuffled = windows[np.random.default_rng(4).permutation(len(windows))]
-        for source, path in ((windows, "_span_currents"), (shuffled, "_feature_currents"),
-                             (windows.features, "_feature_currents")):
+        strided = windows[windows.starts % 2 == 0]
+        assert not strided.runs(2)
+        for source, path, count in (
+                (windows, "_run_currents", 10),  # one run per vehicle
+                (strided, "_span_currents", -(-len(strided) // model_module.SCORE_CHUNK)),
+                (shuffled, "_feature_currents", chunks),
+                (windows.features, "_feature_currents", chunks)):
             calls.clear()
             sl.score(model, source)
-            assert calls == [path] * chunks
+            assert calls == [path] * count
+
+    def test_chunks_follow_runs(self, monkeypatch):
+        # a shuffled set keeps the SCORE_CHUNK grid; a stride-1 set's runs
+        # are cut into chunks of their own, at most two more per long run
+        sizes = []
+
+        def spy(currents, *args, _real=model_module._lif_steps, **kwargs):
+            sizes.append(currents.shape[1])
+            return _real(currents, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_lif_steps", spy)
+        chunk = model_module.SCORE_CHUNK
+        model = sl.new_model(seed=5)
+        windows = stride_windows(1, vehicles=10)
+        shuffled = windows[np.random.default_rng(4).permutation(len(windows))]
+        sl.score(model, shuffled)
+        assert len(sizes) == -(-len(windows) // chunk) and max(sizes) == chunk
+        for source in (windows, windows[: chunk + 300], windows[100:-100],
+                       one_run(windows, 2 * chunk + 1)):
+            sizes.clear()
+            sl.score(model, source)
+            runs = len(source.runs(chunk // 4))
+            assert runs
+            assert sum(sizes) == len(source) and max(sizes) <= chunk
+            assert len(sizes) <= -(-len(source) // chunk) + 2 * runs
+        assert len(sizes) == 3 and max(sizes) - min(sizes) <= 1  # equal chunks of a long run
+
+    @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+    def test_used_nan_in_a_run_raises_the_gathered_currents_error(self, reset_mode):
+        windows = stride_windows(1)
+        row = windows.starts[1200] + 3 * windows.steps[1200]  # the fourth frame of window 1200
+        poisoned = self._with_frame(windows, row, np.nan)
+        model = sl.new_model(seed=5, lif=sl.LifConfig(reset_mode=reset_mode))
+        with pytest.raises(sl.NumericError) as gathered:
+            sl.score(model, poisoned.features)
+        with pytest.raises(sl.NumericError) as in_place:
+            sl.score(model, poisoned)
+        assert str(in_place.value) == str(gathered.value)
+        assert str(gathered.value) == (f"currents must be finite and within "
+                                       f"+-{model_module._CURRENT_LIMIT:.3g}, got nan at (t=0, j=0)")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_unused_frame_inside_a_run_is_never_read(self, value, monkeypatch):
+        # three windows at step 6 read rows 0-2, 6-8, ...: rows 3-5 of the
+        # run's frames are in its current block but in no window
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", 8)  # runs from two windows on
+        run = one_run(stride_windows(1), 3)
+        assert len(run.runs(2)) == 1
+        model = sl.new_model(seed=5)
+        got, want = sl.score(model, self._with_frame(run, 4, value)), sl.score(model, run)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_score_leaves_the_frame_table_unchanged(self):
+        windows = stride_windows(1)
+        frames = windows.frames.copy()
+        sl.score(sl.new_model(seed=5), windows)
+        assert windows.frames.tobytes() == frames.tobytes() and windows.frames.flags.writeable
 
     @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
     def test_used_non_finite_frame_is_rejected(self, reset_mode):
