@@ -127,10 +127,9 @@ class WindowSet:
     the table.  The starts, steps, labels and end_frames must be integers
     within int64.
 
-    take(index, time_major=False), span(index) and runs(min_length) are the
-    only readers of this layout: take gathers the windows at index from the
-    table, batch-major or time-major, span gives the frames they cover with
-    their rows in it, and runs finds the stretches of windows at
+    take(index, time_major=False) and runs(min_length) are the only readers
+    of this layout: take gathers the windows at index from the table,
+    batch-major or time-major, and runs finds the stretches of windows at
     consecutive starts with one step, whose rows in their frames follow
     from their position alone (a stride-1 vehicle's windows).  The features
     property is take() of every window.
@@ -188,21 +187,6 @@ class WindowSet:
         # never clips; unlike "raise", it writes into _out without a
         # temporary of the gathered size.
         return np.take(self.frames, rows.T if time_major else rows, axis=0, out=_out, mode="clip")
-
-    def span(self, index=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """The frames that the windows at index (a slice, mask or index array)
-        span, from the first row of any of them to the last, as a view of the
-        frame table, and the windows' rows in that view as a C-contiguous
-        (12, k) intp array: np.take(frames, rows, axis=0) is
-        take(index, time_major=True).  The span may hold frames that no
-        window at index uses."""
-        rows = np.multiply.outer(_STEP_OFFSETS, self.steps[index])
-        rows += self.starts[index]
-        if not rows.size:
-            return self.frames[:0], rows
-        low = rows[0].min()  # steps are >= 1, so each window's rows rise
-        rows -= low
-        return self.frames[low : low + rows[-1].max() + 1], rows
 
     def runs(self, min_length: int) -> list[tuple[int, int, int, np.ndarray]]:
         """The runs of at least min_length windows, and at least one, in

@@ -751,19 +751,6 @@ class TestWindowOracle:
             assert time_major.shape == (12, len(want), 5)
             assert np.array_equal(time_major, want.transpose(1, 0, 2))
 
-    def test_span_holds_the_windows_rows(self):
-        windows = self._two_rate_windows()
-        for index in [slice(3, 30, 4), slice(None, None, -1), windows.vehicle_ids == "b",
-                      np.array([7, 0, 7, len(windows) - 1]), np.arange(len(windows))[::-3],
-                      slice(0, 0)]:
-            frames, rows = windows.span(index)
-            assert np.shares_memory(frames, windows.frames) or not len(frames)
-            assert rows.flags.c_contiguous and rows.dtype == np.intp
-            assert np.array_equal(np.take(frames, rows, axis=0),
-                                  windows.take(index, time_major=True))
-            if rows.size:  # from the windows' first frame to their last, no further
-                assert rows.min() == 0 and rows.max() == len(frames) - 1
-
     def test_take_empty(self):
         windows = self._two_rate_windows()
         assert windows.take(slice(0, 0)).shape == (0, 12, 5)

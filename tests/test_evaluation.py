@@ -336,11 +336,10 @@ class TestScoringPath:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
     def test_unused_frame_is_never_read_at_stride_one(self, reset_mode, value):
         # the frames of a vehicle too short for a window, between two long
-        # vehicles, inside a chunk's span: the per-frame path runs the
-        # feature layer over them, but no window gathers their currents
+        # vehicles, each a run: no window, and so no run's block, reads them
         windows = stride_windows(1, vehicles=2)
         first = windows.starts[windows.vehicle_ids == windows.vehicle_ids[-1]].min()
-        assert 0 < first < model_module.SCORE_CHUNK  # the first chunk spans both vehicles
+        assert 0 < first < model_module.SCORE_CHUNK  # the short vehicle follows the first one
         short = np.full((30, 5), value)
         frames = np.concatenate([windows.frames[:first], short, windows.frames[first:]])
         starts = np.where(windows.starts < first, windows.starts, windows.starts + len(short))
@@ -358,9 +357,8 @@ class TestScoringPath:
                                       "vehicle chunk - 1", "vehicle chunk", "vehicle chunk + 1",
                                       "hole"])
     def test_window_set_scores_like_its_bare_stack_bit_for_bit(self, reset_mode, case):
-        # a WindowSet chunk's currents come in place from a run's frames, per
-        # frame of its span, or per gathered window; a bare stack's always
-        # per window copy.  The "run" cases are one vehicle's first windows,
+        # a WindowSet chunk's currents come in place from a run's frames or
+        # per gathered window; a bare stack's always per window copy.  The "run" cases are one vehicle's first windows,
         # just below, at and above the run threshold; the "vehicle" ones a
         # single run of about a chunk, longer than any synthetic vehicle;
         # "hole" masks out one window, which splits its vehicle's run in two.
@@ -388,26 +386,24 @@ class TestScoringPath:
         assert spike_counts.tobytes() == stack_spike_counts.tobytes()
 
     def test_both_current_paths_run(self, monkeypatch):
-        # a stride-1 set is scored in place from each run's frames, a
-        # stride-2 one per frame of each chunk's span, and a shuffled one,
-        # whose every chunk spans about the whole table, more than
-        # _SPAN_LIMIT frames per window, and a bare stack per window copy
+        # a stride-1 set is scored in place from each run's frames; a
+        # stride-2 one, which has no runs, a shuffled one and a bare stack
+        # per window copy
         calls = []
-        for name in ("_run_currents", "_span_currents", "_feature_currents"):
+        for name in ("_run_currents", "_feature_currents"):
             def spy(*args, _name=name, _real=getattr(model_module, name)):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(model_module, name, spy)
         windows = stride_windows(1, vehicles=10)
         chunks = -(-len(windows) // model_module.SCORE_CHUNK)
-        assert len(windows.span()[0]) > model_module._SPAN_LIMIT * model_module.SCORE_CHUNK
         model = sl.new_model(seed=5)
         shuffled = windows[np.random.default_rng(4).permutation(len(windows))]
         strided = windows[windows.starts % 2 == 0]
         assert not strided.runs(2)
         for source, path, count in (
                 (windows, "_run_currents", 10),  # one run per vehicle
-                (strided, "_span_currents", -(-len(strided) // model_module.SCORE_CHUNK)),
+                (strided, "_feature_currents", -(-len(strided) // model_module.SCORE_CHUNK)),
                 (shuffled, "_feature_currents", chunks),
                 (windows.features, "_feature_currents", chunks)):
             calls.clear()
@@ -520,6 +516,27 @@ class TestScoringPath:
             tracemalloc.stop()
         assert min(len(curve.thresholds) for curve in report.roc_curves) > 50_000
         assert peak < 9 * 2**20
+
+    def test_timeline_stride_scores_in_no_more_memory_than_its_bare_stack(self):
+        # at the timeline stride no window lies in a run, so a WindowSet
+        # chunk gathers its (12, chunk, 5) input as a bare stack's copy does.
+        # A per-frame block of each chunk's currents, about 6.4 frames of 24
+        # currents a window, peaked 4.84 MB on these 9,619 windows against
+        # 4.22 MB for the bare stack.
+        _, _, windows = fleet_windows(seed=2901, vehicles=60)
+        assert len(windows) > 9_000 and not windows.runs(model_module.SCORE_CHUNK // 4)
+        stack = windows.features
+        model = sl.new_model(seed=5)
+        peaks = []
+        for source in (windows, stack):
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                sl.score(model, source)
+                peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestDetectRuns:
