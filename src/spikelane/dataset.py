@@ -22,6 +22,7 @@ import csv
 import itertools
 import numbers
 import operator
+import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -388,28 +389,31 @@ def parse_trajectories(
 
 
 def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
-    # A seekable source whose header is one plain line is read lazily by the
-    # column parser, with no list of lines.  Any failure there rewinds it and
-    # parses it as below, as a source that cannot seek is parsed, so results
-    # and errors are the same whatever the source; the column parser, which
-    # has seen these lines already, is then not run again, and the row
-    # parser reads the rewound handle lazily too.  Any other source is read
-    # into a list of lines, which both parsers may read.
-    start = _position(stream)
-    columns_tried = start is not None and _plain_header(stream)
-    if columns_tried:
-        trajectories = _parse_columns(stream, sample_rate_hz)
-        if trajectories is not None:
-            return trajectories
-    if start is not None:
-        stream.seek(start)
-    # A decode error is held back until the row parser has seen the lines
-    # before it, so that a bad row earlier in the file is the error reported.
+    # Every source is parsed from a handle that can seek back to where it
+    # stood: a source that cannot (a FIFO, a pipe, a handle read with next(),
+    # an iterable of lines) is first copied into a spool.  A decode error is
+    # held back until the row parser has seen the lines before it, so that a
+    # bad row earlier in the file is the error reported; the copy stops there.
     undecodable: list[UnicodeDecodeError] = []
-    lines = _until_undecodable(stream, undecodable)
-    if not columns_tried:
-        lines = list(lines)
-    reader = csv.reader(lines)
+    start = _position(stream)
+    if start is not None:
+        return _parse_seekable(stream, start, undecodable, sample_rate_hz)
+    with tempfile.SpooledTemporaryFile(_SPOOL_MEMORY, "w+", encoding="utf-8",
+                                       errors="surrogatepass", newline="") as spool:
+        lines = _until_undecodable(stream, undecodable)
+        # in blocks of lines: one writelines call would hold the whole copy in memory
+        while block := list(itertools.islice(lines, _SPOOL_LINES)):
+            spool.write("".join(block))
+        spool.seek(0)
+        return _parse_seekable(spool, 0, undecodable, sample_rate_hz)
+
+
+def _parse_seekable(stream: TextIO, start: int, undecodable: list[UnicodeDecodeError],
+                    sample_rate_hz: float) -> list[Trajectory]:
+    # The column parser reads the lines after the header lazily.  Any failure
+    # there rewinds the stream to start, and the row parser reads it lazily
+    # too, so results and errors are the same whatever the source.
+    reader = csv.reader(_until_undecodable(stream, undecodable))
     try:
         header = next(reader)
     except StopIteration:
@@ -420,10 +424,13 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
         raise ParseError(
             f"line 1: header {header} does not match {','.join(CSV_HEADER)}"
         )
-    if not undecodable and not columns_tried:
-        trajectories = _parse_columns(lines[reader.line_num:], sample_rate_hz)
+    if not undecodable:
+        trajectories = _parse_columns(stream, sample_rate_hz)
         if trajectories is not None:
             return trajectories
+        stream.seek(start)
+        reader = csv.reader(_until_undecodable(stream, undecodable))
+        next(reader)  # the header, checked above
     trajectories = _parse_rows(reader, sample_rate_hz)
     if undecodable:
         raise undecodable[0]
@@ -432,9 +439,11 @@ def _parse_stream(stream: TextIO, sample_rate_hz: float) -> list[Trajectory]:
 
 def _until_undecodable(stream: TextIO, undecodable: list[UnicodeDecodeError]) -> Iterator[str]:
     """The lines of a stream up to the first that cannot be decoded, whose
-    error is appended to undecodable instead of raised."""
+    error is appended to undecodable instead of raised.  A for loop, not
+    yield from, so that closing the generator leaves the stream open."""
     try:
-        yield from stream
+        for line in stream:
+            yield line
     except UnicodeDecodeError as error:
         undecodable.append(error)
 
@@ -447,20 +456,10 @@ def _position(stream) -> int | None:
         return None
 
 
-def _plain_header(stream: TextIO) -> bool:
-    """Reads a handle's first line: whether it is the header, alone on its
-    line and without quotes, so that its csv parse cannot run on into the
-    next line and the column parser may read the rest of the handle.  Any
-    other header, or a decode error, sends the source to the list of lines.
-    """
-    try:
-        line = stream.readline()
-        header = next(csv.reader([line]), None)
-    except (csv.Error, UnicodeDecodeError):
-        return False
-    return (header is not None and '"' not in line
-            and tuple(cell.strip() for cell in header) == CSV_HEADER)
-
+# A source that cannot seek is spooled in blocks of lines; past about 1 MB
+# in memory the spool moves to a file in the temp directory.
+_SPOOL_LINES = 1_024
+_SPOOL_MEMORY = 1 << 20
 
 # Rows per loadtxt call, 1 MB of table.  One call over a whole file grows
 # its table by reallocation in 1.25x steps (to 4.6 MB for 61,410 rows), and a

@@ -1,5 +1,6 @@
 """Ingestion, labeling, windowing, normalization, and splitting."""
 
+import contextlib
 import csv
 import io
 import os
@@ -359,7 +360,9 @@ class TestParseDifferential:
 
 
 # PARITY_CASES, plus bodies that are not the row parser's to judge alone: a
-# cell past the csv field limit, and invalid UTF-8 after sound and after bad rows
+# cell past the csv field limit, invalid UTF-8 after sound and after bad rows,
+# lone \r line ends, and an id byte that is not UTF-8 (a lone surrogate once
+# read as sys.stdin reads it)
 SOURCE_CASES = [(name, text.encode("utf-8")) for name, text, _ in PARITY_CASES] + [
     ("past_field_limit",
      _body(keep_row("a", 0), keep_row("a", "0" * csv.field_size_limit() + "1")).encode("utf-8")),
@@ -368,6 +371,11 @@ SOURCE_CASES = [(name, text.encode("utf-8")) for name, text, _ in PARITY_CASES] 
     ("undecodable_after_bad_row",
      _body(keep_row("a", 0), "a,1,oops,30.0,0.0,0.0,0.0,3",
            *(keep_row("a", f) for f in range(2, 3000))).encode("utf-8") + b"\xff\n"),
+    ("lone_cr", _body(keep_row("a", 0), keep_row("b", 0), keep_row("a", 1), newline="\r")
+     .encode("utf-8")),
+    ("lone_surrogate_id",  # past the first 8 KB that a text handle decodes
+     _body(*(keep_row("b", f) for f in range(3000)), keep_row("a\udcff", 0),
+           keep_row("a\udcff", 1)).encode("utf-8", "surrogateescape")),
 ]
 
 
@@ -405,6 +413,21 @@ def _fifo_outcome(path, data):
         writer.join(timeout=30)
 
 
+class Unseekable(io.TextIOWrapper):
+    """A text handle that cannot seek, as one on a pipe cannot."""
+
+    def seekable(self):
+        return False
+
+
+def _source(path, seekable):
+    """The file at path as a parse source, in a with block: the path itself,
+    or a text handle on it that cannot seek."""
+    if seekable:
+        return contextlib.nullcontext(path)
+    return Unseekable(open(path, "rb"), encoding="utf-8", newline="")
+
+
 class RewindRecorder(io.StringIO):
     """A StringIO that records where it stood at each seek."""
 
@@ -418,8 +441,9 @@ class RewindRecorder(io.StringIO):
 
 
 class TestParseSources:
-    """A seekable source is read lazily, a line at a time; every source
-    gives the result or error the same text gives from a path."""
+    """A seekable source is read lazily, a line at a time; a source that
+    cannot seek is spooled first; every source gives the result or error the
+    same text gives from a path."""
 
     @pytest.mark.parametrize("name,data", SOURCE_CASES, ids=[case[0] for case in SOURCE_CASES])
     def test_sources_match_path(self, tmp_path, name, data):
@@ -433,13 +457,46 @@ class TestParseSources:
         with open(tmp_path / "skip.csv", encoding="utf-8", newline="") as handle:
             next(handle)  # a text file read by next() cannot tell() its position
             _assert_same_parse(_outcome(handle), want)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return
+        # bytes that are not UTF-8 read as lone surrogates, as sys.stdin reads them
+        text = data.decode("utf-8", "surrogateescape")
         source = io.StringIO("a line before the header\n" + text, newline="")
         source.readline()
-        _assert_same_parse(_outcome(source), want)
+        got = _outcome(source)
+        with Unseekable(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                        newline="") as stdin:
+            _assert_same_parse(_outcome(stdin), got)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:  # a decode error from the path
+            return
+        _assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("name,data", SOURCE_CASES, ids=[case[0] for case in SOURCE_CASES])
+    def test_spool_past_its_memory_matches_path(self, tmp_path, monkeypatch, name, data):
+        # a spool of a few bytes in memory moves to its file on the first block of two lines
+        monkeypatch.setattr(dataset, "_SPOOL_MEMORY", 8)
+        monkeypatch.setattr(dataset, "_SPOOL_LINES", 2)
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with _source(path, seekable=False) as source:
+            _assert_same_parse(_outcome(source), _outcome(path))
+
+    def test_iterable_of_lines_splits_at_lone_cr_as_a_path_does(self, tmp_path):
+        # An iterable of lines is spooled and read back as a file is, so a
+        # lone \r inside one of its lines ends a record there.
+        lines = [HEADER + "\n", keep_row("a", 0) + "\r" + keep_row("a", 1) + "\n"]
+        path = tmp_path / "data.csv"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        want = _outcome(path)
+        assert [len(traj) for traj in want] == [2]
+        _assert_same_parse(_outcome(iter(lines)), want)
+
+    def test_source_stays_open_after_parse_error(self):
+        # the caller's handle is theirs to close, after a result or an error
+        source = io.StringIO(_body(keep_row("a", 0), "a,1,oops,30.0,0.0,0.0,0.0,3"))
+        with pytest.raises(sl.ParseError, match="line 3: non-numeric"):
+            sl.parse_trajectories(source, 25.0)
+        assert not source.closed
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     @pytest.mark.parametrize("name,data", SOURCE_CASES, ids=[case[0] for case in SOURCE_CASES])
@@ -479,10 +536,10 @@ class TestParseSources:
         ("a,2999,oops,30.0,0.0,0.0,0.0,3", "line 3001: non-numeric cell"),
     ], ids=["underscore_frame", "bad_cell"])
     def test_column_parser_runs_once_per_source(self, tmp_path, monkeypatch, last_row, error):
-        # A file the column parser rejects goes to the row parser.  A source
-        # it read lazily is not column-parsed a second time from the list of
-        # lines; a quoted header, which it does not read lazily, and a source
-        # that cannot seek are column-parsed once, from that list.
+        # A file the column parser rejects goes to the row parser, which
+        # reads the rewound source; it is not column-parsed a second time,
+        # whatever its header.  A source that cannot seek is column-parsed
+        # once too, from its spool.
         rows = [keep_row("a", f) for f in range(2999)] + [last_row]
         want = _rows_only(_body(*rows))
         if error is None:
@@ -510,31 +567,34 @@ class TestParseSources:
                 _assert_same_parse(got, want)
                 assert len(calls) == 1, (name, source)
 
-    def test_parse_memory_per_row_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("seekable", [True, False], ids=["path", "unseekable"])
+    def test_parse_memory_per_row_is_bounded(self, tmp_path, seekable):
         # The parse holds the parsed columns, not a str per line: 138 B a row
-        # at its tracemalloc peak on 40 synthetic vehicles, where a list of
-        # every line took the peak to 316 B a row.
+        # at its tracemalloc peak on 40 synthetic vehicles, from a path or
+        # from a spool, where a list of every line took the peak to 316 B a row.
         path = tmp_path / "fleet.csv"
         trajectories = sl.synthesize_dataset(5, 40)
         sl.write_trajectories_csv(trajectories, path)
         rows = sum(map(len, trajectories))
         assert rows >= 40_000
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            parsed = sl.parse_trajectories(path, 25.0)
-            peak = tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
+        with _source(path, seekable) as source:
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                parsed = sl.parse_trajectories(source, 25.0)
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
         assert sum(map(len, parsed)) == rows
         assert peak < 200 * rows
 
-    def test_row_parser_memory_per_row_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("seekable", [True, False], ids=["path", "unseekable"])
+    def test_row_parser_memory_per_row_is_bounded(self, tmp_path, seekable):
         # The last row's frame, 1_000_000, is an int to int() but not to the
         # column parser, so the whole file goes to the row parser.  That
         # parser holds four columns, not a tuple, a list, an id str and a
-        # duplicate key per row, and reads the rewound file a line at a
-        # time: 249 B a row at its tracemalloc peak, against 422 B a row
+        # duplicate key per row, and reads the rewound file or spool a line
+        # at a time: 249 B a row at its tracemalloc peak, against 422 B a row
         # with a list of the file's lines and 833 B with the per-row objects.
         path = tmp_path / "fleet.csv"
         trajectories = sl.synthesize_dataset(5, 40)
@@ -546,13 +606,14 @@ class TestParseSources:
         path.write_text("".join(lines), encoding="utf-8")
         rows = len(lines) - 1
         assert rows >= 40_000
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            parsed = sl.parse_trajectories(path, 25.0)
-            peak = tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
+        with _source(path, seekable) as source:
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                parsed = sl.parse_trajectories(source, 25.0)
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
         assert sum(map(len, parsed)) == rows
         assert parsed[-1].t_index[-1] >= 1_000_000
         assert peak < 300 * rows
