@@ -22,16 +22,14 @@ stride-1 vehicle) it runs the feature layer once per frame the chunk spans
 and reads each window's currents in place, as a strided view of those
 per-frame currents; any other chunk, and a bare (N, 12, 5) stack, runs the
 feature layer once per window copy.
-Each call allocates its working arrays once, not per chunk or batch: score
-the bool spike stack, the LIF state and the to_zero reset's mask in the
-largest chunk's shape, the current stack and a gathered input likewise when
-a chunk first needs them, and a run's per-frame currents, grown only for a
-longer run chunk; train, through a _WorkingSet that forward_batch and
-backward_batch take as _work, the gathered windows, the time-major input,
-the current, membrane and spike stacks and the backward sweep's blocks.
-A shorter chunk or batch uses the front of each array.  So the time of
-a call does not depend on whether the heap handed earlier pages back to the
-kernel.
+A call of several chunks or batches takes its working arrays from one
+_WorkingSet, not per chunk or batch: score its gathered input, current
+block, bool spike stack and LIF state, train (through the _work argument
+of forward_batch and backward_batch) the gathered windows, the time-major
+input, the current, membrane and spike stacks and the backward sweep's
+blocks.  So the time of such a call does not depend on whether the heap
+handed earlier pages back to the kernel.  score on a bare stack of one
+chunk, predict's window among them, makes its arrays afresh.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -266,19 +264,19 @@ def replace_params(model: Model, params: Sequence[np.ndarray]) -> Model:
 
 
 class _WorkingSet:
-    """Scratch arrays shared by the batches of one call, one per name.
+    """Scratch arrays shared by the batches or chunks of one call, one per name.
 
     block(name, shape, dtype) is a C-contiguous view of the leading elements
-    of that name's flat array, which is allocated on first use and again
-    only for a larger block.  train sizes each block by its first batch, the
-    largest, so a shorter last batch reads the front of the same memory, and
-    no batch allocates or frees a (T, N, hidden) stack: whether freed pages
-    go back to the kernel, and fault in again, would depend on the heap's
-    history.  A fresh working set gives each block a new array, which is the
-    allocating path of every public caller.  score keeps the per-frame
-    currents of its run chunks in one, whose block grows, the old array
-    freed first, only for a run chunk that spans more frames than any
-    before it.
+    of that name's flat array, which is allocated on first use and again,
+    the old array dropped first, only for a larger block.  So a shorter
+    batch or chunk reads the front of the same memory, and only one longer
+    than every one before it allocates: whether freed pages go back to the
+    kernel, and fault in again, would depend on the heap's history.  train's
+    first batch is its largest; score asks for each block in the shape of
+    the chunk at hand, and a caller that keeps a view of a block across a
+    regrowth keeps the old array alive beside the new one.  A fresh working
+    set gives each block a new array, which is the allocating path of every
+    public caller.
     """
 
     def __init__(self):
@@ -372,7 +370,6 @@ def _lif_steps(
     spikes: np.ndarray,
     state: np.ndarray,
     membrane: np.ndarray | None = None,
-    keep: np.ndarray | None = None,
 ) -> np.ndarray:
     """The LIF recurrence: fills and returns spikes, a bool stack shaped like
     currents, running the state in state, shaped like one step, which must
@@ -389,9 +386,9 @@ def _lif_steps(
     (-0.0 included) because the threshold is finite.  The to_zero reset
     writes +0.0 where fired: np.putmask does for a state smaller than
     _MULTIPLY_RESET_SIZE, and from that size u *= not fired does, in keep
-    (a bool array shaped like state; made here when not given), because a
-    fired u is at least v_threshold > 0 and finite (_check_currents bounds
-    it), so u * 0.0 is +0.0, and u * 1.0 is u.
+    (a bool array shaped like state, made here), because a fired u is at
+    least v_threshold > 0 and finite (_check_currents bounds it), so
+    u * 0.0 is +0.0, and u * 1.0 is u.
     beta and v_threshold enter every step as 0-d float64 arrays, made once
     per call, and the reset value as _ZERO: NumPy converts a Python-float
     operand again on every ufunc call, which at one window costs more than
@@ -401,7 +398,7 @@ def _lif_steps(
     v_threshold = np.array(cfg.v_threshold, dtype=np.float64)
     to_zero = cfg.reset_mode == RESET_TO_ZERO
     putmask = to_zero and state.size < _MULTIPLY_RESET_SIZE
-    if to_zero and not putmask and keep is None:
+    if to_zero and not putmask:
         keep = np.empty(state.shape, bool)
     reset_value = _ZERO  # a local name: each step reads it
     u = state
@@ -487,31 +484,36 @@ def forward_batch(
     )
 
 
-# Windows per score() chunk.  It bounds the working memory of scoring, which
-# score() allocates once per call and reuses for every chunk: the
-# (T, chunk, hidden) current stack, which only a chunk outside a run needs
-# (a run's chunks read their currents in place), is its largest array (2.4 MB
-# at 1,024 windows, 9.4 MB at 4,096), beside the per-frame currents of a run
-# chunk's frames (0.2 MB at stride 1) or the gathered (T, chunk, in) input
-# (0.5 MB), the (T, chunk, hidden) bool spikes (0.3 MB) and the
-# (chunk, hidden) LIF state (0.2 MB).  It is sized for the cache: each LIF
-# step works on the state, the step's currents and one bool spike row (and
-# the reset's mask, or in subtract mode one temporary the size of the
-# state), about 0.4 MB at 1,024 windows, which fits a 2-MiB L2, against
-# 1.7 MB at 4,096.  score() on 57,623 windows at stride 1, when every chunk
-# gathered its currents (2-CPU Xeon, one BLAS thread, 6 processes of 12
-# rounds, chunk sizes in rotating order, on a shared host), took 0.075 s at best and
-# 0.104 s in the median at 1,024, 0.074/0.098 s at 512, 0.078/0.102 s at
-# 2,048 and 0.085/0.106 s at 4,096: within the host's noise below 4,096.
-# Every chunk size gives the same bits.  On 57,700 stride-1 windows, all in
-# runs, score() peaks 2.8 MB above the window set under tracemalloc, its
-# outputs included, against 5.1 MB when it gathers every chunk's currents.
+# Windows per score() chunk.  It bounds the working memory of scoring, the
+# blocks of one working set per call, each sized to the chunk that asks for
+# it: the current block is the largest, 2.4 MB at 1,024 windows (9.4 MB at
+# 4,096) for a chunk outside a run, whose (T, chunk, hidden) currents it
+# holds, and 0.2 MB at stride 1 for a run's chunk, whose frames' currents it
+# holds; then the gathered (T, chunk, in) input (0.5 MB), the
+# (T, chunk, hidden) bool spikes (0.3 MB) and the (chunk, hidden) LIF state
+# (0.2 MB).  It is sized for the cache: each LIF step works on the state,
+# the step's currents and one bool spike row (and the reset's mask, or in
+# subtract mode one temporary the size of the state), about 0.4 MB at
+# 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.  score()
+# on 57,623 windows at stride 1, when every chunk gathered its currents
+# (2-CPU Xeon, one BLAS thread, 6 processes of 12 rounds, chunk sizes in
+# rotating order, on a shared host), took 0.075 s at best and 0.104 s in
+# the median at 1,024, 0.074/0.098 s at 512, 0.078/0.102 s at 2,048 and
+# 0.085/0.106 s at 4,096: within the host's noise below 4,096.
+# Every chunk size gives the same bits.  On the 57,581 stride-1 windows of
+# 60 synthetic vehicles, all in runs, score() peaks 2.67 MB above the window
+# set under tracemalloc, its outputs included, against 5.47 MB for the same
+# windows shuffled, whose every chunk gathers its input.
 SCORE_CHUNK = 1024
 
 # score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
 # converted again on every ufunc call, which one-window scoring pays per call.
 _STEPS = np.array(WINDOW_STEPS)
 _STEPS.flags.writeable = False
+
+# The shortest run of windows (WindowSet.runs) that score reads in place,
+# measured in _score_chunks' docstring.
+_MIN_RUN = 192
 
 
 def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,25 +522,28 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
     (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
     spikes per window.  The windows are scored in chunks of at most
-    SCORE_CHUNK, every chunk in the same arrays, allocated once per call
-    (_score_chunks): each run of at least SCORE_CHUNK // 4 windows at
+    SCORE_CHUNK (_score_chunks): each run of at least _MIN_RUN windows at
     consecutive starts with one step (WindowSet.runs, a stride-1 vehicle)
     is cut into chunks of its own, and the windows between runs, or all of
-    a bare stack, are cut SCORE_CHUNK at a time.  A chunk's time-major
-    (T, chunk, hidden) feature currents come from one of two sources:
+    a bare stack, are cut SCORE_CHUNK at a time.  A call on a WindowSet, or
+    on a bare stack of more than one chunk, takes its working arrays from
+    one _WorkingSet, each block in the shape of the chunk at hand; the
+    state block is zero-filled per chunk.  A bare stack of one chunk, such
+    as predict's window, makes its arrays afresh, which costs a call less
+    than keeping them.  A chunk's time-major (T, chunk, hidden) feature
+    currents come from one of two sources, which share the "currents"
+    block, as no chunk uses both:
     - in place, for a chunk of a run: the feature layer runs once over the
-      frames the chunk spans, into a block that grows only for a longer
-      chunk, and the currents are a read-only strided view of that block,
-      step t of window i being its row i + m * t (_run_currents);
+      frames the chunk spans, into that block, and the currents are a
+      read-only strided view of it, step t of window i being its row
+      i + m * t (_run_currents);
     - per window copy, for any other chunk: its time-major (T, chunk, in)
-      input, gathered from the frame table (WindowSet.take) or, for a bare
-      stack, a transposed copy made per chunk, goes through the feature
-      layer (_feature_currents).
-    The currents and gathered input of the per-copy source go in arrays
-    made when a chunk first needs them.  Both give every current the bits
-    of x[n, t] @ W + b, and raise NumericError unless every current a
-    window uses is finite (a non-finite window, or a finite one that
-    overflows the feature layer).
+      input, gathered from the frame table into the "input" block
+      (WindowSet.take) or, for a bare stack, a transposed copy made per
+      chunk, goes through the feature layer (_feature_currents).
+    Both give every current the bits of x[n, t] @ W + b, and raise
+    NumericError unless every current a window uses is finite (a
+    non-finite window, or a finite one that overflows the feature layer).
     _lif_steps then keeps only the running state and fills a
     (T, chunk, hidden) bool spike stack through out=, counted in one
     reduction, then the readout.  The readout is an einsum rather than a
@@ -555,70 +560,61 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     n = len(windows)
     log_probs = np.empty((n, model.classes))
     spike_counts = np.empty(n, dtype=np.int64)
-    # One working set for every chunk, sized for the largest; a shorter
-    # chunk uses the front of each array.
-    size = min(n, SCORE_CHUNK)
-    in_dim, hidden = model.feature_layer.weights.shape
-    currents = gathered = None
-    run_work = _WorkingSet() if table else None
-    spikes = np.empty((WINDOW_STEPS, size, hidden), bool)
-    state = np.zeros((size, hidden))
-    keep = np.empty(state.shape, bool) if state.size >= _MULTIPLY_RESET_SIZE else None
+    layer = model.feature_layer
+    in_dim, hidden = layer.weights.shape
+    work = _WorkingSet() if table or n > SCORE_CHUNK else None
     for chunk, run in _score_chunks(windows) if table else _grid(0, n):
-        k = chunk.stop - chunk.start
-        if run is not None:
-            chunk_currents = _run_currents(*run, model.feature_layer, run_work)
+        shape = (WINDOW_STEPS, chunk.stop - chunk.start, hidden)
+        if work is None:  # the one chunk of a bare stack, predict's window among them
+            currents = _feature_currents(np.ascontiguousarray(windows.transpose(1, 0, 2)), layer)
+            spikes, state = np.empty(shape, bool), np.zeros(shape[1:])
         else:
-            if currents is None:
-                currents = np.empty((WINDOW_STEPS, size, hidden))
-            if not table:  # copied afresh: at one window, a copy into a kept array costs more
-                xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
+            if run is not None:
+                currents = _run_currents(*run, layer, work)
             else:
-                if gathered is None:
-                    gathered = np.empty((WINDOW_STEPS, size, in_dim))
-                xs = windows.take(chunk, time_major=True,
-                                  _out=gathered if k == size else _front(gathered, k))
-            chunk_currents = _feature_currents(
-                xs, model.feature_layer, currents if k == size else _front(currents, k))
-        if k == size:
-            chunk_spikes, chunk_state, chunk_keep = spikes, state, keep
-        else:
-            chunk_spikes, chunk_state = _front(spikes, k), _front(state, k)
-            chunk_keep = None if keep is None else _front(keep, k)
-        if chunk.start:  # a later chunk: a zero state, in the one a chunk before spent
-            chunk_state.fill(0.0)
+                if table:
+                    xs = windows.take(chunk, time_major=True,
+                                      _out=work.block("input", (*shape[:2], in_dim)))
+                else:  # a bare stack's chunk is copied afresh, as its one chunk is
+                    xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
+                currents = _feature_currents(xs, layer, work.block("currents", shape))
+            spikes, state = work.block("spikes", shape, bool), work.block("state", shape[1:])
+            state.fill(0.0)
         # training's recurrence, over the same (T, chunk, hidden) layout
-        _lif_steps(chunk_currents, model.lif, chunk_spikes, chunk_state, keep=chunk_keep)
-        counts = np.add.reduce(chunk_spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
+        _lif_steps(currents, model.lif, spikes, state)
+        counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
         # the bits of forward_batch's spikes.mean(axis=0), in the spent LIF state
-        pooled = np.divide(counts, _STEPS, out=chunk_state)
+        pooled = np.divide(counts, _STEPS, out=state)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
         spike_counts[chunk] = np.add.reduce(counts, axis=1)
+        # a later, longer chunk regrows the blocks, and a view kept here
+        # would keep the old array alive beside its successor
+        del currents, spikes, state, pooled
     return log_probs, spike_counts
 
 
 def _score_chunks(windows: WindowSet) -> list[tuple[slice, tuple | None]]:
     """score's chunks of a WindowSet in index order, as (slice, run): run is
     (frames, m) for a chunk of a run (WindowSet.runs) of at least
-    SCORE_CHUNK // 4 windows, the frames the chunk spans and the run's step,
+    _MIN_RUN windows, the frames the chunk spans and the run's step,
     and None for any other chunk.  A run is cut into the fewest chunks of at
     most SCORE_CHUNK windows, of equal length to within one window, so that
     none is much shorter than the run threshold; the windows before, between
     and after runs SCORE_CHUNK at a time, as a bare stack's (_grid).
 
-    The threshold is where reading in place started to pay against a grid
-    that gathered each window's currents from its chunk's per-frame
-    currents, which cost less than the per-copy source.  On fleets of about
-    24,000 windows in runs of L at step 6 (2-CPU Xeon, one BLAS thread, best
-    of 36), in place took 2.14, 1.59, 1.19, 0.99, 0.88 and 0.83 us a window
-    at L = 64, 128, 192, 256, 384 and 934, and that grid 1.31, 1.24, 1.27,
-    1.14, 1.21 and 1.26: a short run's chunks are short, and each pays the
-    LIF loop's per-step calls."""
+    _MIN_RUN is the shortest of L = 64, 128, 192 and 256 at which reading
+    in place beat the per-copy grid in at least 9 of 10 pairs.  On about
+    28,600 stride-1 windows of 30 vehicles cut into runs of L, one window
+    dropped after every L (2-CPU Xeon, one BLAS thread, 3 processes of 20
+    alternating pairs of whole-set calls, on a shared host), in place won
+    0, 12, 58 and 57 of 60 pairs, taking in the median pair 1.38, 1.15,
+    0.94 and 0.89 times the grid's time: a short run's chunks are short,
+    and each pays the LIF loop's per-step calls."""
     chunks: list[tuple[slice, tuple | None]] = []
     done = 0
-    for begin, end, step, frames in windows.runs(SCORE_CHUNK // 4):
+    for begin, end, step, frames in windows.runs(_MIN_RUN):
         chunks += _grid(done, begin)
         parts = -(-(end - begin) // SCORE_CHUNK)
         for part in range(parts):
@@ -646,9 +642,10 @@ def _run_currents(
     rows i + step * t of the (k + 11 * step, in) frames they span, as a
     read-only view with strides (step * row, row, item) of those frames'
     currents: no current is copied.  One GEMM over the frames fills work's
-    "span" block, and each step's (k, hidden) currents are a contiguous
-    slice of it, every frame's with the bits that _feature_currents gives
-    that frame inside any window.
+    "currents" block, which score's per-copy chunks fill with their
+    (T, k, hidden) stacks, and each step's (k, hidden) currents are a
+    contiguous slice of it, every frame's with the bits that
+    _feature_currents gives that frame inside any window.
 
     A frame no window uses may hold anything (nan, inf, a finite value that
     overflows the GEMM): the GEMM runs under np.errstate, and the finiteness
@@ -656,7 +653,7 @@ def _run_currents(
     when it fails does _check_currents read the view, so that such a frame
     never raises, and a used one raises what the gathered currents would.
     """
-    block = work.block("span", (len(frames), layer.out_dim))
+    block = work.block("currents", (len(frames), layer.out_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(frames, layer.weights, out=block)
         block += layer.bias
@@ -669,12 +666,6 @@ def _run_currents(
     except NumericError:
         _check_currents(view)
     return view
-
-
-def _front(array: np.ndarray, k: int) -> np.ndarray:
-    """A C-contiguous (..., n, X) array's leading elements as (..., k, X)."""
-    shape = (*array.shape[:-2], k, array.shape[-1])
-    return array.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _index_cache(cache: ForwardCache, key) -> ForwardCache:

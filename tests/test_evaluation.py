@@ -358,8 +358,9 @@ class TestScoringPath:
                                       "hole"])
     def test_window_set_scores_like_its_bare_stack_bit_for_bit(self, reset_mode, case):
         # a WindowSet chunk's currents come in place from a run's frames or
-        # per gathered window; a bare stack's always per window copy.  The "run" cases are one vehicle's first windows,
-        # just below, at and above the run threshold; the "vehicle" ones a
+        # per gathered window; a bare stack's always per window copy.  The
+        # "run" cases are one vehicle's first windows, just below, at and
+        # above the run threshold, _MIN_RUN; the "vehicle" ones a
         # single run of about a chunk, longer than any synthetic vehicle;
         # "hole" masks out one window, which splits its vehicle's run in two.
         chunk = model_module.SCORE_CHUNK
@@ -372,7 +373,8 @@ class TestScoringPath:
         elif case.startswith("chunk"):
             windows = windows[: chunk + {"chunk - 1": -1, "chunk": 0, "chunk + 1": 1}[case]]
         elif case.startswith("run"):
-            windows = windows[: chunk // 4 + {"run - 1": -1, "run": 0, "run + 1": 1}[case]]
+            run = model_module._MIN_RUN
+            windows = windows[: run + {"run - 1": -1, "run": 0, "run + 1": 1}[case]]
         elif case.startswith("vehicle"):
             windows = one_run(windows, chunk + {"vehicle chunk - 1": -1, "vehicle chunk": 0,
                                                 "vehicle chunk + 1": 1}[case])
@@ -455,7 +457,8 @@ class TestScoringPath:
     def test_unused_frame_inside_a_run_is_never_read(self, value, monkeypatch):
         # three windows at step 6 read rows 0-2, 6-8, ...: rows 3-5 of the
         # run's frames are in its current block but in no window
-        monkeypatch.setattr(model_module, "SCORE_CHUNK", 8)  # runs from two windows on
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", 8)
+        monkeypatch.setattr(model_module, "_MIN_RUN", 2)  # runs from two windows on
         run = one_run(stride_windows(1), 3)
         assert len(run.runs(2)) == 1
         model = sl.new_model(seed=5)
@@ -537,6 +540,58 @@ class TestScoringPath:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+    def test_mixed_set_pays_no_run_span_on_top(self):
+        # the first half of a stride-1 fleet in order, read in place from
+        # its runs' per-frame currents, the rest shuffled, gathered per
+        # window copy: the run span and the copies' currents share one
+        # block, so the set peaks where the same windows fully shuffled do.
+        # With a block of its own the span peaked 4,223,870 against
+        # 4,020,664 B.
+        windows = sl.build_windows(sl.synthesize_dataset(2901, 12),
+                                   sl.WindowConfig(stride_frames=1))
+        windows = sl.apply_normalizer(sl.fit_normalizer(windows), windows)
+        half = len(windows) // 2
+        rng = np.random.default_rng(4)
+        mixed = windows[np.concatenate([np.arange(half),
+                                        half + rng.permutation(len(windows) - half)])]
+        shuffled = windows[rng.permutation(len(windows))]
+        assert mixed.runs(model_module._MIN_RUN) and not shuffled.runs(model_module._MIN_RUN)
+        model = sl.new_model(seed=5)
+        peaks = []
+        for source in (mixed, shuffled):
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                sl.score(model, source)
+                peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 64 * 2**10
+
+    def test_one_chunk_of_a_bare_stack_makes_no_working_set(self, monkeypatch):
+        # several chunks share one working set; predict's window, and any
+        # bare stack of one chunk, makes its arrays afresh
+        made = []
+
+        class Spy(model_module._WorkingSet):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(model_module, "_WorkingSet", Spy)
+        chunk = model_module.SCORE_CHUNK
+        windows = stride_windows(1)
+        assert len(windows) > chunk + 1
+        model = sl.new_model(seed=5)
+        sl.predict(model, windows.features[0])
+        assert not made
+        for source, count in ((windows.features[:chunk], 0), (windows.features[: chunk + 1], 1),
+                              (windows, 1), (windows[:1], 1), (windows[::7], 1),
+                              (windows[np.random.default_rng(4).permutation(len(windows))], 1)):
+            made.clear()
+            sl.score(model, source)
+            assert len(made) == count
 
 
 class TestDetectRuns:

@@ -1,7 +1,7 @@
-"""train and score allocate their working arrays once per call.
+"""train and score take their working arrays from one working set per call.
 
-score keeps one set of arrays for every chunk, a shorter last chunk reading
-their front, and train one set for every batch.  These tests check that the
+score's chunks and train's batches each read blocks of one _WorkingSet, a
+shorter chunk or batch the front of the same memory.  These tests check that the
 reuse changes no bit against the single-window path and the public step
 functions, that no call hands back memory another call holds, and, in a
 child process whose glibc cannot grow its mmap threshold, that a batch or a
