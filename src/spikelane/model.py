@@ -16,12 +16,10 @@ step reads and writes one contiguous block; the backward sweep runs over the
 same layout.  _lif_steps updates one state array in place and writes each
 step's threshold compare straight into a bool spike stack (out=), which score
 counts with a single reduction and forward_batch casts to float64 once.
-score gets a WindowSet chunk's currents from one of two sources: for a
-chunk of a run of windows at consecutive starts (WindowSet.runs, a
-stride-1 vehicle) it runs the feature layer once per frame the chunk spans
-and reads each window's currents in place, as a strided view of those
-per-frame currents; any other chunk, and a bare (N, 12, 5) stack, runs the
-feature layer once per window copy.
+Every feature current comes from one GEMM, _feature_currents: score runs it over
+the frames of a run of windows at consecutive starts (WindowSet.runs, a
+stride-1 vehicle), whose windows read them in place as a strided view, and
+over window copies for any other chunk and for a bare (N, 12, 5) stack.
 A call of several chunks or batches takes its working arrays from one
 _WorkingSet, not per chunk or batch: score its gathered input, current
 block, bool spike stack and LIF state, train (through the _work argument
@@ -272,11 +270,13 @@ class _WorkingSet:
     batch or chunk reads the front of the same memory, and only one longer
     than every one before it allocates: whether freed pages go back to the
     kernel, and fault in again, would depend on the heap's history.  train's
-    first batch is its largest; score asks for each block in the shape of
-    the chunk at hand, and a caller that keeps a view of a block across a
-    regrowth keeps the old array alive beside the new one.  A fresh working
-    set gives each block a new array, which is the allocating path of every
-    public caller.
+    first batch is its largest, and score takes its longest chunk first, so
+    only score's "currents" block, a run's frame currents or a copy's
+    (T, chunk, hidden) stack, can regrow: on windows of one sample rate at
+    most once, for a copied chunk longer than a run's before it.  A view of
+    a block kept across a regrowth keeps the old array alive beside the new
+    one.  A fresh working set gives each block a new array, which is the
+    allocating path of every public caller.
     """
 
     def __init__(self):
@@ -300,7 +300,9 @@ def _feature_currents(
 ) -> np.ndarray:
     """Time-major (T, N, hidden) input currents of a C-contiguous time-major
     (T, N, in) window stack: a new array, or out, a C-contiguous array of
-    that shape, filled.
+    that shape, filled.  Every feature current comes from here:
+    forward_batch's and score's window copies, and a run's frames, which
+    _run_currents passes as a one-step (1, frames, in) stack.
 
     One GEMM over the stack's (T * N, in) rows, read in place.  With only
     in_dim terms per sum, BLAS adds them in one order whatever the number or
@@ -484,26 +486,21 @@ def forward_batch(
     )
 
 
-# Windows per score() chunk.  It bounds the working memory of scoring, the
-# blocks of one working set per call, each sized to the chunk that asks for
-# it: the current block is the largest, 2.4 MB at 1,024 windows (9.4 MB at
-# 4,096) for a chunk outside a run, whose (T, chunk, hidden) currents it
-# holds, and 0.2 MB at stride 1 for a run's chunk, whose frames' currents it
-# holds; then the gathered (T, chunk, in) input (0.5 MB), the
-# (T, chunk, hidden) bool spikes (0.3 MB) and the (chunk, hidden) LIF state
-# (0.2 MB).  It is sized for the cache: each LIF step works on the state,
-# the step's currents and one bool spike row (and the reset's mask, or in
-# subtract mode one temporary the size of the state), about 0.4 MB at
-# 1,024 windows, which fits a 2-MiB L2, against 1.7 MB at 4,096.  score()
-# on 57,623 windows at stride 1, when every chunk gathered its currents
-# (2-CPU Xeon, one BLAS thread, 6 processes of 12 rounds, chunk sizes in
-# rotating order, on a shared host), took 0.075 s at best and 0.104 s in
-# the median at 1,024, 0.074/0.098 s at 512, 0.078/0.102 s at 2,048 and
-# 0.085/0.106 s at 4,096: within the host's noise below 4,096.
-# Every chunk size gives the same bits.  On the 57,581 stride-1 windows of
-# 60 synthetic vehicles, all in runs, score() peaks 2.67 MB above the window
-# set under tracemalloc, its outputs included, against 5.47 MB for the same
-# windows shuffled, whose every chunk gathers its input.
+# Windows per score() chunk.  It bounds scoring's working memory, one
+# working set per call, whose largest block, "currents", holds 2.4 MB at
+# 1,024 windows (9.4 MB at 4,096) for a copied chunk's (T, chunk, hidden)
+# stack and 0.2 MB for a stride-1 run's frames; then come the input
+# (0.5 MB), the bool spikes (0.3 MB) and the LIF state (0.2 MB).  Each LIF
+# step works on the state, the step's currents, a spike row and the reset's
+# temporary, about 0.4 MB at 1,024 windows, which fits a 2-MiB L2, against
+# 1.7 MB at 4,096.  score() on the 57,581 windows of 60 synthetic vehicles
+# at stride 1, all in runs (2-CPU Xeon, one BLAS thread, 6 processes of 12
+# rounds in rotating order, on a shared host), took 0.042/0.057 s at best/in
+# the median at 1,024, 0.050/0.068 s at 512, 0.044/0.056 s at 2,048 and
+# 0.042/0.056 s at 4,096; at stride 6, every chunk copied, 0.014/0.016,
+# 0.013/0.016, 0.015/0.017 and 0.015/0.018 s.  Every chunk size gives the
+# same bits.  At stride 1 score() peaks 2.67 MB above the window set under
+# tracemalloc, outputs included, against 5.47 MB for the same windows shuffled.
 SCORE_CHUNK = 1024
 
 # score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
@@ -522,28 +519,24 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     windows is a WindowSet or a bare (N, 12, 5) stack.  Returns the
     (N, classes) log-probabilities and the (N,) int64 count of hidden-layer
     spikes per window.  The windows are scored in chunks of at most
-    SCORE_CHUNK (_score_chunks): each run of at least _MIN_RUN windows at
-    consecutive starts with one step (WindowSet.runs, a stride-1 vehicle)
-    is cut into chunks of its own, and the windows between runs, or all of
-    a bare stack, are cut SCORE_CHUNK at a time.  A call on a WindowSet, or
-    on a bare stack of more than one chunk, takes its working arrays from
-    one _WorkingSet, each block in the shape of the chunk at hand; the
-    state block is zero-filled per chunk.  A bare stack of one chunk, such
-    as predict's window, makes its arrays afresh, which costs a call less
-    than keeping them.  A chunk's time-major (T, chunk, hidden) feature
-    currents come from one of two sources, which share the "currents"
-    block, as no chunk uses both:
-    - in place, for a chunk of a run: the feature layer runs once over the
-      frames the chunk spans, into that block, and the currents are a
-      read-only strided view of it, step t of window i being its row
-      i + m * t (_run_currents);
-    - per window copy, for any other chunk: its time-major (T, chunk, in)
-      input, gathered from the frame table into the "input" block
-      (WindowSet.take) or, for a bare stack, a transposed copy made per
-      chunk, goes through the feature layer (_feature_currents).
-    Both give every current the bits of x[n, t] @ W + b, and raise
-    NumericError unless every current a window uses is finite (a
-    non-finite window, or a finite one that overflows the feature layer).
+    SCORE_CHUNK, longest first (_score_chunks): each run of at least
+    _MIN_RUN windows at consecutive starts with one step (WindowSet.runs, a
+    stride-1 vehicle) is cut into chunks of its own, and the windows between
+    runs, or all of a bare stack, are cut SCORE_CHUNK at a time.  Each chunk
+    makes two choices, one after the other:
+    - its source of time-major (T, chunk, hidden) feature currents.  A run's
+      chunk reads them in place, as a read-only strided view of the currents
+      of the frames it spans, step t of window i being row i + m * t
+      (_run_currents).  Any other chunk runs _feature_currents on a copy of
+      its (T, chunk, in) input, gathered from the frame table into the
+      "input" block (WindowSet.take) or transposed from a bare stack.  Every
+      current has the bits of x[n, t] @ W + b, and NumericError is raised
+      unless every current a window uses is finite (a non-finite window, or
+      a finite one that overflows the feature layer).
+    - its scratch.  A call on a WindowSet, or on a bare stack of more than
+      one chunk, takes its arrays from one _WorkingSet, each block in the
+      shape of the chunk at hand; a bare stack of one chunk, such as
+      predict's window, makes them afresh, which costs a call less.
     _lif_steps then keeps only the running state and fills a
     (T, chunk, hidden) bool spike stack through out=, counted in one
     reduction, then the readout.  The readout is an einsum rather than a
@@ -565,19 +558,22 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
     work = _WorkingSet() if table or n > SCORE_CHUNK else None
     for chunk, run in _score_chunks(windows) if table else _grid(0, n):
         shape = (WINDOW_STEPS, chunk.stop - chunk.start, hidden)
-        if work is None:  # the one chunk of a bare stack, predict's window among them
-            currents = _feature_currents(np.ascontiguousarray(windows.transpose(1, 0, 2)), layer)
+        # the source: a run's frames, or a copy of each window
+        if run is not None:
+            currents = _run_currents(*run, layer, work)
+        else:
+            if table:
+                xs = windows.take(chunk, time_major=True,
+                                  _out=work.block("input", (*shape[:2], in_dim)))
+            else:  # a bare stack's chunk is copied afresh
+                xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
+            currents = _feature_currents(xs, layer,
+                                         None if work is None else work.block("currents", shape))
+        # the scratch: the working set's blocks, or new arrays for one chunk
+        if work is None:  # the only chunk: its spent input goes before its arrays come
+            del xs
             spikes, state = np.empty(shape, bool), np.zeros(shape[1:])
         else:
-            if run is not None:
-                currents = _run_currents(*run, layer, work)
-            else:
-                if table:
-                    xs = windows.take(chunk, time_major=True,
-                                      _out=work.block("input", (*shape[:2], in_dim)))
-                else:  # a bare stack's chunk is copied afresh, as its one chunk is
-                    xs = np.ascontiguousarray(windows[chunk].transpose(1, 0, 2))
-                currents = _feature_currents(xs, layer, work.block("currents", shape))
             spikes, state = work.block("spikes", shape, bool), work.block("state", shape[1:])
             state.fill(0.0)
         # training's recurrence, over the same (T, chunk, hidden) layout
@@ -589,20 +585,20 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
         logits += model.classifier.bias
         log_probs[chunk] = _log_softmax(logits)
         spike_counts[chunk] = np.add.reduce(counts, axis=1)
-        # a later, longer chunk regrows the blocks, and a view kept here
-        # would keep the old array alive beside its successor
-        del currents, spikes, state, pooled
+        del currents, spikes, state, pooled  # a later chunk may regrow a block
     return log_probs, spike_counts
 
 
 def _score_chunks(windows: WindowSet) -> list[tuple[slice, tuple | None]]:
-    """score's chunks of a WindowSet in index order, as (slice, run): run is
+    """score's chunks of a WindowSet, longest first, as (slice, run): run is
     (frames, m) for a chunk of a run (WindowSet.runs) of at least
     _MIN_RUN windows, the frames the chunk spans and the run's step,
     and None for any other chunk.  A run is cut into the fewest chunks of at
     most SCORE_CHUNK windows, of equal length to within one window, so that
     none is much shorter than the run threshold; the windows before, between
-    and after runs SCORE_CHUNK at a time, as a bare stack's (_grid).
+    and after runs SCORE_CHUNK at a time, as a bare stack's (_grid).  Each
+    chunk writes only its own rows, so the order changes no bit; longest
+    first, the working set's blocks regrow as little as they can (_WorkingSet).
 
     _MIN_RUN is the shortest of L = 64, 128, 192 and 256 at which reading
     in place beat the per-copy grid in at least 9 of 10 pairs.  On about
@@ -622,7 +618,9 @@ def _score_chunks(windows: WindowSet) -> list[tuple[slice, tuple | None]]:
             chunks.append((slice(begin + i, begin + j),
                            (frames[i : j + (WINDOW_STEPS - 1) * step], step)))
         done = end
-    return chunks + _grid(done, len(windows))
+    chunks = chunks + _grid(done, len(windows))
+    chunks.sort(key=lambda chunk: chunk[0].start - chunk[0].stop)
+    return chunks
 
 
 def _grid(start: int, stop: int) -> list[tuple[slice, None]]:
@@ -641,28 +639,25 @@ def _run_currents(
     """The (T, k, hidden) currents of a run's k windows, whose step t reads
     rows i + step * t of the (k + 11 * step, in) frames they span, as a
     read-only view with strides (step * row, row, item) of those frames'
-    currents: no current is copied.  One GEMM over the frames fills work's
-    "currents" block, which score's per-copy chunks fill with their
-    (T, k, hidden) stacks, and each step's (k, hidden) currents are a
-    contiguous slice of it, every frame's with the bits that
-    _feature_currents gives that frame inside any window.
+    currents: no current is copied.  _feature_currents fills work's
+    "currents" block with the frames' currents, the frames passed as a
+    one-step stack, so every frame's currents have the bits it gives that
+    frame inside any window; each step's (k, hidden) currents are a
+    contiguous slice of the block.
 
     A frame no window uses may hold anything (nan, inf, a finite value that
-    overflows the GEMM): the GEMM runs under np.errstate, and the finiteness
-    check reads the block, about k + 11 * step rows rather than 12 * k; only
-    when it fails does _check_currents read the view, so that such a frame
-    never raises, and a used one raises what the gathered currents would.
+    overflows the GEMM): _feature_currents's finiteness check reads the
+    block, about k + 11 * step rows rather than 12 * k; only when it fails
+    does _check_currents read the view, so that such a frame never raises,
+    and a used one raises what the gathered currents would.
     """
     block = work.block("currents", (len(frames), layer.out_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(frames, layer.weights, out=block)
-        block += layer.bias
     row, item = block.strides
     view = np.lib.stride_tricks.as_strided(
         block, (WINDOW_STEPS, len(block) - (WINDOW_STEPS - 1) * step, layer.out_dim),
         (step * row, row, item), writeable=False)
     try:
-        _check_currents(block)
+        _feature_currents(frames[None], layer, block[None])
     except NumericError:
         _check_currents(view)
     return view

@@ -70,6 +70,16 @@ def assert_one_error_line(err):
     assert "Traceback" not in err
 
 
+class TestArguments:
+    def test_argparse_error_returns_2(self, capsys):
+        assert cli.main(["synth", "--n", "2", "--out", "x.csv", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+
 class TestSynth:
     def test_writes_parseable_csv(self, data_csv, capsys):
         trajectories = sl.parse_trajectories(data_csv, 25.0)
@@ -310,6 +320,19 @@ class TestEval:
         for key in ("spikes_per_window:", "synops_per_window:"):
             printed = [l for l in out.splitlines() if l.startswith(key)]
             assert len(printed) == 1 and printed == [l for l in report if l.startswith(key)]
+
+    def test_absent_class_warned_in_the_report_and_on_stderr(self, trained_dir, tmp_path, capsys):
+        # vehicles that never change lanes give only keep windows
+        data = tmp_path / "keep.csv"
+        data.write_text("\n".join([",".join(sl.dataset.CSV_HEADER)] + [
+            f"v{v},{f},{0.01 * f},30.0,0.0,0.0,0.0,3" for v in range(2) for f in range(100)
+        ]) + "\n")
+        assert self._run(data, trained_dir, tmp_path / "out", split="all") == 0
+        err = capsys.readouterr().err.splitlines()
+        report = (tmp_path / "out" / "eval_report.txt").read_text().splitlines()
+        warnings = [l for l in report if l.startswith("warning:")]
+        assert "warning: class left is absent from the test labels; ROC unavailable" in warnings
+        assert err == warnings
 
     def test_roc_csv_spans_unit_square(self, data_csv, trained_dir, tmp_path):
         self._run(data_csv, trained_dir, tmp_path)

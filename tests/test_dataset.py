@@ -123,6 +123,15 @@ class TestParse:
             sl.Trajectory("a", 25.0, frames, np.zeros((200, 5)),
                           (sl.LaneChangeEvent(onset, "left"),))
 
+    @pytest.mark.parametrize("events, message", [
+        ((sl.LaneChangeEvent(100, "left"), sl.LaneChangeEvent(50, "right")),
+         "events not sorted by onset for vehicle a"),
+        ((sl.LaneChangeEvent(100, "up"),), "unknown event direction 'up'"),
+    ])
+    def test_bad_events_rejected_at_construction(self, events, message):
+        with pytest.raises(sl.UsageError, match=message):
+            sl.Trajectory("a", 25.0, np.arange(200), np.zeros((200, 5)), events)
+
     def test_unsorted_rows_are_ordered_by_frame(self):
         body = "\n".join([HEADER, keep_row("a", 2), keep_row("a", 0), keep_row("a", 1)])
         (traj,) = sl.parse_trajectories(io.StringIO(body), 25.0)
@@ -913,6 +922,11 @@ class TestNormalizer:
         with pytest.raises(sl.DegenerateFeatureError, match="v_x"):
             sl.fit_normalizer(windows)
 
+    def test_empty_set_rejected(self):
+        windows = sl.build_windows([make_traj(n=100)])
+        with pytest.raises(sl.UsageError, match="fit_normalizer needs at least one window"):
+            sl.fit_normalizer(windows[:0])
+
     def test_single_window_means_subtract_exactly(self):
         traj = make_traj(n=67)
         windows = sl.build_windows([traj])
@@ -978,6 +992,25 @@ class TestNormalizer:
         path = tmp_path / "norm.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(sl.ParseError):
+            sl.load_norm_stats(path)
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        stats = sl.fit_normalizer(sl.build_windows([make_traj(n=100, rng_seed=4)]))
+        path = tmp_path / "norm.csv"
+        sl.save_norm_stats(stats, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:3], "", *lines[3:], ""]) + "\n")
+        loaded = sl.load_norm_stats(path)
+        assert loaded.mean.tobytes() == stats.mean.tobytes()
+        assert loaded.std.tobytes() == stats.std.tobytes()
+
+    def test_load_rejects_a_missing_feature(self, tmp_path):
+        stats = sl.fit_normalizer(sl.build_windows([make_traj(n=100, rng_seed=4)]))
+        path = tmp_path / "norm.csv"
+        sl.save_norm_stats(stats, path)
+        path.write_text("".join(l for l in path.read_text().splitlines(keepends=True)
+                                if not l.startswith("v_x,")))
+        with pytest.raises(sl.ParseError, match=r"normalizer file missing features \['v_x'\]"):
             sl.load_norm_stats(path)
 
 

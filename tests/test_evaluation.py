@@ -388,9 +388,10 @@ class TestScoringPath:
         assert spike_counts.tobytes() == stack_spike_counts.tobytes()
 
     def test_both_current_paths_run(self, monkeypatch):
-        # a stride-1 set is scored in place from each run's frames; a
-        # stride-2 one, which has no runs, a shuffled one and a bare stack
-        # per window copy
+        # a stride-1 set is scored in place from each run's frames, whose
+        # currents _run_currents takes from _feature_currents; a stride-2
+        # one, which has no runs, a shuffled one and a bare stack per window
+        # copy
         calls = []
         for name in ("_run_currents", "_feature_currents"):
             def spy(*args, _name=name, _real=getattr(model_module, name)):
@@ -403,14 +404,14 @@ class TestScoringPath:
         shuffled = windows[np.random.default_rng(4).permutation(len(windows))]
         strided = windows[windows.starts % 2 == 0]
         assert not strided.runs(2)
-        for source, path, count in (
-                (windows, "_run_currents", 10),  # one run per vehicle
-                (strided, "_feature_currents", -(-len(strided) // model_module.SCORE_CHUNK)),
-                (shuffled, "_feature_currents", chunks),
-                (windows.features, "_feature_currents", chunks)):
+        for source, want in (
+                (windows, ["_run_currents", "_feature_currents"] * 10),  # one run per vehicle
+                (strided, ["_feature_currents"] * -(-len(strided) // model_module.SCORE_CHUNK)),
+                (shuffled, ["_feature_currents"] * chunks),
+                (windows.features, ["_feature_currents"] * chunks)):
             calls.clear()
             sl.score(model, source)
-            assert calls == [path] * count
+            assert calls == want
 
     def test_chunks_follow_runs(self, monkeypatch):
         # a shuffled set keeps the SCORE_CHUNK grid; a stride-1 set's runs
@@ -593,6 +594,31 @@ class TestScoringPath:
             sl.score(model, source)
             assert len(made) == count
 
+
+    def test_each_block_is_allocated_once_a_call(self, monkeypatch):
+        # the chunks are scored longest first, so no block regrows for a
+        # longer chunk; scored in index order, each vehicle's run chunks
+        # allocated the currents, spikes and state blocks 4 times each
+        allocated = []
+
+        class Counting(model_module._WorkingSet):
+            def block(self, name, shape, dtype=np.float64):
+                before = self._flat.get(name)
+                block = super().block(name, shape, dtype)
+                if self._flat[name] is not before:
+                    allocated.append(name)
+                return block
+
+        monkeypatch.setattr(model_module, "_WorkingSet", Counting)
+        windows = sl.build_windows(sl.synthesize_dataset(2901, 12),
+                                   sl.WindowConfig(stride_frames=1))
+        windows = sl.apply_normalizer(sl.fit_normalizer(windows), windows)
+        assert len(windows.runs(model_module._MIN_RUN)) == 12
+        model = sl.new_model(seed=5)
+        for _ in range(2):
+            allocated.clear()
+            sl.score(model, windows)
+            assert sorted(allocated) == ["currents", "spikes", "state"]
 
 class TestDetectRuns:
     def test_debounce_thresholds(self):

@@ -116,6 +116,10 @@ class TestLifForward:
         with pytest.raises(sl.NumericError, match="must be finite and within"):
             sl.lif_forward(np.full((2, 1), current), sl.LifConfig(reset_mode=reset_mode))
 
+    def test_no_time_steps_rejected(self):
+        with pytest.raises(sl.ShapeError, match=r"currents shape \(0, 24\), expected \(T, H\)"):
+            sl.lif_forward(np.zeros((0, 24)), sl.LifConfig())
+
 
 def dyadic(rng, shape):
     """Values whose LIF sums at beta 0.5 are exact, so potentials land exactly
@@ -467,6 +471,12 @@ class TestParamsAndConfig:
                 feature_layer=sl.LinearLayer(np.zeros((input_dim, 24)), np.zeros(24)),
                 classifier=sl.LinearLayer(np.zeros((24, classes)), np.zeros(classes)),
             )
+
+    def test_classifier_width_must_match_the_feature_layer(self):
+        with pytest.raises(sl.ConfigError, match="classifier expects 23 inputs but the "
+                                                 "feature layer produces 24"):
+            sl.Model(feature_layer=sl.LinearLayer(np.zeros((5, 24)), np.zeros(24)),
+                     classifier=sl.LinearLayer(np.zeros((23, 3)), np.zeros(3)))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(sl.ConfigError, match="seed"):
