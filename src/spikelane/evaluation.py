@@ -158,8 +158,9 @@ class EvalReport:
 def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
     """Accuracy, confusion matrix, and one-vs-rest ROC/AUC per class.
 
-    A class with no positives or no negatives in the test labels gets no
-    curve and a warning instead; the macro AUC averages whatever remains.
+    A class with no positives or no negatives in the scored labels, those of
+    test_set, whichever split it holds, gets no curve and a warning instead;
+    the macro AUC averages whatever remains.
     Spike telemetry comes from the same scoring pass: each hidden spike
     drives one synaptic operation per classifier output (SynOps).
     """
@@ -179,7 +180,7 @@ def evaluate(model: Model, test_set: WindowSet) -> EvalReport:
         binary = (labels == k).astype(np.int64)
         if binary.min() == binary.max():
             word = "absent from" if binary.max() == 0 else "the only class in"
-            warnings.append(f"class {name} is {word} the test labels; ROC unavailable")
+            warnings.append(f"class {name} is {word} the scored labels; ROC unavailable")
             curves.append(None)
             continue
         curves.append(roc_curve(probs[:, k], binary, class_id=k))

@@ -14,8 +14,10 @@ none of them and gives each window the same bits at any batch size.  Both run
 one LIF recurrence, _lif_steps, over time-major (T, N, hidden) stacks, so each
 step reads and writes one contiguous block; the backward sweep runs over the
 same layout.  _lif_steps updates one state array in place and writes each
-step's threshold compare straight into a bool spike stack (out=), which score
-counts with a single reduction and forward_batch casts to float64 once.
+step's threshold compare straight into a bool spike stack (out=).  score and
+forward_batch pool that stack by one rule, a single uint8 count along time
+divided by the step count; forward_batch also casts it to float64 once, for
+the backward pass.
 Every feature current comes from one GEMM, _feature_currents: score runs it over
 the frames of a run of windows at consecutive starts (WindowSet.runs, a
 stride-1 vehicle), whose windows read them in place as a strided view, and
@@ -294,6 +296,11 @@ class _WorkingSet:
 # writes it: np.putmask copies a read-only values array on every call.
 _ZERO = np.zeros(())
 
+# The pooling divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
+# converted again on every ufunc call, which one-window scoring pays per call.
+_STEPS = np.array(WINDOW_STEPS)
+_STEPS.flags.writeable = False
+
 
 def _feature_currents(
     xs: np.ndarray, layer: LinearLayer, out: np.ndarray | None = None
@@ -349,21 +356,29 @@ def lif_forward(
     currents = _float_cast("currents", currents, (None, None))
     if len(currents) == 0:
         raise ShapeError(f"currents shape {currents.shape}, expected (T, H) with T >= 1")
-    return _lif_stacks(_check_currents(currents), cfg, _WorkingSet())
+    _, spikes, membrane = _lif_stacks(_check_currents(currents), cfg, _WorkingSet())
+    return spikes, membrane
 
 
 # The LIF state size (values, windows x hidden neurons) from which the
 # to_zero reset multiplies the state by the complement of the spike mask
 # instead of calling np.putmask, whose branches mispredict on a real spike
-# mask but which is one NumPy call in place of two.  On a trained model's
-# currents (fire rate 0.24-0.37; 2-CPU Xeon, one BLAS thread, best of 7) the
-# multiply took this share of putmask's time per 12-step loop, at 24
-# neurons: 1.59 at 1 window, 1.16 at 128 (training's batches), 1.02-1.07
-# at 160-256, 0.89 at 384, 0.81 at 512 and 0.68 at 1,024 (score's chunks).
-# Between 3,072 values (128 windows) and about 6,144 (256) the choice costs
-# little either way; from 4,096, predict and training batches of up to 170
-# windows keep putmask.
-_MULTIPLY_RESET_SIZE = 4096
+# mask but which is one NumPy call in place of two.  Timed on fresh batches
+# of a trained model's currents (fire rate 0.28), a new batch on every call
+# as in train(): one 12-step _lif_steps call with a membrane stack, at 24
+# neurons, median of 10 alternating pairs of best-of-7 passes (2-CPU Xeon,
+# one BLAS thread):
+#
+#   windows          1     8    16    20    24    32   128   256
+#   putmask us    26.1  32.9  41.7  44.8  50.6  59.3   157   292
+#   multiply us   37.0  39.9  43.2  44.7  48.9  52.7  98.5   167
+#   multiply won  0/10  0/10  1/10  4/10 10/10 10/10 10/10 10/10
+#
+# Two more series had the multiply win 3 of 10 pairs at 18 windows, 5 and 8
+# at 20, and 8 and 9 at 24.  A loop that replays one batch lets the branch
+# predictor learn its mask, which flatters putmask.  So training's
+# 128-window batches multiply, and predict's one window keeps putmask.
+_MULTIPLY_RESET_SIZE = 576
 
 
 def _lif_steps(
@@ -390,7 +405,10 @@ def _lif_steps(
     _MULTIPLY_RESET_SIZE, and from that size u *= not fired does, in keep
     (a bool array shaped like state, made here), because a fired u is at
     least v_threshold > 0 and finite (_check_currents bounds it), so
-    u * 0.0 is +0.0, and u * 1.0 is u.
+    u * 0.0 is +0.0, and u * 1.0 is u.  The switch sits where, on a spike
+    mask that changes from call to call, putmask's mispredicted branches
+    come to cost more than the multiply's second call: 24 windows of 24
+    neurons, timed in the table above _MULTIPLY_RESET_SIZE.
     beta and v_threshold enter every step as 0-d float64 arrays, made once
     per call, and the reset value as _ZERO: NumPy converts a Python-float
     operand again on every ufunc call, which at one window costs more than
@@ -422,16 +440,16 @@ def _lif_steps(
 
 def _lif_stacks(
     currents: np.ndarray, cfg: LifConfig, work: _WorkingSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 spike and pre-reset membrane stacks of forward_batch and
-    lif_forward, shaped like currents, in work's blocks."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bool and float64 spike stacks and the pre-reset membrane stack of
+    forward_batch and lif_forward, shaped like currents, in work's blocks."""
     membrane = work.block("membrane", currents.shape)
     state = work.block("state", currents.shape[1:])
     state.fill(0.0)
     fired = _lif_steps(currents, cfg, work.block("fired", currents.shape, bool), state, membrane)
     spikes = work.block("spikes", currents.shape)
     np.copyto(spikes, fired)
-    return spikes, membrane
+    return fired, spikes, membrane
 
 
 def softmax_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -464,7 +482,10 @@ def forward_batch(
 
     The time-major input and the current, membrane and spike stacks are
     blocks of _work, train's working set, so that the cache holds only until
-    the next batch; without it they are new arrays.
+    the next batch; without it they are new arrays.  The rates are pooled as
+    score pools them, from the bool spike stack: a uint8 count along time
+    divided by the 0-d _STEPS, the bits of spikes.mean(axis=0), since a
+    count of at most 12 and its float64 sum are the same integer.
     """
     work = _WorkingSet() if _work is None else _work
     xs = window_stack(windows)
@@ -472,8 +493,8 @@ def forward_batch(
     time_major = work.block("input", (model.input_steps, len(xs), model.input_dim))
     np.copyto(time_major, xs.transpose(1, 0, 2))
     currents = _feature_currents(time_major, model.feature_layer, work.block("currents", shape))
-    spikes, membrane = _lif_stacks(currents, model.lif, work)
-    pooled = spikes.mean(axis=0)
+    fired, spikes, membrane = _lif_stacks(currents, model.lif, work)
+    pooled = np.divide(np.add.reduce(fired, axis=0, dtype=np.uint8), _STEPS)
     logits = pooled @ model.classifier.weights + model.classifier.bias
     return ForwardCache(
         xs,
@@ -502,11 +523,6 @@ def forward_batch(
 # same bits.  At stride 1 score() peaks 2.67 MB above the window set under
 # tracemalloc, outputs included, against 5.47 MB for the same windows shuffled.
 SCORE_CHUNK = 1024
-
-# score's divisor, WINDOW_STEPS, as a read-only 0-d array: a Python int is
-# converted again on every ufunc call, which one-window scoring pays per call.
-_STEPS = np.array(WINDOW_STEPS)
-_STEPS.flags.writeable = False
 
 # The shortest run of windows (WindowSet.runs) that score reads in place,
 # measured in _score_chunks' docstring.
@@ -579,7 +595,7 @@ def score(model: Model, windows: WindowSet | np.ndarray) -> tuple[np.ndarray, np
         # training's recurrence, over the same (T, chunk, hidden) layout
         _lif_steps(currents, model.lif, spikes, state)
         counts = np.add.reduce(spikes, axis=0, dtype=np.uint8)  # at most 12 per neuron
-        # the bits of forward_batch's spikes.mean(axis=0), in the spent LIF state
+        # the rates, pooled as forward_batch pools them, in the spent LIF state
         pooled = np.divide(counts, _STEPS, out=state)
         logits = np.einsum("nk,kc->nc", pooled, model.classifier.weights)
         logits += model.classifier.bias

@@ -331,7 +331,7 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         report = (tmp_path / "out" / "eval_report.txt").read_text().splitlines()
         warnings = [l for l in report if l.startswith("warning:")]
-        assert "warning: class left is absent from the test labels; ROC unavailable" in warnings
+        assert "warning: class left is absent from the scored labels; ROC unavailable" in warnings
         assert err == warnings
 
     def test_roc_csv_spans_unit_square(self, data_csv, trained_dir, tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import spikelane as sl
-from spikelane.model import _MULTIPLY_RESET_SIZE, SCORE_CHUNK, ForwardCache, _log_softmax
+from spikelane.model import (
+    _MULTIPLY_RESET_SIZE, DEFAULT_HIDDEN_DIM, SCORE_CHUNK, ForwardCache, _log_softmax,
+)
 
 from oracles import (
     backward_batch_batch_major,
@@ -177,8 +179,10 @@ class TestLifContract:
         assert (np.signbit(want_m) & (want_m == 0)).sum() >= 2
 
     # The to_zero reset switches from putmask to a multiply at a state of
-    # _MULTIPLY_RESET_SIZE values: at SWITCH windows of these 5 neurons.
-    # score's chunks of SCORE_CHUNK + 1 windows take the multiply, then putmask.
+    # _MULTIPLY_RESET_SIZE values: at SWITCH windows of these 5 neurons, so
+    # SWITCH - 1 windows are the largest batch that takes putmask, as
+    # predict's one window does.  score's chunks of SCORE_CHUNK + 1 windows
+    # take the multiply, then putmask.  Both sides pool the same way.
     SWITCH = -(-_MULTIPLY_RESET_SIZE // 5)
 
     @pytest.mark.parametrize("n", [1, 37, SWITCH - 1, SWITCH, SCORE_CHUNK + 1])
@@ -204,6 +208,7 @@ class TestLifContract:
             assert counts[i] == cache.spikes[i].sum()
             hits += (want_m == 1.0).sum()
         assert hits >= 2
+        assert same_bits(cache.pooled, cache.spikes.mean(axis=1))
 
 
 class TestLifContractNumpyScalars(TestLifContract):
@@ -211,6 +216,37 @@ class TestLifContractNumpyScalars(TestLifContract):
     which _lif_steps turns into 0-d float64 operands like any float."""
 
     CFG = dict(beta=np.float64(0.5), v_threshold=1)
+
+
+class TestResetSwitch:
+    """Which to_zero reset each caller's LIF state takes, by counting
+    np.putmask calls rather than by timing them."""
+
+    @pytest.fixture
+    def putmask_calls(self, monkeypatch):
+        calls = []
+        putmask = np.putmask
+
+        def spy(a, mask, values):
+            calls.append(a.shape)
+            putmask(a, mask, values)
+
+        monkeypatch.setattr(np, "putmask", spy)
+        return calls
+
+    def test_a_default_training_batch_multiplies(self, putmask_calls):
+        n = sl.TrainConfig().batch_size
+        rng = np.random.default_rng(34)
+        windows = sl.WindowSet(features=rng.normal(size=(n, 12, 5)), labels=np.arange(n) % 3,
+                               vehicle_ids=["v"] * n, end_frames=np.arange(n))
+        _, logs = sl.train(sl.new_model(seed=1), windows, sl.TrainConfig(max_epochs=1))
+        assert len(logs) == 1
+        assert putmask_calls == []
+
+    def test_predict_resets_each_step_with_putmask(self, putmask_calls):
+        window = np.random.default_rng(34).normal(size=(12, 5))
+        sl.predict(sl.new_model(seed=1), window)
+        assert putmask_calls == [(1, DEFAULT_HIDDEN_DIM)] * 12
 
 
 class TestPoolingAndSoftmax:
