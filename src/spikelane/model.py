@@ -26,10 +26,13 @@ A call of several chunks or batches takes its working arrays from one
 _WorkingSet, not per chunk or batch: score its gathered input, current
 block, bool spike stack and LIF state, train (through the _work argument
 of forward_batch and backward_batch) the gathered windows, the time-major
-input, the current, membrane and spike stacks and the backward sweep's
-blocks.  So the time of such a call does not depend on whether the heap
-handed earlier pages back to the kernel.  score on a bare stack of one
-chunk, predict's window among them, makes its arrays afresh.
+input, the bool spike stack, the LIF state and three float64
+(T, N, hidden) stacks, "currents", "membrane" and "spikes".  So the time
+of such a call does not depend on whether the heap handed earlier pages
+back to the kernel.  The backward pass writes its own arrays into those
+three stacks, where the forward's are spent, so a cache made in train's
+working set is spent once backward_batch returns.  score on a bare stack
+of one chunk, predict's window among them, makes its arrays afresh.
 ForwardCache keeps its batch-major (N, T, hidden) shapes as transposed views
 of those stacks, which are therefore not C-contiguous.  All of these are pure
 functions of their arguments; models are plain frozen-array containers, so
@@ -160,6 +163,8 @@ class ForwardCache:
     arrays the LIF recurrence reads and fills, so for N > 1 they are not
     C-contiguous.
     backward_batch also takes caches whose fields are plain C-contiguous arrays.
+    A cache whose stacks are blocks of train's working set is spent once
+    backward_batch has run on it: that pass writes its own arrays there.
     """
 
     input: np.ndarray      # ([N,] T, in)
@@ -278,7 +283,9 @@ class _WorkingSet:
     most once, for a copied chunk longer than a run's before it.  A view of
     a block kept across a regrowth keeps the old array alive beside the new
     one.  A fresh working set gives each block a new array, which is the
-    allocating path of every public caller.
+    allocating path of every public caller.  backward_batch takes its
+    blocks under forward_batch's names, so train's working set holds three
+    float64 (T, N, hidden) stacks, not one per array of the two passes.
     """
 
     def __init__(self):
@@ -737,9 +744,13 @@ def backward_batch(
     beta, including the post-spike reset path for the configured reset mode.
     The formulas only read the cached spike and membrane values, so a cache
     filled by a smoothed forward variant yields that variant's exact gradient,
-    which is how the backward pass is verified.  The (T, N, hidden) blocks
-    of the sweep are blocks of _work, train's working set; without it they
-    are new arrays.
+    which is how the backward pass is verified.  The (T, N, hidden) arrays
+    of the sweep are blocks of _work under forward_batch's names: the
+    surrogate, then the adjoint, in "currents", the reset derivative, then
+    the batch-major adjoint, in "spikes", and membrane * surrogate in
+    "membrane" (_membrane_adjoint).  With train's working set these are the
+    cache's own stacks, so the cache is spent when this returns; without
+    _work they are new arrays, and the cache is not written.
     """
     work = _WorkingSet() if _work is None else _work
     steps, hidden = model.input_steps, model.hidden_dim
@@ -769,8 +780,9 @@ def backward_batch(
                                 spikes.transpose(1, 0, 2), dspike, work)
         # Both reductions read a C-contiguous (N, T, H) lam: their summation
         # order follows the memory layout, and this one keeps the trained bits.
-        # It goes in the reset-derivative block, which the sweep has done with.
-        batch_major = work.block("reset", (n, steps, hidden))
+        # It goes in the "spikes" block, whose reset derivative the sweep has
+        # done with.
+        batch_major = work.block("spikes", (n, steps, hidden))
         np.copyto(batch_major, lam.transpose(1, 0, 2))
         grad_w1 = np.einsum("nti,ntj->ij", xs, batch_major)
         grad_b1 = batch_major.sum(axis=(0, 1))
@@ -785,31 +797,38 @@ def _membrane_adjoint(
     work: _WorkingSet,
 ) -> np.ndarray:
     """Backward sweep over the LIF recurrence; returns dLoss/dCurrents in
-    work's adjoint block.
+    work's "currents" block.
 
     Works on time-major (T, N, H) stacks, like _lif_steps.  dspike is the loss
     gradient on each spike (identical for every time step here, but broadcast
     either way).  Everything that does not depend on the next step's adjoint
-    is computed for the whole stack first, into work's surrogate and reset
-    blocks, with the ufuncs and operands of
+    is computed for the whole stack first, with the ufuncs and operands of
     sg = surrogate_grad(membrane - v_threshold, slope),
     dreset = (1.0 - spikes) - membrane * sg or 1.0 - v_threshold * sg, and
     lam = dspike * sg.  The sweep then does three in-place ops per step, with
     the bits of lam[t] = dspike * sg[t] + mu * dreset[t].
+
+    The blocks carry the forward's names, so that in train's working set
+    each array goes where a spent forward stack lies: sg, then lam in its
+    place, in "currents", which the backward pass never reads; dreset in
+    "spikes", the spikes' own memory, whose one read is the ufunc that
+    writes it; membrane * sg in "membrane", likewise the membrane's last
+    read.  Such an in-place ufunc reads each element before it writes it
+    (exact overlap), so only the destinations differ from new arrays, and
+    no bit does.  In subtract mode the spikes are not read.
     """
-    sg = work.block("surrogate", membrane.shape)
-    dreset = work.block("reset", membrane.shape)
-    lam = work.block("adjoint", membrane.shape)
+    sg = work.block("currents", membrane.shape)
     np.subtract(membrane, cfg.v_threshold, out=sg)
     _surrogate_grad(sg, cfg.surrogate_slope, out=sg)
+    dreset = work.block("spikes", membrane.shape)
     if cfg.reset_mode == RESET_TO_ZERO:
         # d(u * (1 - s)) / du with s depending on u via the surrogate
         np.subtract(1.0, spikes, out=dreset)
-        dreset -= np.multiply(membrane, sg, out=lam)  # lam is set below
+        dreset -= np.multiply(membrane, sg, out=work.block("membrane", membrane.shape))
     else:
         np.multiply(cfg.v_threshold, sg, out=dreset)
         np.subtract(1.0, dreset, out=dreset)
-    np.multiply(dspike, sg, out=lam)
+    lam = np.multiply(dspike, sg, out=sg)
     beta = np.array(cfg.beta, dtype=np.float64)  # 0-d, as in _lif_steps
     mu = np.zeros(membrane.shape[1:])
     for t in reversed(range(len(membrane))):

@@ -8,6 +8,7 @@ child process whose glibc cannot grow its mmap threshold, that a batch or a
 chunk no longer faults its arrays in afresh.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -20,6 +21,7 @@ import pytest
 
 import spikelane as sl
 from spikelane import model as model_module
+from spikelane import training as training_module
 
 CHUNK = model_module.SCORE_CHUNK
 SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
@@ -86,15 +88,17 @@ def test_non_finite_window_in_the_shorter_last_chunk(windows, reset_mode):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
+@pytest.mark.parametrize("batch_size", (1, 100))
 @pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
-def test_train_matches_a_loop_over_the_public_steps(windows, reset_mode):
+def test_train_matches_a_loop_over_the_public_steps(windows, reset_mode, batch_size):
     # train's loop written out with forward_batch, backward_batch and
     # optimizer_step, whose arrays are new at every call; 100 windows a
-    # batch leave a shorter last batch
+    # batch leave a shorter last batch, and one window a batch runs the
+    # shared blocks at their smallest shape, where to_zero resets by putmask
     train_set = windows[::2]
-    assert len(train_set) % 100
+    assert batch_size == 1 or len(train_set) % batch_size
     model = _model(reset_mode)
-    config = sl.TrainConfig(batch_size=100, max_epochs=2, learning_rate=3e-2, seed=2)
+    config = sl.TrainConfig(batch_size=batch_size, max_epochs=2, learning_rate=3e-2, seed=2)
     got, logs = sl.train(model, train_set, config)
 
     rng = np.random.default_rng(config.seed)
@@ -118,6 +122,51 @@ def test_train_matches_a_loop_over_the_public_steps(windows, reset_mode):
     want = sl.replace_params(model, sl.split_params(best, model.hidden_dim))
     assert sl.model_to_bytes(got) == sl.model_to_bytes(want)
     assert sl.model_to_bytes(got) != sl.model_to_bytes(model)
+
+
+@pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+def test_train_holds_three_stacks_made_at_the_first_batch(windows, reset_mode, monkeypatch):
+    # the backward pass writes into the forward's spent "currents",
+    # "membrane" and "spikes" blocks; with blocks of its own it made six
+    # float64 (T, N, hidden) stacks
+    requested, allocated = [], []
+
+    class Counting(model_module._WorkingSet):
+        def block(self, name, shape, dtype=np.float64):
+            requested.append(name)
+            before = self._flat.get(name)
+            block = super().block(name, shape, dtype)
+            if self._flat[name] is not before:
+                allocated.append((requested.count("windows"), name, block.shape, block.dtype))
+            return block
+
+    monkeypatch.setattr(training_module, "_WorkingSet", Counting)
+    train_set = windows[::2]
+    config = sl.TrainConfig(batch_size=128, max_epochs=2, seed=2)
+    assert len(train_set) % config.batch_size
+    sl.train(_model(reset_mode), train_set, config)
+    assert requested.count("windows") == 2 * -(-len(train_set) // config.batch_size)
+    assert {batch for batch, *_ in allocated} == {1}
+    stack = (model_module.WINDOW_STEPS, config.batch_size, model_module.DEFAULT_HIDDEN_DIM)
+    stacks = [name for _, name, shape, dtype in allocated
+              if shape == stack and dtype == np.float64]
+    assert sorted(stacks) == ["currents", "membrane", "spikes"]
+    assert not {"surrogate", "reset", "adjoint"} & set(requested)
+
+
+@pytest.mark.parametrize("reset_mode", model_module.RESET_MODES)
+def test_backward_batch_leaves_the_cache_as_it_was(windows, reset_mode):
+    # without train's working set the backward's blocks are new arrays
+    model = _model(reset_mode)
+    cache = sl.forward_batch(model, windows[:100].features)
+    assert not cache.spikes.flags.c_contiguous
+    copied = sl.ForwardCache(*(np.array(getattr(cache, f.name), order="C")
+                               for f in dataclasses.fields(cache)))
+    assert copied.spikes.flags.c_contiguous and copied.spikes.any()
+    for source in (cache, copied):
+        before = [getattr(source, f.name).tobytes() for f in dataclasses.fields(source)]
+        sl.backward_batch(model, source, windows.labels[:100])
+        assert [getattr(source, f.name).tobytes() for f in dataclasses.fields(source)] == before
 
 
 _FAULTS = """
